@@ -2,46 +2,27 @@
 
 The paper's firewall argument (§4, Fig. 4) is that the Nexus Proxy
 needs exactly **one** inbound pinhole: outer server → inner server on
-the nxport.  The seed implementation opened a *fresh* outer→inner TCP
-connection per passive chain — functionally fine on loopback, but
-unfaithful (a packet filter admitting one long-lived relay connection
-is a very different policy from admitting an unbounded connection
-rate) and slow (a TCP handshake plus a JSON control round-trip on
-every chain).
-
-This module multiplexes all passive chains of one outer↔inner pair
-onto a single persistent TCP connection carrying length-prefixed
-frames::
-
-    +----------+------+-----------+----------------+
-    | chain_id | type |  length   | payload ...    |
-    |  u32 BE  |  u8  |  u32 BE   | length bytes   |
-    +----------+------+-----------+----------------+
-
-Frame types:
-
-* ``OPEN``  — outer→inner; payload is a JSON ``{"host": H, "port": P}``
-  naming the firewalled client's private listener.  The inner server
-  dials it and answers ``OPEN_OK`` or ``OPEN_ERR`` (payload: reason).
-* ``DATA``  — opaque chain bytes, either direction.
-* ``EOF``   — half-close of the sender's direction.
-* ``RST``   — hard teardown of one chain (sibling chains unaffected).
-* ``WINDOW`` — flow-control credit: payload is a u32 count of bytes
-  the receiver has consumed and the sender may now send again.
+the nxport.  This module multiplexes all passive chains of one
+outer↔inner pair onto a single persistent TCP connection carrying
+NXMUX/1 frames (format and sans-io decoder:
+:mod:`repro.core.aio.protocol`).
 
 Each chain direction has a byte window (``DEFAULT_WINDOW``): DATA
-consumes credit at the sender, and the receiving side returns credit
-only after the bytes have been written toward the destination socket,
-so one stalled chain exerts backpressure on *its* sender without
-starving siblings or ballooning relay memory.
+consumes credit at the sender, and the receiver returns it only once
+the bytes are written toward the destination socket *and* that
+socket's transport is below its high-water mark, so one stalled chain
+backpressures *its* sender without starving siblings, and relay memory
+per chain stays within window + high-water.
+
+The data path is protocol-driven (DESIGN §6.5): the session is the
+``BufferedProtocol`` of the link, every :class:`MuxChain` the one of
+its local socket; no StreamReader and no pump task touches a byte.
 
 The outer side (:class:`MuxConnector`) owns the link lifecycle:
-connects lazily, re-connects with exponential backoff when the link
-drops (in-flight chains die, as their TCP connections would), and
-re-establishes new chains over the fresh link.  The inner side is
-:func:`serve_mux_session`, entered by the inner server when a nxport
-connection opens with :data:`MUX_MAGIC` instead of a JSON control
-line.
+connects lazily, re-dials with exponential backoff when the link drops
+(in-flight chains die, as their TCP connections would).  The inner
+side is :func:`serve_mux_session`, entered when a nxport connection
+opens with :data:`MUX_MAGIC` instead of a JSON control line.
 """
 
 from __future__ import annotations
@@ -50,15 +31,28 @@ import asyncio
 import contextlib
 import json
 import logging
-import struct
-from typing import TYPE_CHECKING, Dict, Optional
+from typing import TYPE_CHECKING, Callable, Dict, Optional
 
+from repro.core.aio.protocol import (
+    FRAME_HEADER,
+    MAX_CONTROL_PAYLOAD,
+    MAX_FRAME_PAYLOAD,
+    MUX_MAGIC,
+    U32,
+    ChainReset,
+    FrameDecoder,
+    FrameType,
+    MuxError,
+    require_port,
+    steal_reader_buffer,
+)
 from repro.core.aio.pump import (
+    MAX_CHUNK,
     STREAM_LIMIT,
-    AdaptiveChunker,
     SegmentBatcher,
-    maybe_drain,
+    transport_fd,
     tune_stream,
+    write_direct,
 )
 from repro.obs import spans as _obs
 from repro.obs import trace as _trace
@@ -70,6 +64,7 @@ __all__ = [
     "MUX_MAGIC",
     "DEFAULT_WINDOW",
     "FrameType",
+    "FrameDecoder",
     "ChainReset",
     "MuxError",
     "MuxChain",
@@ -79,379 +74,376 @@ __all__ = [
 
 log = logging.getLogger("repro.nexus_proxy.mux")
 
-#: First line on a nxport connection that selects the mux protocol
-#: (legacy per-chain connections send a JSON object instead).
-MUX_MAGIC = b"NXMUX/1\n"
-
 #: Per-chain, per-direction flow-control window in bytes.
 DEFAULT_WINDOW = 256 * 1024
 
-#: Hard cap on one frame's payload; an OPEN/DATA frame beyond this is
-#: a protocol violation (DATA is naturally bounded by the window).
-MAX_FRAME_PAYLOAD = 1 << 20
 
-_HEADER = struct.Struct("!IBI")  # chain_id, frame type, payload length
-_U32 = struct.Struct("!I")
+class MuxChain(asyncio.BufferedProtocol):
+    """One logical byte stream inside a mux session, and the protocol
+    of the local socket :meth:`run` bridges it to.
 
-
-class FrameType:
-    OPEN = 1
-    OPEN_OK = 2
-    OPEN_ERR = 3
-    DATA = 4
-    EOF = 5
-    RST = 6
-    WINDOW = 7
-
-    NAMES = {1: "OPEN", 2: "OPEN_OK", 3: "OPEN_ERR",
-             4: "DATA", 5: "EOF", 6: "RST", 7: "WINDOW"}
-
-
-class MuxError(ConnectionError):
-    """Protocol violation or link failure on the mux connection."""
-
-
-class ChainReset(ConnectionError):
-    """One logical chain was torn down (RST or link drop)."""
-
-
-class MuxChain:
-    """One logical byte stream inside a mux session.
-
-    Exposes a real :class:`asyncio.StreamReader` for the inbound
-    direction (fed by the session's demux loop) and window-respecting
-    ``send_data``/``send_eof`` for the outbound one.
+    Outbound, the event loop reads into the session's shared buffer,
+    clipped to the send window, and ``buffer_updated`` frames the view;
+    an exhausted window, a backpressured link or an unframed backlog
+    is ``pause_reading()``.  Inbound, the session hands DATA spans to
+    :meth:`deliver`, which writes them straight to the socket.
     """
 
     def __init__(self, session: "_MuxSession", chain_id: int, window: int) -> None:
         self._session = session
         self.chain_id = chain_id
-        self.reader = asyncio.StreamReader(limit=2 * window)
+        self.transport: Optional[asyncio.Transport] = None
+        self.fd: Optional[int] = None
         self._send_window = window
-        #: Consumed bytes not yet returned as credit; flushed as one
-        #: WINDOW frame per threshold crossing instead of one per chunk.
+        #: What the peer may still send before it must wait for credit.
+        self._recv_credit = window
+        #: Consumed bytes not yet returned as credit (see ``consumed``).
         self._pending_credit = 0
         self._credit_threshold = max(1, window // 4)
-        self._window_ok = asyncio.Event()
-        self._window_ok.set()
+        self._write_paused = False
+        #: Bytes the stream layer had read before :meth:`run` adopted
+        #: the socket (may exceed the window); framed under the window.
+        self._backlog = memoryview(b"")
+        #: DATA that arrived before the local socket was attached.
+        self._inbox: "list[bytes]" = []
+        self._stall_t0: Optional[float] = None
         self._reset: Optional[BaseException] = None
-        self._sent_eof = False
-        self._recv_eof = False
+        self._local_eof = self._sent_eof = self._recv_eof = False
+        self._done: "Optional[asyncio.Future[None]]" = None
         #: Set by the opening side while waiting for OPEN_OK/OPEN_ERR.
         self.open_reply: Optional[asyncio.Future] = None
         #: Bytes sent + received over this chain (stats).
         self.bytes_moved = 0
-        #: Causal trace context (wire form) this chain belongs to, when
-        #: the OPEN carried one; stamps chain-lifecycle spans.
+        #: Causal trace context (wire form) when the OPEN carried one.
         self.tctx: Optional[str] = None
 
-    # -- outbound -----------------------------------------------------------
+    # -- local socket → link --------------------------------------------------
 
-    async def send_data(self, data: bytes) -> None:
-        """Send one DATA frame train, blocking while the peer's window
-        is exhausted."""
-        view = memoryview(data)
-        while view.nbytes:
-            if self._send_window <= 0 and self._reset is None:
-                self._session.stats.mux_window_stalls += 1
-                rec = _obs.RECORDER
-                t0 = rec.wall_ts() if rec is not None else 0.0
-                while self._send_window <= 0 and self._reset is None:
-                    self._window_ok.clear()
-                    await self._window_ok.wait()
-                if rec is not None:
-                    rec.wall_span_end(
-                        "mux", "window_stall", t0,
-                        track=f"chain:{self.chain_id}",
-                        **_trace.wire_args(self.tctx),
-                    )
-            if self._reset is not None:
-                raise ChainReset(str(self._reset))
-            n = min(view.nbytes, self._send_window)
-            self._send_window -= n
-            # Zero-copy: the frame carries a view of the caller's
-            # (immutable) buffer; the session batcher holds it — and
-            # thereby the base object — until the coalesced sendmsg.
-            self._session.send_frame(self.chain_id, FrameType.DATA, view[:n])
-            self.bytes_moved += n
-            view = view[n:]
-            await maybe_drain(self._session.writer)
+    def get_buffer(self, sizehint: int) -> memoryview:
+        return self._session.rview[:self._send_window]
 
-    def send_eof(self) -> None:
-        if not self._sent_eof and self._reset is None:
+    def buffer_updated(self, nbytes: int) -> None:
+        payload = self._session.rview[:nbytes]
+        batcher = self._session.batcher
+        if batcher.pending_bytes + FRAME_HEADER.size + nbytes < batcher.budget:
+            # Small: copied, so it can wait out the tick and coalesce.
+            # Anything larger is flushed inside send_frame, so the view
+            # of the shared buffer is never retained.
+            payload = bytes(payload)
+        self._send(payload)
+        self._update_reading()
+
+    def eof_received(self) -> bool:
+        self._local_eof = True
+        self._pump()
+        return True  # keep the socket open: the peer may still send to us
+
+    def _send(self, payload: "bytes | memoryview") -> None:
+        n = len(payload)
+        self._send_window -= n
+        self.bytes_moved += n
+        self._session.stats.on_chunk(n)
+        self._session.send_frame(self.chain_id, FrameType.DATA, payload)
+        if self._send_window <= 0 and self._stall_t0 is None:
+            self._session.stats.mux_window_stalls += 1
+            rec = _obs.RECORDER
+            self._stall_t0 = rec.wall_ts() if rec is not None else 0.0
+
+    def _pump(self) -> None:
+        """Frame what the window admits of the backlog, then a pending
+        EOF, then let the socket read again."""
+        while (self._backlog and self._send_window > 0
+               and not self._session.link_paused and self._reset is None):
+            n = min(len(self._backlog), self._send_window, MAX_FRAME_PAYLOAD)
+            self._send(self._backlog[:n])
+            self._backlog = self._backlog[n:]
+        if (self._local_eof and not self._backlog and not self._sent_eof
+                and self._reset is None):
             self._sent_eof = True
-            with contextlib.suppress(Exception):
-                self._session.send_frame(self.chain_id, FrameType.EOF)
+            self._session.send_frame(self.chain_id, FrameType.EOF)
+            self._maybe_finish()
+        self._update_reading()
+
+    def _update_reading(self) -> None:
+        t = self.transport
+        if t is None or t.is_closing() or self._local_eof:
+            return
+        want = (self._send_window > 0 and not self._backlog
+                and not self._session.link_paused)
+        if want != t.is_reading():
+            (t.resume_reading if want else t.pause_reading)()
+
+    def _end_stall(self) -> None:
+        t0, self._stall_t0 = self._stall_t0, None
+        rec = _obs.RECORDER
+        if t0 is not None and rec is not None:
+            rec.wall_span_end("mux", "window_stall", t0,
+                              track=f"chain:{self.chain_id}",
+                              **_trace.wire_args(self.tctx))
 
     def send_rst(self) -> None:
         with contextlib.suppress(Exception):
             self._session.send_frame(self.chain_id, FrameType.RST)
         self.abort(ChainReset(f"chain {self.chain_id} reset locally"))
 
-    # -- credit & teardown (called by the demux loop) -----------------------
-
-    def consumed(self, nbytes: int) -> None:
-        """Return ``nbytes`` of window credit to the peer — call after
-        the bytes were written toward their destination.
-
-        Credit is batched: one WINDOW frame per quarter-window of
-        consumption instead of one per chunk.  Liveness holds because
-        the threshold is below the window — a sender stalled at zero
-        window implies a full window of un-credited bytes here, so
-        consuming them must cross the threshold.
-        """
-        self._pending_credit += nbytes
-        if self._pending_credit >= self._credit_threshold:
-            self.flush_credit()
-
-    def flush_credit(self) -> None:
-        """Send any accumulated window credit now (threshold crossing,
-        or a pump going idle with credit still pending)."""
-        pending, self._pending_credit = self._pending_credit, 0
-        if pending and self._reset is None:
-            with contextlib.suppress(Exception):
-                self._session.send_frame(
-                    self.chain_id, FrameType.WINDOW, _U32.pack(pending)
-                )
-
     def add_credit(self, nbytes: int) -> None:
+        if self._send_window + nbytes > self._session.window:
+            raise MuxError(f"chain {self.chain_id}: credit beyond the window")
         self._send_window += nbytes
         if self._send_window > 0:
-            self._window_ok.set()
+            self._end_stall()
+        self._pump()
+
+    # -- link → local socket --------------------------------------------------
+
+    def deliver(self, view: "bytes | memoryview") -> None:
+        """One span of a DATA payload, in arrival order."""
+        n = len(view)
+        self.bytes_moved += n
+        self._recv_credit -= n
+        if self._recv_credit < 0:
+            raise MuxError(f"chain {self.chain_id}: DATA beyond the window")
+        if self._recv_eof or self._reset is not None:
+            return
+        self._session.stats.on_chunk(n)
+        if self.transport is None:
+            self._inbox.append(bytes(view))
+        else:
+            self._write(view)
+
+    def _write(self, view: "bytes | memoryview") -> None:
+        write_direct(self.transport, self.fd, view)
+        self.consumed(len(view))
+
+    def on_eof(self) -> None:
+        self._recv_eof = True
+        t = self.transport
+        if t is not None:
+            try:
+                t.write_eof()
+            except (OSError, RuntimeError):
+                t.close()
+            self._maybe_finish()
+
+    def _maybe_finish(self) -> None:
+        """Both directions saw EOF → close (flushes queued writes)."""
+        if self._sent_eof and self._recv_eof and self.transport is not None:
+            self.transport.close()
+
+    def pause_writing(self) -> None:
+        self._write_paused = True
+
+    def resume_writing(self) -> None:
+        self._write_paused = False
+        self.consumed(0)
+
+    def consumed(self, nbytes: int) -> None:
+        """``nbytes`` went toward the local socket: return them as
+        credit, one WINDOW frame per quarter-window and none while the
+        socket is past high-water.  Live because a sender stalled at
+        zero window implies a full window un-credited here."""
+        self._pending_credit += nbytes
+        if (self._pending_credit >= self._credit_threshold
+                and not self._write_paused and self._reset is None):
+            credit, self._pending_credit = self._pending_credit, 0
+            self._recv_credit += credit
+            self._session.send_frame(
+                self.chain_id, FrameType.WINDOW, U32.pack(credit))
+
+    # -- lifecycle ------------------------------------------------------------
+
+    def connection_lost(self, exc: Optional[BaseException]) -> None:
+        self.transport = self.fd = None
+        self.abort(ChainReset(f"chain {self.chain_id}: local socket closed"))
+        if not self._done.done():
+            self._done.set_result(None)
 
     def abort(self, exc: BaseException) -> None:
         """Tear this chain down locally (RST received or link died)."""
         if self._reset is not None:
             return
         self._reset = exc
-        self._window_ok.set()  # wake window waiters so they see the reset
+        self._end_stall()
+        self._inbox.clear()
         if self.open_reply is not None and not self.open_reply.done():
             self.open_reply.set_exception(ChainReset(str(exc)))
-        if self._recv_eof or self.reader.at_eof():
-            self._recv_eof = True
-            return
-        self._recv_eof = True
-        self.reader.feed_eof()
+        if self.transport is not None:
+            self.transport.close()
+
+    async def run(self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter) -> None:
+        """Bridge this established chain to its local TCP socket, both
+        directions, until it ends; then clean up."""
+        session = self._session
+        rec = _obs.RECORDER
+        t0 = rec.wall_ts() if rec is not None else 0.0
+        self._done = asyncio.get_running_loop().create_future()
+        try:
+            leftover = steal_reader_buffer(reader)
+            if self._reset is None and not writer.transport.is_closing():
+                self.transport = writer.transport
+                self.fd = transport_fd(self.transport)
+                self.transport.set_protocol(self)
+                self._backlog = memoryview(leftover)
+                self._local_eof = reader.at_eof()
+                inbox, self._inbox = self._inbox, []
+                for data in inbox:
+                    self._write(data)
+                if self._recv_eof:
+                    self.on_eof()
+                self._pump()
+                await self._done
+        finally:
+            session.stats.chain_bytes.record(self.bytes_moved)
+            # In ``finally`` so an aborted chain never leaks an open span.
+            if rec is not None:
+                rec.wall_span_end(
+                    "mux", "chain", t0, track=f"chain:{self.chain_id}",
+                    bytes=self.bytes_moved, **_trace.wire_args(self.tctx),
+                )
+            with contextlib.suppress(Exception):
+                writer.close()
+            if session.chains.pop(self.chain_id, None) is not None and session.alive:
+                self.send_rst()
 
 
-class _MuxSession:
-    """Shared frame plumbing of one live mux connection (either side).
+class _MuxSession(asyncio.BufferedProtocol):
+    """One live mux connection (either side) and its link protocol,
+    taken over from the stream layer, frames it already read included.
 
-    The write side is zero-copy: ``send_frame`` hands the packed
-    header and the payload *view* to a per-session
-    :class:`~repro.core.aio.pump.SegmentBatcher`, so every frame
-    queued within one event-loop tick leaves in a single coalesced
-    ``sendmsg`` — headers are never concatenated onto payloads and
-    payloads are never copied.  The read side parses whole batches of
-    frames out of one ``read()`` (``read_frames``) instead of two
-    ``readexactly`` awaits per frame.
+    ``send_frame`` hands header and payload to a ``SegmentBatcher``:
+    frames queued within one event-loop tick leave in a single
+    ``writev``, a batch that reaches the coalesce budget at once.
+    Inbound frames are dispatched inside the read callback.  ``closed``
+    resolves (to the cause) when the link ends.
     """
 
-    def __init__(
-        self,
-        reader: asyncio.StreamReader,
-        writer: asyncio.StreamWriter,
-        stats: "AioRelayStats",
-        window: int = DEFAULT_WINDOW,
-    ) -> None:
-        self.reader = reader
+    def __init__(self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter,
+                 stats: "AioRelayStats", window: int = DEFAULT_WINDOW,
+                 on_open: "Optional[Callable[[MuxChain, bytes], None]]" = None) -> None:
         self.writer = writer
         self.stats = stats
         self.window = window
         self.chains: Dict[int, MuxChain] = {}
         self.alive = True
+        #: The link transport is past its high-water mark: no chain reads.
+        self.link_paused = False
         self.batcher = SegmentBatcher(writer, on_flush=self._on_flush)
+        self.decoder = FrameDecoder()
+        self._on_open = on_open
+        self._link_view = memoryview(bytearray(MAX_CHUNK))
+        #: The one receive buffer every chain's local socket reads into.
+        self.rview = memoryview(bytearray(MAX_CHUNK))
+        self.closed: "asyncio.Future[BaseException]" = (
+            asyncio.get_running_loop().create_future())
+        leftover = steal_reader_buffer(reader)
+        if reader.at_eof() or writer.transport.is_closing():
+            self.shutdown(MuxError("mux link closed before it was adopted"))
+            return
+        writer.transport.set_protocol(self)
+        writer.transport.resume_reading()
+        self._feed(leftover)
 
     def _on_flush(self, nbytes: int, nsegments: int) -> None:
         self.stats.coalesced_flushes += 1
         self.stats.coalesce_bytes.record(nbytes)
 
-    def send_frame(
-        self, chain_id: int, ftype: int, payload: "bytes | memoryview" = b""
-    ) -> None:
+    def send_frame(self, chain_id: int, ftype: int, payload: "bytes | memoryview" = b"") -> None:
         if not self.alive:
             raise MuxError("mux link is down")
-        nbytes = payload.nbytes if isinstance(payload, memoryview) else len(payload)
-        self.batcher.add(_HEADER.pack(chain_id, ftype, nbytes), payload)
+        self.batcher.add(FRAME_HEADER.pack(chain_id, ftype, len(payload)), payload)
         self.stats.mux_frames += 1
 
-    async def drain(self) -> None:
-        """Flush the coalescing batcher and wait out backpressure."""
-        self.batcher.flush()
-        await maybe_drain(self.writer)
+    # -- link protocol --------------------------------------------------------
 
-    async def read_frames(self):
-        """Yield ``(chain_id, ftype, payload_view)`` for every inbound
-        frame, reading the link in large batches.
+    def get_buffer(self, sizehint: int) -> memoryview:
+        return self._link_view
 
-        One ``read()`` typically surfaces many coalesced frames; all
-        complete ones are parsed from a single buffer with
-        ``unpack_from`` and yielded as ``memoryview`` slices — the only
-        copy on the inbound hot path is the consumer's own
-        (``feed_data`` into a chain reader).  Each view is released
-        when the consumer returns, so consumers must not retain it
-        across an ``await``.  Raises :class:`MuxError` when the link
-        closes (cleanly or mid-frame).
-        """
-        buf = bytearray()
-        header_size = _HEADER.size
-        reader = self.reader
-        while True:
-            data = await reader.read(STREAM_LIMIT)
-            if not data:
-                raise MuxError(
-                    "mux link closed mid-frame" if buf else "mux link closed by peer"
-                )
-            buf += data
-            off = 0
-            blen = len(buf)
-            while blen - off >= header_size:
-                chain_id, ftype, length = _HEADER.unpack_from(buf, off)
-                if ftype not in FrameType.NAMES:
-                    raise MuxError(f"unknown frame type {ftype}")
-                if length > MAX_FRAME_PAYLOAD:
-                    raise MuxError(f"oversized frame ({length} bytes)")
-                if blen - off < header_size + length:
-                    break
-                start = off + header_size
-                off = start + length
-                if length:
-                    view = memoryview(buf)[start:off]
-                    try:
-                        yield chain_id, ftype, view
-                    finally:
-                        # The buffer is compacted below; a surviving
-                        # export would make ``del`` a BufferError.
-                        view.release()
-                else:
-                    yield chain_id, ftype, b""
-            if off:
-                del buf[:off]
+    def buffer_updated(self, nbytes: int) -> None:
+        self._feed(self._link_view[:nbytes])
 
-    def dispatch(
-        self, chain_id: int, ftype: int, payload: "bytes | memoryview"
-    ) -> bool:
-        """Route one non-OPEN frame to its chain.
+    def _feed(self, data: "bytes | memoryview") -> None:
+        if not self.alive:
+            return
+        try:
+            for chain_id, ftype, payload in self.decoder.feed(data):
+                self.dispatch(chain_id, ftype, payload)
+            # What this read provoked (WINDOW credit, mostly) leaves in
+            # one writev now, not a loop iteration later.
+            self.batcher.flush()
+        except Exception as exc:
+            # Whatever escapes the read path must not strand the chains.
+            if not isinstance(exc, MuxError):
+                log.exception("mux link read path failed")
+            self.shutdown(exc)
 
-        Returns False for frames addressed to unknown chains — normal
-        after a local RST raced in-flight frames; they are dropped.
-        """
+    def eof_received(self) -> bool:
+        self.shutdown(MuxError("mux link closed by peer"))
+        return False
+
+    def connection_lost(self, exc: Optional[BaseException]) -> None:
+        self.shutdown(exc or MuxError("mux link closed"))
+
+    def pause_writing(self) -> None:
+        self.link_paused = True
+        for chain in self.chains.values():
+            chain._update_reading()
+
+    def resume_writing(self) -> None:
+        self.link_paused = False
+        for chain in list(self.chains.values()):
+            chain._pump()
+
+    def dispatch(self, chain_id: int, ftype: int, payload: "bytes | memoryview") -> None:
+        """Route one frame to its chain; one for an unknown chain —
+        normal after a local RST raced in-flight frames — is dropped."""
         chain = self.chains.get(chain_id)
-        if chain is None:
-            return False
-        if ftype == FrameType.DATA:
-            chain.bytes_moved += len(payload)
-            if not chain._recv_eof:
-                chain.reader.feed_data(payload)
+        if ftype == FrameType.OPEN and self._on_open is not None:
+            if chain is not None:
+                raise MuxError(f"duplicate OPEN for chain {chain_id}")
+            chain = self.chains[chain_id] = MuxChain(self, chain_id, self.window)
+            self._on_open(chain, payload)
+        elif chain is None:
+            return
+        elif ftype == FrameType.DATA:
+            chain.deliver(payload)
         elif ftype == FrameType.EOF:
-            if not chain._recv_eof:
-                chain._recv_eof = True
-                chain.reader.feed_eof()
+            chain.on_eof()
         elif ftype == FrameType.WINDOW:
-            (credit,) = _U32.unpack(payload)
-            chain.add_credit(credit)
+            chain.add_credit(U32.unpack(payload)[0])
         elif ftype == FrameType.RST:
-            self.chains.pop(chain_id, None)
+            del self.chains[chain_id]
             chain.abort(ChainReset(f"chain {chain_id} reset by peer"))
-        elif ftype in (FrameType.OPEN_OK, FrameType.OPEN_ERR):
-            fut = chain.open_reply
-            if fut is not None and not fut.done():
-                if ftype == FrameType.OPEN_OK:
-                    fut.set_result(None)
-                else:
-                    fut.set_exception(
-                        ChainReset(
-                            bytes(payload).decode("utf-8", "replace") or "refused"
-                        )
-                    )
-        return True
+        elif chain.open_reply is not None and not chain.open_reply.done():
+            if ftype == FrameType.OPEN_OK:
+                chain.open_reply.set_result(None)
+            elif ftype == FrameType.OPEN_ERR:
+                chain.open_reply.set_exception(
+                    ChainReset(payload.decode("utf-8", "replace") or "refused"))
 
     def shutdown(self, exc: BaseException) -> None:
         """Link died: abort every chain (their TCP connections would
         have died with a real single-connection pinhole too)."""
+        if not self.alive:
+            return
         self.alive = False
         self.batcher.close()
         chains, self.chains = self.chains, {}
         for chain in chains.values():
-            chain.abort(exc)
+            chain.abort(ChainReset(f"mux link dropped: {exc}"))
         with contextlib.suppress(Exception):
             self.writer.close()
-
-
-async def _run_chain_pumps(
-    chain: MuxChain,
-    sock_reader: asyncio.StreamReader,
-    sock_writer: asyncio.StreamWriter,
-    stats: "AioRelayStats",
-    chunker_min: int,
-) -> None:
-    """Bridge one established chain to its local TCP socket, both
-    directions, then clean up."""
-
-    async def sock_to_chain() -> None:
-        chunker = AdaptiveChunker(min_chunk=chunker_min)
-        try:
-            while True:
-                data = await sock_reader.read(chunker.size)
-                if not data:
-                    break
-                stats.on_chunk(len(data))
-                await chain.send_data(data)
-                chunker.on_read(len(data))
-        except (ConnectionError, OSError):
-            pass
-        finally:
-            chain.send_eof()
-
-    async def chain_to_sock() -> None:
-        try:
-            while True:
-                data = await chain.reader.read(STREAM_LIMIT)
-                if not data:
-                    break
-                stats.on_chunk(len(data))
-                sock_writer.write(data)
-                await maybe_drain(sock_writer)
-                chain.consumed(len(data))
-        except (ConnectionError, OSError):
-            pass
-        finally:
-            with contextlib.suppress(Exception):
-                await sock_writer.drain()
-            with contextlib.suppress(Exception):
-                sock_writer.write_eof()
-
-    rec = _obs.RECORDER
-    t0 = rec.wall_ts() if rec is not None else 0.0
-    try:
-        await asyncio.gather(sock_to_chain(), chain_to_sock())
-    finally:
-        stats.chain_bytes.record(chain.bytes_moved)
-        # Chain-lifecycle span closed in ``finally`` so an aborted
-        # chain (link drop, RST) never leaks an open span.
-        if rec is not None:
-            rec.wall_span_end(
-                "mux", "chain", t0, track=f"chain:{chain.chain_id}",
-                bytes=chain.bytes_moved, **_trace.wire_args(chain.tctx),
-            )
-        with contextlib.suppress(Exception):
-            sock_writer.close()
-
-
-# ---------------------------------------------------------------------------
-# Outer side: persistent connector with reconnect
-# ---------------------------------------------------------------------------
+        if not self.closed.done():  # a cancelled waiter cancels it
+            self.closed.set_result(exc)
 
 
 class MuxConnector:
     """The outer server's end of one outer↔inner mux link.
 
-    Lazily connects on first :meth:`open_chain`; a background task
-    demultiplexes inbound frames.  When the link drops, every live
-    chain is aborted and the connector re-dials with exponential
-    backoff (``backoff_base`` doubling up to ``backoff_max``); chains
-    requested while down wait for the next successful dial (bounded by
-    ``open_timeout``).
+    Lazily connects on first :meth:`open_chain`.  When the link drops,
+    every live chain is aborted and the connector re-dials with
+    exponential backoff (``backoff_base`` doubling up to
+    ``backoff_max``); chains requested meanwhile wait for the next
+    successful dial (bounded by ``open_timeout``).
     """
 
     def __init__(
@@ -461,7 +453,6 @@ class MuxConnector:
         stats: "AioRelayStats",
         *,
         window: int = DEFAULT_WINDOW,
-        chunk: int = 4096,
         backoff_base: float = 0.05,
         backoff_max: float = 2.0,
         open_timeout: float = 10.0,
@@ -470,7 +461,6 @@ class MuxConnector:
         self.inner_port = inner_port
         self.stats = stats
         self.window = window
-        self.chunk = chunk
         self.backoff_base = backoff_base
         self.backoff_max = backoff_max
         self.open_timeout = open_timeout
@@ -482,57 +472,43 @@ class MuxConnector:
         #: Successful link (re-)establishments; 1 after first connect.
         self.connects = 0
 
-    # -- lifecycle ----------------------------------------------------------
-
-    def _ensure_running(self) -> None:
-        if self._run_task is None or self._run_task.done():
-            self._run_task = asyncio.ensure_future(self._run())
-
     async def _run(self) -> None:
         """Connect / serve / reconnect loop."""
         backoff = self.backoff_base
+        peer = f"{self.inner_host}:{self.inner_port}"
         while not self._closed:
             try:
                 reader, writer = await asyncio.open_connection(
                     self.inner_host, self.inner_port, limit=STREAM_LIMIT
                 )
             except OSError as exc:
-                log.warning(
-                    "mux dial to %s:%d failed (%s); retrying in %.2fs",
-                    self.inner_host, self.inner_port, exc, backoff,
-                )
+                log.warning("mux dial to %s failed (%s); retrying in %.2fs",
+                            peer, exc, backoff)
                 await asyncio.sleep(backoff)
                 backoff = min(backoff * 2, self.backoff_max)
                 continue
             tune_stream(writer)
             writer.write(MUX_MAGIC)
-            session = _MuxSession(reader, writer, self.stats, self.window)
-            self._session = session
+            session = self._session = _MuxSession(
+                reader, writer, self.stats, self.window)
             self.connects += 1
             if self.connects > 1:
                 self.stats.mux_reconnects += 1
             self._session_ready.set()
             backoff = self.backoff_base
-            log.info(
-                "mux link up to %s:%d (connect #%d)",
-                self.inner_host, self.inner_port, self.connects,
-            )
+            log.info("mux link up to %s (connect #%d)", peer, self.connects)
             try:
-                async for chain_id, ftype, payload in session.read_frames():
-                    session.dispatch(chain_id, ftype, payload)
-            except (asyncio.IncompleteReadError, ConnectionError, OSError, MuxError) as exc:
+                exc = await session.closed
+            finally:
                 self._session_ready.clear()
                 self._session = None
-                session.shutdown(ChainReset(f"mux link dropped: {exc}"))
-                if not self._closed:
-                    log.warning("mux link to %s:%d dropped: %s",
-                                self.inner_host, self.inner_port, exc)
-            except asyncio.CancelledError:
                 session.shutdown(ChainReset("mux connector stopped"))
-                raise
+            if not self._closed:
+                log.warning("mux link to %s dropped: %s", peer, exc)
 
     async def _current_session(self) -> _MuxSession:
-        self._ensure_running()
+        if self._run_task is None or self._run_task.done():
+            self._run_task = asyncio.ensure_future(self._run())
 
         async def wait_for_link() -> _MuxSession:
             while True:
@@ -552,33 +528,22 @@ class MuxConnector:
             with contextlib.suppress(asyncio.CancelledError):
                 await self._run_task
             self._run_task = None
-        if self._session is not None:
-            self._session.shutdown(ChainReset("mux connector stopped"))
-            self._session = None
-        self._session_ready.clear()
 
     async def drop_link(self) -> None:
         """Abort the live TCP link (chaos hook for tests): chains die,
         the connector re-dials automatically."""
         session = self._session
         if session is not None:
-            transport = session.writer.transport
             with contextlib.suppress(Exception):
-                transport.abort()
-
-    # -- chain establishment ------------------------------------------------
+                session.writer.transport.abort()
 
     async def open_chain(
         self, host: str, port: int, tctx: Optional[str] = None
     ) -> "tuple[MuxChain, _MuxSession]":
         """OPEN a new chain toward the firewalled client at
         ``host:port``; returns when the inner server confirmed.
-
         ``tctx`` (wire form) rides the OPEN payload as an extra JSON
-        key; untagged peers simply never send it, and seed-era inner
-        servers ignore unknown keys — version-sniffed compatibility
-        for free.
-        """
+        key, which seed-era inner servers ignore."""
         loop = asyncio.get_running_loop()
         t0 = loop.time()
         session = await self._current_session()
@@ -591,9 +556,8 @@ class MuxConnector:
         open_req = {"host": host, "port": port}
         if tctx is not None:
             open_req["tctx"] = tctx
-        payload = json.dumps(open_req).encode()
-        session.send_frame(chain_id, FrameType.OPEN, payload)
-        await session.drain()
+        session.send_frame(chain_id, FrameType.OPEN, json.dumps(open_req).encode())
+        session.batcher.flush()
         try:
             await asyncio.wait_for(asyncio.shield(chain.open_reply), self.open_timeout)
         except (ChainReset, asyncio.TimeoutError):
@@ -604,30 +568,15 @@ class MuxConnector:
         self.stats.chain_setup_us.record(int((loop.time() - t0) * 1e6))
         return chain, session
 
-    async def relay_chain(
-        self,
-        host: str,
-        port: int,
-        sock_reader: asyncio.StreamReader,
-        sock_writer: asyncio.StreamWriter,
-        tctx: Optional[str] = None,
-    ) -> None:
+    async def relay_chain(self, host: str, port: int,
+                          sock_reader: asyncio.StreamReader,
+                          sock_writer: asyncio.StreamWriter,
+                          tctx: Optional[str] = None) -> None:
         """Establish a chain and bridge it to an accepted peer socket
         until both directions finish."""
-        chain, session = await self.open_chain(host, port, tctx=tctx)
+        chain, _session = await self.open_chain(host, port, tctx=tctx)
         self.stats.passive_chains += 1
-        try:
-            await _run_chain_pumps(
-                chain, sock_reader, sock_writer, self.stats, self.chunk
-            )
-        finally:
-            if session.chains.pop(chain.chain_id, None) is not None and session.alive:
-                chain.send_rst()
-
-
-# ---------------------------------------------------------------------------
-# Inner side: serve one mux session on an accepted nxport connection
-# ---------------------------------------------------------------------------
+        await chain.run(sock_reader, sock_writer)
 
 
 async def serve_mux_session(
@@ -636,25 +585,20 @@ async def serve_mux_session(
     stats: "AioRelayStats",
     *,
     window: int = DEFAULT_WINDOW,
-    chunk: int = 4096,
     adopt=None,
     disown=None,
 ) -> None:
-    """Inner-server end of a mux link (the ``MUX_MAGIC`` line has
-    already been consumed by the caller).  Serves OPEN requests until
-    the link closes.
-
-    ``adopt``/``disown`` register the onward sockets this session
-    dials for each chain with the owning daemon, so daemon shutdown
-    aborts chains still mid-transfer instead of leaking them.
-    """
-    session = _MuxSession(reader, writer, stats, window)
+    """Inner-server end of a mux link (the caller has consumed the
+    ``MUX_MAGIC`` line).  Serves OPEN requests until the link closes.
+    ``adopt``/``disown`` register each chain's onward socket with the
+    owning daemon, so its shutdown aborts chains still mid-transfer."""
     tasks: set[asyncio.Task] = set()
 
-    async def handle_open(chain_id: int, payload: bytes) -> None:
+    async def handle_open(chain: MuxChain, payload: bytes) -> None:
+        chain_id = chain.chain_id
         try:
             req = json.loads(payload)
-            host, port = req["host"], int(req["port"])
+            host, port = req["host"], require_port(req["port"])
             onward_r, onward_w = await asyncio.open_connection(
                 host, port, limit=STREAM_LIMIT
             )
@@ -662,13 +606,16 @@ async def serve_mux_session(
             stats.failed_requests += 1
             session.chains.pop(chain_id, None)
             with contextlib.suppress(Exception):
-                session.send_frame(chain_id, FrameType.OPEN_ERR, str(exc).encode())
+                session.send_frame(chain_id, FrameType.OPEN_ERR,
+                                   str(exc).encode()[:MAX_CONTROL_PAYLOAD])
+            return
+        if chain._reset is not None:  # RST or link loss raced the dial
+            onward_w.close()
             return
         tune_stream(onward_w)
         if adopt is not None:
             adopt(onward_w)
         stats.passive_chains += 1
-        chain = session.chains[chain_id]
         # Optional causal trace tag; absent from seed-era peers.
         wire = req.get("tctx")
         if isinstance(wire, str):
@@ -678,30 +625,23 @@ async def serve_mux_session(
             if rec is not None and ctx is not None:
                 rec.wall_instant("mux", "chain_open", track=f"chain:{chain_id}",
                                  dest=f"{host}:{port}", **_trace.span_args(ctx))
-        session.send_frame(chain_id, FrameType.OPEN_OK)
         try:
-            await _run_chain_pumps(chain, onward_r, onward_w, stats, chunk)
+            session.send_frame(chain_id, FrameType.OPEN_OK)
+            await chain.run(onward_r, onward_w)
         finally:
             if disown is not None:
                 disown(onward_w)
-            if session.chains.pop(chain_id, None) is not None and session.alive:
-                chain.send_rst()
 
+    def on_open(chain: MuxChain, payload: bytes) -> None:
+        task = asyncio.ensure_future(handle_open(chain, payload))
+        tasks.add(task)
+        task.add_done_callback(tasks.discard)
+
+    # OPENs read behind the magic are dispatched in here; their
+    # handlers first run once ``session`` is bound.
+    session = _MuxSession(reader, writer, stats, window, on_open)
     try:
-        async for chain_id, ftype, payload in session.read_frames():
-            if ftype == FrameType.OPEN:
-                if chain_id in session.chains:
-                    raise MuxError(f"duplicate OPEN for chain {chain_id}")
-                session.chains[chain_id] = MuxChain(session, chain_id, window)
-                # The payload view dies when this iteration returns;
-                # the scheduled handler needs its own copy.
-                task = asyncio.ensure_future(handle_open(chain_id, bytes(payload)))
-                tasks.add(task)
-                task.add_done_callback(tasks.discard)
-            else:
-                session.dispatch(chain_id, ftype, payload)
-    except (asyncio.IncompleteReadError, ConnectionError, OSError, MuxError):
-        pass
+        await session.closed
     finally:
         session.shutdown(ChainReset("mux link closed"))
         for task in list(tasks):

@@ -1,4 +1,5 @@
-"""Byte-level control protocol of the live relay.
+"""Byte-level protocols of the live relay: JSON control lines, and
+the NXMUX/1 frames of the multiplexed nxport link (below).
 
 Control messages are single newline-terminated JSON objects — one
 request, one reply — after which the connection switches to opaque
@@ -15,13 +16,31 @@ Ops:
   connection then stays open; its EOF releases the bind (Fig. 4).
 * ``{"op": "relayto", "host": H, "port": P}`` → inner server; reply
   ``{"ok": true}`` then raw relay.
+
+A nxport connection that opens with ``NXMUX/1\\n`` instead carries
+length-prefixed frames for many chains (:mod:`repro.core.aio.mux`)::
+
+    +----------+------+-----------+----------------+
+    | chain_id | type |  length   | payload ...    |
+    |  u32 BE  |  u8  |  u32 BE   | length bytes   |
+    +----------+------+-----------+----------------+
+
+* ``OPEN``  — outer→inner; payload is a JSON ``{"host": H, "port": P}``
+  naming the firewalled client's private listener.  The inner server
+  dials it and answers ``OPEN_OK`` or ``OPEN_ERR`` (payload: reason).
+* ``DATA``  — opaque chain bytes, either direction.
+* ``EOF``   — half-close of the sender's direction.
+* ``RST``   — hard teardown of one chain (sibling chains unaffected).
+* ``WINDOW`` — flow-control credit: payload is a u32 count of bytes
+  the receiver has consumed and the sender may now send again.
 """
 
 from __future__ import annotations
 
 import asyncio
 import json
-from typing import Any
+import struct
+from typing import Any, Iterator
 
 __all__ = [
     "MAX_CONTROL_LINE",
@@ -32,6 +51,11 @@ __all__ = [
     "ok_reply",
     "error_reply",
     "steal_reader_buffer",
+    "MUX_MAGIC",
+    "FrameType",
+    "FrameDecoder",
+    "MuxError",
+    "ChainReset",
 ]
 
 #: Upper bound on a control line; anything longer is a protocol error
@@ -119,3 +143,100 @@ def steal_reader_buffer(reader: asyncio.StreamReader) -> "bytes | None":
     data = bytes(buf)
     buf.clear()
     return data
+
+
+# ---------------------------------------------------------------------------
+# NXMUX/1 frames
+# ---------------------------------------------------------------------------
+
+#: First line on a nxport connection that selects the mux protocol
+#: (legacy per-chain connections send a JSON object instead).
+MUX_MAGIC = b"NXMUX/1\n"
+
+#: Hard cap on one DATA frame's payload (naturally bounded by the window).
+MAX_FRAME_PAYLOAD = 1 << 20
+#: Cap on any other frame's payload (OPEN JSON, OPEN_ERR reason) — with
+#: one header, the most a decoder ever holds between feeds.
+MAX_CONTROL_PAYLOAD = 4096
+
+FRAME_HEADER = struct.Struct("!IBI")  # chain_id, frame type, payload length
+U32 = struct.Struct("!I")
+
+
+class FrameType:
+    OPEN = 1
+    OPEN_OK = 2
+    OPEN_ERR = 3
+    DATA = 4
+    EOF = 5
+    RST = 6
+    WINDOW = 7
+
+    NAMES = {1: "OPEN", 2: "OPEN_OK", 3: "OPEN_ERR",
+             4: "DATA", 5: "EOF", 6: "RST", 7: "WINDOW"}
+
+
+class MuxError(ConnectionError):
+    """Protocol violation or link failure on the mux connection."""
+
+
+class ChainReset(ConnectionError):
+    """One logical chain was torn down (RST or link drop)."""
+
+
+class FrameDecoder:
+    """Sans-io NXMUX/1 parser: bytes in, ``(chain_id, type, payload)``
+    events out, :class:`MuxError` on every malformed input.
+
+    A DATA payload is streamed, not reassembled: each span of it is
+    yielded as a ``memoryview`` of the fed buffer as it arrives (valid
+    only until the consumer asks for the next event), counted down in
+    ``data_left``.  Headers and the payloads of all other frames are
+    small: they are gathered in ``stash`` (never more than a header +
+    ``MAX_CONTROL_PAYLOAD``) and such a frame is yielded once, whole.
+    """
+
+    __slots__ = ("stash", "_data_chain", "data_left")
+
+    def __init__(self) -> None:
+        self.stash = bytearray()
+        self._data_chain = 0
+        self.data_left = 0
+
+    def feed(self, data) -> "Iterator[tuple[int, int, bytes | memoryview]]":
+        view = memoryview(data)
+        off, end, hsize, stash = 0, view.nbytes, FRAME_HEADER.size, self.stash
+        while off < end:
+            if self.data_left:
+                n = min(self.data_left, end - off)
+                self.data_left -= n
+                yield self._data_chain, FrameType.DATA, view[off:off + n]
+                off += n
+                continue
+            # First the header, then the payload a checked header announced.
+            want = hsize
+            if len(stash) >= hsize:
+                want += FRAME_HEADER.unpack_from(stash)[2]
+            take = min(want - len(stash), end - off)
+            stash += view[off:off + take]
+            off += take
+            if len(stash) < want:
+                break
+            chain_id, ftype, length = FRAME_HEADER.unpack_from(stash)
+            if len(stash) == hsize:
+                if ftype not in FrameType.NAMES:
+                    raise MuxError(f"unknown frame type {ftype}")
+                if length > (MAX_FRAME_PAYLOAD if ftype == FrameType.DATA
+                             else MAX_CONTROL_PAYLOAD):
+                    raise MuxError(f"oversized {FrameType.NAMES[ftype]} frame ({length} bytes)")
+                if ftype == FrameType.WINDOW and length != U32.size:
+                    raise MuxError(f"WINDOW payload of {length} bytes")
+                if ftype == FrameType.DATA:
+                    self._data_chain, self.data_left = chain_id, length
+                    stash.clear()
+                    continue
+                if length:
+                    continue
+            payload = bytes(stash[hsize:])
+            stash.clear()
+            yield chain_id, ftype, payload

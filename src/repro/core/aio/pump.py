@@ -64,6 +64,7 @@ __all__ = [
     "pump",
     "segment_nbytes",
     "send_segments",
+    "write_direct",
     "relay_sockets_zero_copy",
     "steal_reader_buffer",
 ]
@@ -299,6 +300,22 @@ def _sendmsg_direct(
         _queue_remainder(transport, segments, sent)
 
 
+def write_direct(transport: asyncio.Transport, fd: Optional[int], view: Segment) -> int:
+    """Forward one received view: straight to the socket with
+    ``os.write`` when the transport is idle (nothing queued can be
+    overtaken), the unsent tail copied once into the transport.
+    Returns the bytes that went direct, without any user-space copy."""
+    sent = 0
+    if fd is not None and transport.get_write_buffer_size() == 0:
+        try:
+            sent = os.write(fd, view)
+        except OSError:  # EAGAIN; a real error resurfaces from write()
+            sent = 0
+    if sent < len(view):
+        transport.write(bytes(view[sent:]))
+    return sent
+
+
 def send_segments(writer: asyncio.StreamWriter, segments: Sequence[Segment]) -> int:
     """Scatter-gather write of header/payload segments.
 
@@ -474,19 +491,7 @@ class _RelayEnd(asyncio.BufferedProtocol):
         peer_t = self.peer.transport
         if peer_t is None or peer_t.is_closing():
             return
-        view = self._view[:nbytes]
-        sent = 0
-        if self.peer.fd is not None and peer_t.get_write_buffer_size() == 0:
-            try:
-                sent = os.write(self.peer.fd, view)
-            except (BlockingIOError, InterruptedError):
-                sent = 0
-            except OSError:
-                sent = 0
-            else:
-                self.direct_bytes += sent
-        if sent < nbytes:
-            peer_t.write(bytes(view[sent:]))
+        self.direct_bytes += write_direct(peer_t, self.peer.fd, self._view[:nbytes])
 
     def eof_received(self) -> bool:
         self._read_eof = True

@@ -355,7 +355,7 @@ class AioOuterServer(_Server):
         key = (inner_host, inner_port)
         link = self._mux_links.get(key)
         if link is None:
-            link = MuxConnector(inner_host, inner_port, self.stats, chunk=self.chunk)
+            link = MuxConnector(inner_host, inner_port, self.stats)
             self._mux_links[key] = link
         return link
 
@@ -631,7 +631,7 @@ class AioInnerServer(_Server):
         if line == MUX_MAGIC:
             log.info("nxport connection switched to mux framing")
             await serve_mux_session(
-                reader, writer, self.stats, chunk=self.chunk,
+                reader, writer, self.stats,
                 adopt=self.adopt, disown=self.disown,
             )
             with contextlib.suppress(Exception):
