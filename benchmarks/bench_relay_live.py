@@ -1,26 +1,23 @@
-"""Live relay microbenchmark: loopback throughput + RTT, fixed vs
-adaptive pump, legacy vs mux passive plane.
+"""Live relay microbenchmark: loopback throughput, RTT, 16-chain
+passive aggregate and the parallel-stream sweep.
 
 Seeds the repo's perf trajectory (``BENCH_relay.json``): every later
-data-plane change gets judged against these numbers.  Three probes:
+data-plane change gets judged against these numbers.  (The seed data
+plane's last recorded figures — fixed 4 KB pump, connection-per-chain
+nxport — are frozen under ``meta.frozen_seed_baseline`` there.)
 
 * **single-chain active throughput** — one relayed stream pushing
-  bulk bytes through the outer server (Fig. 3 path), measured with
-  the full seed data plane (fixed 4 KB reads, drain per write, 64 KB
-  stream limits, untuned sockets — ``pump_mode="fixed"``) and the
-  adaptive plane (4 KB → 256 KB growth, drain on high-water only,
-  ``TCP_NODELAY``, raised buffer limits).  Traffic is generated and
-  sunk by *blocking-socket OS threads* (``sendall``/``recv`` release
-  the GIL), so the event loop's only work is the relay pump itself —
-  asyncio endpoints would share the loop with the relay and mask the
-  difference under test.
+  bulk bytes through the outer server (Fig. 3 path).  Traffic is
+  generated and sunk by *blocking-socket OS threads*
+  (``sendall``/``recv`` release the GIL), so the event loop's only
+  work is the relay itself — asyncio endpoints would share the loop
+  with the relay and mask the quantity under test.
 * **round-trip latency** — 64-byte echo ping-pong through the relay;
   dominated by per-chunk scheduling and Nagle behaviour, so it checks
-  that the adaptive plane didn't trade latency for bandwidth.
+  that bandwidth was not bought with latency.
 * **16-chain passive aggregate** — sixteen concurrent passive chains
-  (Fig. 4 path), legacy connection-per-chain vs the frame-multiplexed
-  single-pinhole link; also asserts the mux plane's defining
-  invariant (``nxport_connections == 1``).
+  (Fig. 4 path) over the frame-multiplexed single-pinhole link; also
+  asserts its defining invariant (``nxport_connections == 1``).
 
 Run standalone (CI smoke)::
 
@@ -47,9 +44,9 @@ from repro.core.aio.streams import recv_striped, send_striped
 MB = 1024 * 1024
 
 
-async def _start(pump_mode: str, mux: bool):
-    outer = await AioOuterServer(pump_mode=pump_mode, mux=mux).start()
-    inner = await AioInnerServer(pump_mode=pump_mode).start()
+async def _start():
+    outer = await AioOuterServer().start()
+    inner = await AioInnerServer().start()
     client = AioProxyClient(
         outer_addr=("127.0.0.1", outer.control_port),
         inner_addr=("127.0.0.1", inner.nxport),
@@ -102,9 +99,7 @@ def _client_thread(
     s.close()
 
 
-async def single_chain_throughput(
-    pump_mode: str, nbytes: int, repeats: int = 3
-) -> float:
+async def single_chain_throughput(nbytes: int, repeats: int = 3) -> float:
     """One-way MB/s through an active (Fig. 3) relayed connection.
 
     Endpoints run in OS threads on blocking sockets so the asyncio
@@ -113,7 +108,7 @@ async def single_chain_throughput(
     scheduler noise in their worst iterations, so the max is the
     stable estimator of what the data plane can do.
     """
-    outer = await AioOuterServer(pump_mode=pump_mode).start()
+    outer = await AioOuterServer().start()
     best = 0.0
     try:
         for _ in range(repeats):
@@ -137,9 +132,9 @@ async def single_chain_throughput(
         await outer.stop()
 
 
-async def relay_rtt(pump_mode: str, iters: int) -> dict:
+async def relay_rtt(iters: int) -> dict:
     """64-byte echo round-trips through the relay, microseconds."""
-    outer, inner, client = await _start(pump_mode, mux=True)
+    outer, inner, client = await _start()
 
     async def echo(reader, writer):
         while True:
@@ -176,10 +171,10 @@ async def relay_rtt(pump_mode: str, iters: int) -> dict:
 
 
 async def passive_concurrent_throughput(
-    mux: bool, pump_mode: str, chains: int, nbytes_per_chain: int
+    chains: int, nbytes_per_chain: int
 ) -> dict:
     """Aggregate MB/s over N concurrent passive (Fig. 4) chains."""
-    outer, inner, client = await _start(pump_mode, mux=mux)
+    outer, inner, client = await _start()
     try:
         listener = await client.bind()
         host, port = listener.proxy_addr
@@ -376,7 +371,7 @@ async def parallel_stream_sweep(
     want = hashlib.sha256(payload).hexdigest()
     sweep: dict = {}
     for k in ks:
-        outer = await AioOuterServer(pump_mode="adaptive").start()
+        outer = await AioOuterServer().start()
         try:
             best = 0.0
             for _ in range(repeats):
@@ -431,44 +426,24 @@ async def run_suite(quick: bool, streams: "int | None" = None) -> dict:
     }
 
     repeats = 2 if quick else 3
-    fixed_bw = await single_chain_throughput("fixed", bulk, repeats)
-    adaptive_bw = await single_chain_throughput("adaptive", bulk, repeats)
-    results["single_chain_active"] = {
-        "seed_fixed_4k_mb_per_s": round(fixed_bw, 1),
-        "adaptive_mb_per_s": round(adaptive_bw, 1),
-        "speedup": round(adaptive_bw / fixed_bw, 2),
-    }
-    print(f"single-chain active : fixed {fixed_bw:8.1f} MB/s   "
-          f"adaptive {adaptive_bw:8.1f} MB/s   "
-          f"({adaptive_bw / fixed_bw:.2f}x)")
+    bulk_bw = await single_chain_throughput(bulk, repeats)
+    results["single_chain_active"] = {"adaptive_mb_per_s": round(bulk_bw, 1)}
+    print(f"single-chain active : {bulk_bw:8.1f} MB/s")
 
-    fixed_rtt = await relay_rtt("fixed", rtt_iters)
-    adaptive_rtt = await relay_rtt("adaptive", rtt_iters)
-    results["rtt_64b"] = {"fixed": fixed_rtt, "adaptive": adaptive_rtt}
-    print(f"relay RTT (64 B)    : fixed p50 {fixed_rtt['p50_us']:7.1f} us   "
-          f"adaptive p50 {adaptive_rtt['p50_us']:7.1f} us")
+    rtt = await relay_rtt(rtt_iters)
+    results["rtt_64b"] = {"adaptive": rtt}
+    print(f"relay RTT (64 B)    : p50 {rtt['p50_us']:7.1f} us")
 
     # Best-of like the other throughput sections: a single 16-chain
-    # shot has enough scheduler noise on a 1-core box to swing the
-    # legacy/mux ratio by >10%.
-    legacy = muxed = None
+    # shot has enough scheduler noise on a 1-core box to swing >10%.
+    muxed = None
     for _ in range(repeats):
-        leg = await passive_concurrent_throughput(False, "fixed", chains, per_chain)
-        mux = await passive_concurrent_throughput(True, "adaptive", chains, per_chain)
-        if legacy is None or leg["mb_per_s"] > legacy["mb_per_s"]:
-            legacy = leg
+        mux = await passive_concurrent_throughput(chains, per_chain)
         if muxed is None or mux["mb_per_s"] > muxed["mb_per_s"]:
             muxed = mux
     assert muxed["nxport_connections"] == 1, muxed
-    assert legacy["nxport_connections"] == chains, legacy
-    results["passive_16chain"] = {
-        "legacy_per_chain_conns": legacy,
-        "mux_single_conn": muxed,
-        "speedup": round(muxed["mb_per_s"] / legacy["mb_per_s"], 2),
-    }
-    print(f"16-chain passive    : legacy {legacy['mb_per_s']:8.1f} MB/s "
-          f"({legacy['nxport_connections']} nxport conns)   "
-          f"mux {muxed['mb_per_s']:8.1f} MB/s "
+    results["passive_16chain"] = {"mux_single_conn": muxed}
+    print(f"16-chain passive    : {muxed['mb_per_s']:8.1f} MB/s "
           f"({muxed['nxport_connections']} nxport conn)")
 
     stripe_bytes = 4 * MB if quick else 16 * MB
@@ -489,10 +464,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     results = asyncio.run(run_suite(args.quick, args.streams))
 
-    speedup = results["single_chain_active"]["speedup"]
-    if speedup < 2.0 and not args.quick:
-        print(f"WARNING: adaptive single-chain speedup {speedup:.2f}x "
-              "is below the 2x acceptance bar", file=sys.stderr)
     stripe = results["parallel_streams"].get("k4_vs_k1_speedup")
     if stripe is not None and stripe < 1.8 and not args.quick:
         print(f"WARNING: k=4 striping speedup {stripe:.2f}x is below the "

@@ -30,7 +30,7 @@ import asyncio
 import contextlib
 import logging
 
-from repro.core.aio.relay import DEFAULT_CHUNK, AioInnerServer, AioOuterServer
+from repro.core.aio.relay import AioInnerServer, AioOuterServer
 from repro.obs import spans as _obs
 from repro.obs import trace as _trace
 from repro.obs.export import write_artifacts
@@ -43,15 +43,6 @@ log = logging.getLogger("repro.nexus_proxy")
 
 def _common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--host", default="127.0.0.1", help="address to bind")
-    parser.add_argument(
-        "--chunk", type=int, default=DEFAULT_CHUNK,
-        help="relay read-buffer size in bytes (starting size when adaptive)",
-    )
-    parser.add_argument(
-        "--pump", choices=("adaptive", "fixed"), default="adaptive",
-        help="data-plane pump: adaptive chunk growth (default) or the "
-        "fixed-chunk drain-per-write baseline",
-    )
     parser.add_argument(
         "--telemetry-port", type=int, default=None, metavar="PORT",
         help="serve /metrics (Prometheus text) and /metrics.json on "
@@ -125,17 +116,9 @@ def outer_main(argv: list[str] | None = None) -> int:
         "--secret", default=None,
         help="shared secret clients must present (default: open)",
     )
-    parser.add_argument(
-        "--no-mux", action="store_true",
-        help="open one nxport connection per passive chain instead of "
-        "the shared frame-multiplexed link",
-    )
     args = parser.parse_args(argv)
     _setup_logging(args.verbose)
-    server = AioOuterServer(
-        args.host, args.control_port, chunk=args.chunk, secret=args.secret,
-        pump_mode=args.pump, mux=not args.no_mux,
-    )
+    server = AioOuterServer(args.host, args.control_port, secret=args.secret)
     with contextlib.suppress(KeyboardInterrupt):
         asyncio.run(_serve_forever(server, args, role="outer"))
     return 0
@@ -157,8 +140,7 @@ def inner_main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     _setup_logging(args.verbose)
     server = AioInnerServer(
-        args.host, args.nxport, chunk=args.chunk, allowed_peers=args.allow_from,
-        pump_mode=args.pump,
+        args.host, args.nxport, allowed_peers=args.allow_from
     )
     with contextlib.suppress(KeyboardInterrupt):
         asyncio.run(_serve_forever(server, args, role="inner"))

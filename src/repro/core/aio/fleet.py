@@ -7,24 +7,15 @@ module shards the outer server across N worker *processes* that
 together present one logical control endpoint, with the chain→worker
 decision made by :mod:`repro.core.placement` policy.
 
-Two fleet modes share one logical port:
-
-* **handoff** (default, the policy-bearing mode): a tiny front door
-  accepts each TCP connection with ``loop.sock_accept`` — a raw
-  socket, never wrapped in a transport, so *zero* request bytes are
-  consumed — applies admission control (per-client chain quotas),
-  places the chain (least-loaded by live byte-rate from worker
-  heartbeats, consistent-hash fallback), and passes the intact file
-  descriptor to the chosen worker over a unix control socket with
-  ``SCM_RIGHTS`` (:func:`socket.send_fds`).  The worker wraps the fd
-  into its own streams and runs the ordinary
-  :meth:`AioOuterServer._handle_control` on it.
-* **reuseport**: every worker binds the *same* TCP port with
-  ``SO_REUSEPORT`` and the kernel spreads incoming connections; the
-  manager only reserves the port (bound, never listening — a
-  non-listening socket takes no share of the reuseport distribution)
-  and supervises.  No front door means no admission control and no
-  least-loaded placement — it is the cheap kernel-placed variant.
+**Handoff**: a tiny front door accepts each TCP connection with
+``loop.sock_accept`` — a raw socket, never wrapped in a transport, so
+*zero* request bytes are consumed — applies admission control
+(per-client chain quotas), places the chain (least-loaded by live
+byte-rate from worker heartbeats, consistent-hash fallback), and
+passes the intact file descriptor to the chosen worker over a unix
+control socket with ``SCM_RIGHTS`` (:func:`socket.send_fds`).  The
+worker wraps the fd into its own streams and runs the ordinary
+:meth:`AioOuterServer._handle_control` on it.
 
 Control-channel wire format (one unix stream socket per worker,
 newline-delimited JSON; a message with ``"fds": k`` has exactly ``k``
@@ -69,6 +60,7 @@ from collections import deque
 from dataclasses import asdict, dataclass, field
 from typing import Any, Dict, List, Optional
 
+from repro.core.aio.pump import STREAM_LIMIT
 from repro.core.placement import (
     WORKER_DRAINING,
     WORKER_GONE,
@@ -80,31 +72,12 @@ from repro.core.placement import (
     fleet_snapshot,
 )
 
-__all__ = ["FleetSpec", "FleetManager", "resolve_mode", "HAVE_REUSEPORT"]
+__all__ = ["FleetSpec", "FleetManager"]
 
 log = logging.getLogger("repro.fleet")
 
-#: ``SO_REUSEPORT`` exists on this platform (Linux ≥ 3.9, BSDs).
-HAVE_REUSEPORT = hasattr(socket, "SO_REUSEPORT")
-
 _CTL_RECV = 65536
 _CTL_MAXFDS = 32
-
-
-def resolve_mode(mode: str) -> str:
-    """Resolve a spec mode to a concrete one.
-
-    ``auto`` prefers the kernel's ``SO_REUSEPORT`` spreading where the
-    platform has it; ``handoff`` is the universal fallback *and* the
-    only mode carrying edge policy (quotas, least-loaded placement).
-    """
-    if mode == "auto":
-        return "reuseport" if HAVE_REUSEPORT else "handoff"
-    if mode not in ("handoff", "reuseport"):
-        raise ValueError(f"unknown fleet mode {mode!r}")
-    if mode == "reuseport" and not HAVE_REUSEPORT:
-        raise ValueError("SO_REUSEPORT not available on this platform")
-    return mode
 
 
 @dataclass
@@ -116,13 +89,9 @@ class FleetSpec:
     host: str = "127.0.0.1"
     #: Logical fleet port (0 = pick one).
     port: int = 0
-    #: ``handoff`` | ``reuseport`` | ``auto`` (see :func:`resolve_mode`).
-    mode: str = "handoff"
-    pump_mode: str = "adaptive"
-    mux: bool = True
     secret: Optional[str] = None
-    #: Per-client concurrent-chain quota at the front door (handoff
-    #: mode only; ``None`` = unlimited).
+    #: Per-client concurrent-chain quota at the front door
+    #: (``None`` = unlimited).
     max_chains_per_client: Optional[int] = None
     #: Fleet-wide edge byte-rate cap, split evenly across workers
     #: (``None`` = unlimited).  Rate-capped chains take the
@@ -198,18 +167,12 @@ class _WorkerRuntime:
 
     def heartbeat_msg(self) -> "dict[str, Any]":
         stats = self.outer.stats
-        if self.spec.mode == "handoff":
-            active = len(self.chains)
-        else:
-            # No handoff tasks in reuseport mode — tracked sockets are
-            # the load proxy (two per live chain: inbound + onward).
-            active = len(self.outer._conns)
         return {
             "op": "hb",
             "worker": self.worker_id,
             "state": self.state,
             "bytes_relayed": stats.bytes_relayed,
-            "active_chains": active,
+            "active_chains": len(self.chains),
             "edge_throttle_waits": (
                 self.limiter.waits if self.limiter is not None else 0
             ),
@@ -290,20 +253,12 @@ async def _worker_async(
         spec.onward_bind_hosts[index]
         if spec.onward_bind_hosts is not None else None
     )
-    if spec.mode == "reuseport":
-        outer = AioOuterServer(
-            spec.host, spec.port, pump_mode=spec.pump_mode, mux=spec.mux,
-            secret=spec.secret, reuse_port=True, onward_bind_host=onward,
-            limiter=rt.limiter,
-        )
-    else:
-        # Handoff mode: chains arrive as fds, so the worker's own
-        # listener is a private loopback port (used only for debug /
-        # direct dials in tests).
-        outer = AioOuterServer(
-            "127.0.0.1", 0, pump_mode=spec.pump_mode, mux=spec.mux,
-            secret=spec.secret, onward_bind_host=onward, limiter=rt.limiter,
-        )
+    # Chains arrive as fds, so the worker's own listener is a private
+    # loopback port (used only for debug / direct dials in tests).
+    outer = AioOuterServer(
+        "127.0.0.1", 0, secret=spec.secret, onward_bind_host=onward,
+        limiter=rt.limiter,
+    )
     rt.outer = outer
     if rec is not None:
         rec.registry.register_collector("relay", outer.stats.snapshot)
@@ -351,7 +306,7 @@ async def _worker_async(
             # Same reader limit the listener would have applied — the
             # default 64 KiB cap would quietly shrink every pump read.
             reader, writer = await asyncio.open_connection(
-                sock=conn, limit=outer.stream_limit
+                sock=conn, limit=STREAM_LIMIT
             )
         except OSError:
             with contextlib.suppress(OSError):
@@ -372,19 +327,12 @@ async def _worker_async(
         rt.state = WORKER_DRAINING
         rt.send_msg(rt.heartbeat_msg())  # announce the state change now
         grace = spec.drain_grace_s if grace_s is None else grace_s
-        if spec.mode == "reuseport" and outer._server is not None:
-            # Stop taking a share of the kernel's reuseport spread.
-            outer._server.close()
-            with contextlib.suppress(Exception):
-                await outer._server.wait_closed()
-            outer._server = None
         loop = asyncio.get_running_loop()
         deadline = loop.time() + grace
         poll = min(0.1, max(grace / 10, 0.01))
         last_bytes = outer.stats.bytes_relayed
         while loop.time() < deadline:
-            busy = rt.chains if spec.mode == "handoff" else outer._conns
-            if not busy:
+            if not rt.chains:
                 break
             await asyncio.sleep(poll)
             now_bytes = outer.stats.bytes_relayed
@@ -516,7 +464,6 @@ class FleetManager:
     """
 
     def __init__(self, spec: FleetSpec) -> None:
-        spec.mode = resolve_mode(spec.mode)
         self.spec = spec
         self.placer = LeastLoadedPlacer()
         self.admission = AdmissionControl(spec.max_chains_per_client)
@@ -526,7 +473,6 @@ class FleetManager:
         self._ctl_server: Optional[asyncio.AbstractServer] = None
         self._front_sock: Optional[socket.socket] = None
         self._accept_task: Optional[asyncio.Task] = None
-        self._reserve_sock: Optional[socket.socket] = None
         self._hello_events: "Dict[str, asyncio.Event]" = {}
         self._stopped = False
 
@@ -550,17 +496,6 @@ class FleetManager:
         self._ctl_server = await asyncio.start_unix_server(
             self._on_worker_channel, path=ctl_path
         )
-
-        if spec.mode == "reuseport":
-            # Reserve the shared port: bound with SO_REUSEPORT but
-            # never listening, so it takes no share of the kernel's
-            # spread while keeping the number stable for workers.
-            reserve = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-            reserve.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEPORT, 1)
-            reserve.bind((spec.host, spec.port))
-            self._reserve_sock = reserve
-            spec.port = reserve.getsockname()[1]
-            self.port = spec.port
 
         ctx = multiprocessing.get_context("spawn")
         spec_dict = asdict(spec)
@@ -594,20 +529,18 @@ class FleetManager:
                 f"fleet workers never reported in: {missing}"
             ) from None
 
-        if spec.mode == "handoff":
-            front = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-            front.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-            front.bind((spec.host, spec.port))
-            front.listen(128)
-            front.setblocking(False)
-            self._front_sock = front
-            self.port = front.getsockname()[1]
-            self._accept_task = asyncio.get_running_loop().create_task(
-                self._accept_loop()
-            )
+        front = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+        front.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+        front.bind((spec.host, spec.port))
+        front.listen(128)
+        front.setblocking(False)
+        self._front_sock = front
+        self.port = front.getsockname()[1]
+        self._accept_task = asyncio.get_running_loop().create_task(
+            self._accept_loop()
+        )
         log.info(
-            "fleet up: %d workers, mode=%s, %s:%d",
-            spec.workers, spec.mode, spec.host, self.port,
+            "fleet up: %d workers, %s:%d", spec.workers, spec.host, self.port
         )
         return self
 
@@ -634,9 +567,6 @@ class FleetManager:
             self._ctl_server.close()
             with contextlib.suppress(Exception):
                 await self._ctl_server.wait_closed()
-        if self._reserve_sock is not None:
-            with contextlib.suppress(OSError):
-                self._reserve_sock.close()
         if self._ctl_dir is not None:
             with contextlib.suppress(OSError):
                 os.unlink(os.path.join(self._ctl_dir, "ctl.sock"))
@@ -780,7 +710,7 @@ class FleetManager:
                 continue
             payload = payload[sent:]
 
-    # -- front door (handoff mode) ---------------------------------------
+    # -- front door -------------------------------------------------------
 
     async def _accept_loop(self) -> None:
         loop = asyncio.get_running_loop()
@@ -842,9 +772,9 @@ class FleetManager:
 
     def snapshot(self) -> "dict[str, Any]":
         """Fleet-wide counters; key schema shared with the sim mirror
-        (:meth:`repro.core.fleet.SimFleet.snapshot`)."""
+        (:meth:`repro.core.fleet.SimFleet.snapshot`), ``mode`` included."""
         return fleet_snapshot(
-            self.spec.mode,
+            "handoff",
             (h.view for h in self.handles.values()),
             self.placer.stats,
             edge_throttle_waits=sum(

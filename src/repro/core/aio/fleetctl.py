@@ -176,13 +176,12 @@ class FleetAdminServer:
 # ---------------------------------------------------------------------------
 
 
-async def _serve(args: argparse.Namespace) -> int:
-    spec = FleetSpec(
+def _spec_from_args(args: argparse.Namespace) -> FleetSpec:
+    """The ``serve`` arguments as a :class:`FleetSpec`."""
+    return FleetSpec(
         workers=args.workers,
         host=args.host,
         port=args.port,
-        mode=args.mode,
-        pump_mode=args.pump,
         secret=args.secret,
         max_chains_per_client=args.quota,
         edge_rate_bytes_per_s=(
@@ -195,6 +194,10 @@ async def _serve(args: argparse.Namespace) -> int:
         trace_dir=args.trace_dir,
         trace_site=args.trace_site,
     )
+
+
+async def _serve(args: argparse.Namespace) -> int:
+    spec = _spec_from_args(args)
     manager = FleetManager(spec)
     await manager.start()
     stop_event = asyncio.Event()
@@ -237,8 +240,8 @@ async def _serve(args: argparse.Namespace) -> int:
         )
 
     log.info(
-        "fleet endpoint %s:%d (%s, %d workers); admin http://%s:%d/fleet",
-        manager.host, manager.port, spec.mode, spec.workers,
+        "fleet endpoint %s:%d (%d workers); admin http://%s:%d/fleet",
+        manager.host, manager.port, spec.workers,
         args.admin_host, admin.bound_port,
     )
     try:
@@ -298,17 +301,10 @@ def main(argv: "list[str] | None" = None) -> int:
         "--port", type=int, default=7000,
         help="logical fleet endpoint port (0 = pick one)",
     )
-    serve.add_argument(
-        "--mode", choices=("handoff", "reuseport", "auto"), default="handoff",
-        help="handoff = front door with quotas + least-loaded placement "
-        "(default); reuseport = kernel spreading, no edge policy",
-    )
-    serve.add_argument("--pump", choices=("adaptive", "fixed"),
-                       default="adaptive")
     serve.add_argument("--secret", default=None)
     serve.add_argument(
         "--quota", type=int, default=None, metavar="N",
-        help="max concurrent chains per client address (handoff mode)",
+        help="max concurrent chains per client address",
     )
     serve.add_argument(
         "--edge-rate-mb", type=float, default=None, metavar="MB_PER_S",

@@ -14,11 +14,12 @@ Ops:
   "inner_host": IH, "inner_port": IP}`` → outer server; reply
   ``{"ok": true, "proxy_host": ..., "proxy_port": ...}``.  The control
   connection then stays open; its EOF releases the bind (Fig. 4).
-* ``{"op": "relayto", "host": H, "port": P}`` → inner server; reply
-  ``{"ok": true}`` then raw relay.
 
-A nxport connection that opens with ``NXMUX/1\\n`` instead carries
-length-prefixed frames for many chains (:mod:`repro.core.aio.mux`)::
+The nxport speaks one dialect: a connection opens with ``NXMUX/1\\n``
+and then carries length-prefixed frames for many chains
+(:mod:`repro.core.aio.mux`); any other first line is refused with one
+error reply.  (The per-chain ``relayto`` op exists only on the sim
+plane, :mod:`repro.core.protocol`.)  Frame layout::
 
     +----------+------+-----------+----------------+
     | chain_id | type |  length   | payload ...    |
@@ -61,6 +62,8 @@ __all__ = [
 #: Upper bound on a control line; anything longer is a protocol error
 #: (and a cheap defence against garbage on the control port).
 MAX_CONTROL_LINE = 4096
+#: Longest host field accepted (the DNS name limit).
+MAX_HOST_BYTES = 255
 
 
 class ProtocolError(ConnectionError):
@@ -70,8 +73,7 @@ class ProtocolError(ConnectionError):
 def parse_control_line(line: bytes) -> dict[str, Any]:
     """Parse one already-read control line; raises
     :class:`ProtocolError` on garbage, oversize lines, or EOF (empty
-    line).  Split out of :func:`read_control` so the inner server can
-    sniff the first nxport line for the mux magic before parsing."""
+    line)."""
     if not line:
         raise ProtocolError("connection closed before control message")
     if len(line) > MAX_CONTROL_LINE:
@@ -125,6 +127,19 @@ def require_port(value: Any) -> int:
     return value
 
 
+def require_host(value: Any) -> str:
+    """Validate a host name/address from the wire.  Whatever fails here
+    would otherwise raise ``TypeError``/``ValueError`` (not ``OSError``)
+    out of the resolver, past the handlers' error replies."""
+    if isinstance(value, str) and value and "\x00" not in value:
+        try:
+            if len(value.encode("idna")) <= MAX_HOST_BYTES:
+                return value
+        except UnicodeError:  # empty/over-long label, lone surrogate
+            pass
+    raise ProtocolError(f"invalid host: {value!r:.80}")
+
+
 def steal_reader_buffer(reader: asyncio.StreamReader) -> "bytes | None":
     """Detach bytes the stream layer read past the control handshake.
 
@@ -149,8 +164,7 @@ def steal_reader_buffer(reader: asyncio.StreamReader) -> "bytes | None":
 # NXMUX/1 frames
 # ---------------------------------------------------------------------------
 
-#: First line on a nxport connection that selects the mux protocol
-#: (legacy per-chain connections send a JSON object instead).
+#: First line of every nxport connection.
 MUX_MAGIC = b"NXMUX/1\n"
 
 #: Hard cap on one DATA frame's payload (naturally bounded by the window).

@@ -1,11 +1,7 @@
 """Socket tuning and the adaptive relay pump for the live data plane.
 
-The seed relay read fixed 4 KB chunks and awaited ``drain()`` after
-every single ``write()`` — one coroutine suspension and one scheduler
-round-trip per 4 KB, with Nagle's algorithm batching the small control
-round-trips underneath.  GridFTP-style tuning work (NorduGrid, Pamela)
-shows that buffer sizing dominates user-level relay throughput, so the
-live pump now:
+GridFTP-style tuning work (NorduGrid, Pamela) shows that buffer sizing
+dominates user-level relay throughput, so the live pump:
 
 * grows its read size from ``MIN_CHUNK`` (4 KB) toward ``MAX_CHUNK``
   (256 KB) while the writer stays un-backpressured, and shrinks it
@@ -19,7 +15,7 @@ live pump now:
   round-trips never ride Nagle defaults.
 
 ``pump()`` is the single shared copy loop for stream-based legs; on
-top of it this module now provides the *zero-copy* primitives the hot
+top of it this module provides the *zero-copy* primitives the hot
 bulk path runs on:
 
 * :func:`send_segments` — scatter-gather writes: when the transport's
@@ -69,7 +65,7 @@ __all__ = [
     "steal_reader_buffer",
 ]
 
-#: Starting (and legacy fixed) relay read size.
+#: Starting relay read size.
 MIN_CHUNK = 4096
 #: Ceiling the adaptive pump grows toward.
 MAX_CHUNK = 256 * 1024
@@ -160,27 +156,23 @@ async def pump(
     writer: asyncio.StreamWriter,
     *,
     chunker: Optional[AdaptiveChunker] = None,
-    fixed_chunk: Optional[int] = None,
     on_chunk: Optional[Callable[[int], None]] = None,
     limiter: "Optional[object]" = None,
 ) -> int:
     """Copy ``reader`` → ``writer`` until EOF/error; half-close; return
     bytes moved.
 
-    ``chunker`` selects the adaptive policy; passing ``fixed_chunk``
-    instead reproduces the seed behaviour (fixed reads, drain after
-    every write) for baseline benchmarking.  ``limiter`` (any object
-    with ``await acquire(nbytes)``, e.g. a fleet edge
-    :class:`repro.core.placement.TokenBucket`) debits every chunk
-    before it is written, turning the pump into a rate-capped leg.
+    ``chunker`` overrides the default adaptive read-size policy.
+    ``limiter`` (any object with ``await acquire(nbytes)``, e.g. a
+    fleet edge :class:`repro.core.placement.TokenBucket`) debits every
+    chunk before it is written, turning the pump into a rate-capped leg.
     """
     moved = 0
-    adaptive = fixed_chunk is None
-    if adaptive and chunker is None:
+    if chunker is None:
         chunker = AdaptiveChunker()
     try:
         while True:
-            data = await reader.read(chunker.size if adaptive else fixed_chunk)
+            data = await reader.read(chunker.size)
             if not data:
                 break
             n = len(data)
@@ -190,17 +182,14 @@ async def pump(
             if on_chunk is not None:
                 on_chunk(n)
             writer.write(data)
-            if adaptive:
-                if await maybe_drain(writer):
-                    chunker.on_backpressure()
-                    rec = _obs.RECORDER
-                    if rec is not None:
-                        rec.wall_instant("pump", "backpressure", track="pump",
-                                         chunk=chunker.size)
-                else:
-                    chunker.on_read(n)
+            if await maybe_drain(writer):
+                chunker.on_backpressure()
+                rec = _obs.RECORDER
+                if rec is not None:
+                    rec.wall_instant("pump", "backpressure", track="pump",
+                                     chunk=chunker.size)
             else:
-                await writer.drain()
+                chunker.on_read(n)
     except (ConnectionError, asyncio.IncompleteReadError, OSError):
         pass
     finally:

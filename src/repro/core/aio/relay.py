@@ -3,21 +3,19 @@
 Structurally identical to the simulated servers in
 :mod:`repro.core.outer` / :mod:`repro.core.inner`: the outer server
 answers ``connect`` and ``bind`` requests on its control port; the
-inner server answers the nxport.  Two data planes exist behind the
-same control protocol:
+inner server answers the nxport.  There is one data plane:
 
-* **mux** (default for passive chains): all chains of one outer↔inner
-  pair share a single persistent frame-multiplexed nxport connection
-  (:mod:`repro.core.aio.mux`) — the paper's one-pinhole firewall story,
-  Fig. 4 with exactly one outer→inner TCP connection.
-* **legacy** (``mux=False``): one fresh nxport connection per chain
-  with a JSON ``relayto`` handshake — kept as the ablation baseline.
+* **passive chains** (Fig. 4): all chains of one outer↔inner pair
+  share a single persistent frame-multiplexed nxport connection
+  (:mod:`repro.core.aio.mux`) — the paper's one-pinhole firewall
+  story, with exactly one outer→inner TCP connection.
+* **active chains** (Fig. 3): the two sockets are protocol-swapped
+  onto the zero-copy relay ends of :mod:`repro.core.aio.pump`; the
+  stream ``pump()`` (adaptive 4 KB → 256 KB reads, ``drain()`` only
+  past the high-water mark) carries a chain only when a fleet edge
+  ``limiter`` is attached or a transport cannot be swapped.
 
-Byte copying uses the adaptive pump (:mod:`repro.core.aio.pump`):
-read sizes grow 4 KB → 256 KB while the writer keeps up, ``drain()``
-is awaited only past the transport high-water mark, and every relay
-socket runs with ``TCP_NODELAY``.  ``pump_mode="fixed"`` restores the
-seed behaviour (fixed 4 KB reads, drain per chunk) for benchmarking.
+Every relay socket runs with ``TCP_NODELAY``.
 """
 
 from __future__ import annotations
@@ -38,14 +36,13 @@ from repro.core.aio.protocol import (
     ProtocolError,
     error_reply,
     ok_reply,
-    parse_control_line,
     read_control,
     require_fields,
+    require_host,
     require_port,
     write_control,
 )
 from repro.core.aio.pump import (
-    MIN_CHUNK,
     STREAM_LIMIT,
     pump,
     relay_sockets_zero_copy,
@@ -60,16 +57,9 @@ __all__ = [
     "AioOuterServer",
     "AioInnerServer",
     "Histogram",
-    "DEFAULT_CHUNK",
 ]
 
 log = logging.getLogger("repro.nexus_proxy")
-
-#: Relay read-buffer size — the live analogue of RelayConfig.chunk_bytes.
-#: With the adaptive pump this is the *starting* size; in
-#: ``pump_mode="fixed"`` it is the whole story, as in the seed.
-DEFAULT_CHUNK = MIN_CHUNK
-
 
 #: The relay's histogram now lives in the shared observability layer
 #: (:class:`repro.obs.metrics.LogHistogram`); this alias keeps the
@@ -166,48 +156,26 @@ def graceful_handler(fn):
     return wrapper
 
 
-async def _pump(
-    reader: asyncio.StreamReader,
-    writer: asyncio.StreamWriter,
-    stats: AioRelayStats,
-    chunk: int,
-    pump_mode: str = "adaptive",
-    limiter: "object | None" = None,
-) -> None:
-    """Copy bytes reader→writer until EOF or error, then half-close."""
-    await pump(
-        reader,
-        writer,
-        fixed_chunk=chunk if pump_mode == "fixed" else None,
-        on_chunk=stats.on_chunk,
-        limiter=limiter,
-    )
-
-
 async def _relay_pair(
     a_reader: asyncio.StreamReader,
     a_writer: asyncio.StreamWriter,
     b_reader: asyncio.StreamReader,
     b_writer: asyncio.StreamWriter,
     stats: AioRelayStats,
-    chunk: int,
-    pump_mode: str = "adaptive",
     limiter: "object | None" = None,
 ) -> None:
     """Bidirectional relay; returns when both directions finish.
 
-    In adaptive mode the pair is first handed to the zero-copy
-    buffered-protocol relay (``recv_into`` ring buffers, direct socket
-    forwarding); transports that cannot be protocol-swapped fall back
-    to the stream pumps.  ``pump_mode="fixed"`` always takes the
-    stream path — it *is* the seed baseline under ablation.
+    The pair is first handed to the zero-copy buffered-protocol relay
+    (``recv_into`` ring buffers, direct socket forwarding); transports
+    that cannot be protocol-swapped fall back to the stream pumps.
 
     A ``limiter`` (fleet edge token bucket) forces the stream-pump
     path: rate capping needs an awaitable debit per chunk, which the
     protocol-swapped relay's read callbacks cannot host.
     """
     try:
-        if pump_mode == "adaptive" and limiter is None:
+        if limiter is None:
             moved = await relay_sockets_zero_copy(
                 a_reader, a_writer, b_reader, b_writer,
                 on_chunk=stats.on_chunk,
@@ -215,8 +183,8 @@ async def _relay_pair(
             if moved is not None:
                 return
         await asyncio.gather(
-            _pump(a_reader, b_writer, stats, chunk, pump_mode, limiter),
-            _pump(b_reader, a_writer, stats, chunk, pump_mode, limiter),
+            pump(a_reader, b_writer, on_chunk=stats.on_chunk, limiter=limiter),
+            pump(b_reader, a_writer, on_chunk=stats.on_chunk, limiter=limiter),
         )
     finally:
         for w in (a_writer, b_writer):
@@ -225,23 +193,10 @@ async def _relay_pair(
 
 
 class _Server:
-    """Common lifecycle for the two daemons.
+    """Common lifecycle for the two daemons."""
 
-    ``pump_mode="fixed"`` is the *seed data plane*, kept as the
-    ablation/benchmark baseline: fixed ``chunk``-byte reads with a
-    ``drain()`` per write, default (64 KB) stream limits, and untuned
-    sockets (no ``TCP_NODELAY``, default write buffers) — exactly the
-    configuration the adaptive plane replaced.
-    """
-
-    def __init__(self, host: str, chunk: int, pump_mode: str = "adaptive") -> None:
-        if pump_mode not in ("adaptive", "fixed"):
-            raise ValueError(f"pump_mode must be 'adaptive' or 'fixed', got {pump_mode!r}")
+    def __init__(self, host: str) -> None:
         self.host = host
-        self.chunk = chunk
-        self.pump_mode = pump_mode
-        #: StreamReader ``limit=`` for every socket this daemon opens.
-        self.stream_limit = STREAM_LIMIT if pump_mode == "adaptive" else 2 ** 16
         self.stats = AioRelayStats()
         self._server: Optional[asyncio.base_events.Server] = None
         #: Live per-connection writers (accepted *and* onward/per-stream
@@ -255,10 +210,14 @@ class _Server:
     def disown(self, writer: asyncio.StreamWriter) -> None:
         self._conns.discard(writer)
 
-    def tune(self, writer: asyncio.StreamWriter) -> None:
-        """Apply socket tuning — a no-op in the seed-baseline mode."""
-        if self.pump_mode == "adaptive":
-            tune_stream(writer)
+    async def _refuse(self, writer: asyncio.StreamWriter, reason: str) -> None:
+        """Count a failed request, send one typed error reply, close."""
+        self.stats.failed_requests += 1
+        with contextlib.suppress(Exception):
+            # Capped: a reason echoing hostile input must still fit a line.
+            write_control(writer, error_reply(reason[:256]))
+            await writer.drain()
+        writer.close()
 
     @property
     def running(self) -> bool:
@@ -288,31 +247,22 @@ class _Server:
 class AioOuterServer(_Server):
     """The live outer server: control port + dynamic public ports.
 
-    ``mux=True`` (default) relays all passive chains of one inner
-    server over a single persistent nxport connection; ``mux=False``
-    keeps the seed's connection-per-chain behaviour.
+    All passive chains of one inner server ride a single persistent
+    nxport connection (:class:`~repro.core.aio.mux.MuxConnector`).
     """
 
     def __init__(
         self,
         host: str = "127.0.0.1",
         control_port: int = 0,
-        chunk: int = DEFAULT_CHUNK,
         secret: "str | None" = None,
-        pump_mode: str = "adaptive",
-        mux: bool = True,
-        reuse_port: bool = False,
         onward_bind_host: "str | None" = None,
         limiter: "object | None" = None,
     ) -> None:
-        super().__init__(host, chunk, pump_mode)
+        super().__init__(host)
         self.control_port = control_port
         #: Optional shared secret every connect/bind request must carry.
         self.secret = secret
-        self.mux = mux
-        #: Fleet mode: N workers bind the *same* control port with
-        #: ``SO_REUSEPORT`` so the kernel spreads incoming chains.
-        self.reuse_port = reuse_port
         #: Source address for onward (wide-area-side) connections.
         #: Fleet workers each bind a distinct loopback alias here so
         #: per-relay-host WAN emulation can tell them apart.
@@ -325,12 +275,9 @@ class AioOuterServer(_Server):
         self._mux_links: Dict[Tuple[str, int], MuxConnector] = {}
 
     async def start(self) -> "AioOuterServer":
-        kwargs = {}
-        if self.reuse_port:
-            kwargs["reuse_port"] = True
         self._server = await asyncio.start_server(
             self._handle_control, self.host, self.control_port,
-            limit=self.stream_limit, **kwargs,
+            limit=STREAM_LIMIT,
         )
         self.control_port = self.bound_port
         log.info("outer server listening on %s:%d", self.host, self.control_port)
@@ -365,54 +312,38 @@ class AioOuterServer(_Server):
     async def _handle_control(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
-        self.tune(writer)
+        tune_stream(writer)
         try:
             msg = await read_control(reader)
         except ProtocolError as exc:
-            self.stats.failed_requests += 1
-            with contextlib.suppress(Exception):
-                write_control(writer, error_reply(str(exc)))
-                await writer.drain()
-            writer.close()
+            await self._refuse(writer, str(exc))
             return
         op = msg.get("op")
         if self.secret is not None and msg.get("secret") != self.secret:
-            self.stats.failed_requests += 1
-            write_control(writer, error_reply("authentication failed"))
-            with contextlib.suppress(Exception):
-                await writer.drain()
-            writer.close()
-            return
-        if op == "connect":
+            await self._refuse(writer, "authentication failed")
+        elif op == "connect":
             await self._handle_connect(msg, reader, writer)
         elif op == "bind":
             await self._handle_bind(msg, reader, writer)
         else:
-            self.stats.failed_requests += 1
-            write_control(writer, error_reply(f"unknown op {op!r}"))
-            with contextlib.suppress(Exception):
-                await writer.drain()
-            writer.close()
+            await self._refuse(writer, f"unknown op {op!r}")
 
     async def _handle_connect(self, msg, reader, writer) -> None:
         try:
             require_fields(msg, "host", "port")
+            host = require_host(msg["host"])
             port = require_port(msg["port"])
             onward_r, onward_w = await asyncio.open_connection(
-                msg["host"], port, limit=self.stream_limit,
+                host, port, limit=STREAM_LIMIT,
                 local_addr=(
                     (self.onward_bind_host, 0)
                     if self.onward_bind_host is not None else None
                 ),
             )
         except (ProtocolError, OSError) as exc:
-            self.stats.failed_requests += 1
-            write_control(writer, error_reply(f"connect failed: {exc}"))
-            with contextlib.suppress(Exception):
-                await writer.drain()
-            writer.close()
+            await self._refuse(writer, f"connect failed: {exc}")
             return
-        self.tune(onward_w)
+        tune_stream(onward_w)
         self.adopt(onward_w)
         self.stats.active_connects += 1
         write_control(writer, ok_reply())
@@ -422,16 +353,15 @@ class AioOuterServer(_Server):
             rec = _obs.RECORDER
             if rec is not None:
                 with rec.wall_span("relay", "active_chain", track=f"outer:{self.host}",
-                                   dest=f"{msg['host']}:{msg['port']}",
+                                   dest=f"{host}:{port}",
                                    **_trace.span_args(ctx)):
                     await _relay_pair(
-                        reader, writer, onward_r, onward_w, self.stats, self.chunk,
-                        self.pump_mode, self.limiter,
+                        reader, writer, onward_r, onward_w, self.stats,
+                        self.limiter,
                     )
                 return
             await _relay_pair(
-                reader, writer, onward_r, onward_w, self.stats, self.chunk,
-                self.pump_mode, self.limiter,
+                reader, writer, onward_r, onward_w, self.stats, self.limiter,
             )
         finally:
             self.disown(onward_w)
@@ -439,16 +369,12 @@ class AioOuterServer(_Server):
     async def _handle_bind(self, msg, reader, writer) -> None:
         try:
             require_fields(msg, "client_host", "client_port", "inner_host", "inner_port")
-            client_host = msg["client_host"]
+            client_host = require_host(msg["client_host"])
             client_port = require_port(msg["client_port"])
-            inner_host = msg["inner_host"]
+            inner_host = require_host(msg["inner_host"])
             inner_port = require_port(msg["inner_port"])
         except ProtocolError as exc:
-            self.stats.failed_requests += 1
-            write_control(writer, error_reply(str(exc)))
-            with contextlib.suppress(Exception):
-                await writer.drain()
-            writer.close()
+            await self._refuse(writer, str(exc))
             return
         bind_ctx = _trace.accept(msg.get("tctx"))
         if bind_ctx is not None:
@@ -458,7 +384,7 @@ class AioOuterServer(_Server):
                 # link resolves in an assembled trace.
                 rec.wall_instant(
                     "relay", "passive_bind", track=f"outer:{self.host}",
-                    client=f"{msg['client_host']}:{msg['client_port']}",
+                    client=f"{client_host}:{client_port}",
                     **_trace.span_args(bind_ctx),
                 )
 
@@ -473,14 +399,8 @@ class AioOuterServer(_Server):
                 self.disown(pw)
 
         async def _chain_peer(pr: asyncio.StreamReader, pw: asyncio.StreamWriter) -> None:
-            self.tune(pw)
-            if self.mux:
-                await _chain_peer_mux(pr, pw)
-            else:
-                await _chain_peer_legacy(pr, pw)
-
-        async def _chain_peer_mux(pr, pw) -> None:
             """One logical chain over the shared nxport link."""
+            tune_stream(pw)
             link = self.mux_link(inner_host, inner_port)
             chain_ctx = _trace.child(bind_ctx)
             wire = chain_ctx.to_wire() if chain_ctx is not None else None
@@ -502,47 +422,8 @@ class AioOuterServer(_Server):
                 with contextlib.suppress(Exception):
                     pw.close()
 
-        async def _chain_peer_legacy(pr, pw) -> None:
-            """Seed behaviour: fresh nxport connection per chain."""
-            chain_ctx = _trace.child(bind_ctx)
-            try:
-                ir, iw = await asyncio.open_connection(
-                    inner_host, inner_port, limit=self.stream_limit
-                )
-                self.tune(iw)
-                relayto = {"op": "relayto", "host": client_host,
-                           "port": client_port}
-                if chain_ctx is not None:
-                    relayto["tctx"] = chain_ctx.to_wire()
-                write_control(iw, relayto)
-                await iw.drain()
-                reply = await read_control(ir)
-                if not reply.get("ok"):
-                    raise ProtocolError(reply.get("error", "inner refused"))
-            except (ProtocolError, OSError) as exc:
-                self.stats.failed_requests += 1
-                log.warning("passive chain failed: %s", exc)
-                pw.close()
-                return
-            self.stats.passive_chains += 1
-            self.adopt(iw)
-            try:
-                rec = _obs.RECORDER
-                if rec is not None:
-                    with rec.wall_span("relay", "passive_chain",
-                                       track=f"outer:{self.host}",
-                                       client=f"{client_host}:{client_port}",
-                                       **_trace.span_args(chain_ctx)):
-                        await _relay_pair(pr, pw, ir, iw, self.stats, self.chunk,
-                                          self.pump_mode)
-                    return
-                await _relay_pair(pr, pw, ir, iw, self.stats, self.chunk,
-                                  self.pump_mode)
-            finally:
-                self.disown(iw)
-
         public = await asyncio.start_server(
-            on_peer, self.host, 0, limit=self.stream_limit
+            on_peer, self.host, 0, limit=STREAM_LIMIT
         )
         self._public_servers.add(public)
         public_port = public.sockets[0].getsockname()[1]
@@ -569,10 +450,9 @@ class AioOuterServer(_Server):
 class AioInnerServer(_Server):
     """The live inner server, listening on the nxport.
 
-    Speaks both nxport dialects: a connection starting with
-    ``NXMUX/1`` becomes a persistent frame-multiplexed link carrying
-    many chains; a JSON line is the legacy per-chain ``relayto``
-    handshake.
+    A nxport connection opens with ``NXMUX/1`` and becomes a persistent
+    frame-multiplexed link carrying many chains; any other first line
+    is refused with one error reply.
 
     ``allowed_peers`` is a defence-in-depth copy of the firewall
     pinhole: when set, connections whose source address is not listed
@@ -584,17 +464,15 @@ class AioInnerServer(_Server):
         self,
         host: str = "127.0.0.1",
         nxport: int = 0,
-        chunk: int = DEFAULT_CHUNK,
         allowed_peers: "list[str] | None" = None,
-        pump_mode: str = "adaptive",
     ) -> None:
-        super().__init__(host, chunk, pump_mode)
+        super().__init__(host)
         self.nxport = nxport
         self.allowed_peers = allowed_peers
 
     async def start(self) -> "AioInnerServer":
         self._server = await asyncio.start_server(
-            self._handle, self.host, self.nxport, limit=self.stream_limit
+            self._handle, self.host, self.nxport, limit=STREAM_LIMIT
         )
         self.nxport = self.bound_port
         log.info("inner server listening on %s:%d (nxport)", self.host, self.nxport)
@@ -610,69 +488,25 @@ class AioInnerServer(_Server):
             rec.wall_instant("relay", "nxport_connection",
                              track=f"inner:{self.host}",
                              total=self.stats.nxport_connections)
-        self.tune(writer)
+        tune_stream(writer)
         if self.allowed_peers is not None:
             peer = writer.get_extra_info("peername")
             if peer is None or peer[0] not in self.allowed_peers:
-                self.stats.failed_requests += 1
                 log.warning("nxport connection from unexpected peer %r", peer)
-                with contextlib.suppress(Exception):
-                    write_control(
-                        writer, error_reply("source address not permitted")
-                    )
-                    await writer.drain()
-                writer.close()
+                await self._refuse(writer, "source address not permitted")
                 return
         try:
             line = await reader.readline()
         except (asyncio.LimitOverrunError, ValueError, ConnectionError, OSError):
             writer.close()
             return
-        if line == MUX_MAGIC:
-            log.info("nxport connection switched to mux framing")
-            await serve_mux_session(
-                reader, writer, self.stats,
-                adopt=self.adopt, disown=self.disown,
-            )
-            with contextlib.suppress(Exception):
-                writer.close()
+        if line != MUX_MAGIC:
+            await self._refuse(writer, "nxport speaks NXMUX/1 only")
             return
-        await self._handle_legacy(line, reader, writer)
-
-    async def _handle_legacy(
-        self, line: bytes, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        try:
-            msg = parse_control_line(line)
-            if msg.get("op") != "relayto":
-                raise ProtocolError(f"unknown op {msg.get('op')!r}")
-            require_fields(msg, "host", "port")
-            port = require_port(msg["port"])
-            onward_r, onward_w = await asyncio.open_connection(
-                msg["host"], port, limit=self.stream_limit
-            )
-        except (ProtocolError, OSError) as exc:
-            self.stats.failed_requests += 1
-            with contextlib.suppress(Exception):
-                write_control(writer, error_reply(str(exc)))
-                await writer.drain()
+        log.info("nxport connection switched to mux framing")
+        await serve_mux_session(
+            reader, writer, self.stats,
+            adopt=self.adopt, disown=self.disown,
+        )
+        with contextlib.suppress(Exception):
             writer.close()
-            return
-        self.tune(onward_w)
-        self.adopt(onward_w)
-        self.stats.passive_chains += 1
-        write_control(writer, ok_reply())
-        await writer.drain()
-        ctx = _trace.accept(msg.get("tctx"))
-        rec = _obs.RECORDER
-        if rec is not None and ctx is not None:
-            rec.wall_instant("relay", "legacy_chain", track=f"inner:{self.host}",
-                             dest=f"{msg['host']}:{msg['port']}",
-                             **_trace.span_args(ctx))
-        try:
-            await _relay_pair(
-                reader, writer, onward_r, onward_w, self.stats, self.chunk,
-                self.pump_mode,
-            )
-        finally:
-            self.disown(onward_w)

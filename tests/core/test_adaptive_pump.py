@@ -99,39 +99,6 @@ def test_live_pump_moves_bytes_and_half_closes():
     asyncio.run(asyncio.wait_for(main(), 20))
 
 
-def test_fixed_pump_reads_fixed_chunks():
-    async def main():
-        src_r = asyncio.StreamReader()
-        src_r.feed_data(b"x" * 20_000)
-        src_r.feed_eof()
-
-        sink_r = asyncio.StreamReader()
-
-        class NullWriter:
-            """Minimal StreamWriter stand-in recording write sizes."""
-
-            def __init__(self):
-                self.sizes = []
-                self.transport = None
-
-            def write(self, data):
-                self.sizes.append(len(data))
-
-            async def drain(self):
-                pass
-
-            def write_eof(self):
-                pass
-
-        w = NullWriter()
-        moved = await pump(src_r, w, fixed_chunk=4096)
-        assert moved == 20_000
-        assert all(s <= 4096 for s in w.sizes)
-        assert w.sizes.count(4096) >= 4
-
-    asyncio.run(main())
-
-
 def test_writer_backpressured_without_flow_control_introspection():
     class NoIntrospection:
         transport = object()  # no get_write_buffer_limits

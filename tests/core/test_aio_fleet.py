@@ -12,7 +12,7 @@ import json
 import pytest
 
 from repro.core.aio import AioProxyClient
-from repro.core.aio.fleet import HAVE_REUSEPORT, FleetManager, FleetSpec
+from repro.core.aio.fleet import FleetManager, FleetSpec
 from repro.core.aio.streams import StripeSink, recv_striped, send_striped
 
 from tests.core.test_placement import FLEET_SNAPSHOT_KEYS
@@ -151,40 +151,6 @@ def test_front_door_quota_rejects_then_recovers():
             else:
                 pytest.fail("quota slot never released after chain close")
             w3.close()
-        finally:
-            echo_srv.close()
-            await fleet.stop()
-
-    run(main())
-
-
-@pytest.mark.skipif(not HAVE_REUSEPORT, reason="needs SO_REUSEPORT")
-def test_reuseport_fleet_shares_one_port():
-    async def main():
-        fleet = await FleetManager(
-            FleetSpec(workers=2, mode="reuseport", heartbeat_s=0.1)
-        ).start()
-        echo_srv, echo_port = await start_echo_server()
-        try:
-            # The kernel spreads connections; no front door, no
-            # handoffs — every dial still relays through some worker.
-            for i in range(4):
-                reader, writer = await dial_chain(
-                    fleet.port, "127.0.0.1", echo_port
-                )
-                msg = f"reuseport {i}".encode()
-                writer.write(msg)
-                await writer.drain()
-                assert await reader.readexactly(len(msg)) == msg
-                writer.close()
-            snap = fleet.snapshot()
-            assert snap["mode"] == "reuseport"
-            assert snap["handoffs"] == 0
-            await asyncio.sleep(0.3)
-            snap = fleet.snapshot()
-            assert sum(
-                w["bytes_relayed"] for w in snap["workers"].values()
-            ) > 0
         finally:
             echo_srv.close()
             await fleet.stop()

@@ -38,8 +38,8 @@ def run(coro):
     return asyncio.run(asyncio.wait_for(coro, timeout=30))
 
 
-async def start_deployment(**outer_kwargs):
-    outer = await AioOuterServer(**outer_kwargs).start()
+async def start_deployment():
+    outer = await AioOuterServer().start()
     inner = await AioInnerServer().start()
     client = AioProxyClient(
         outer_addr=("127.0.0.1", outer.control_port),
@@ -218,32 +218,6 @@ def test_link_drop_reconnects_and_reestablishes_chains():
             assert link.connects == 2
             assert outer.stats.mux_reconnects == 1
             assert inner.stats.nxport_connections == 2
-            echo_task.cancel()
-            await listener.close()
-        finally:
-            await outer.stop()
-            await inner.stop()
-
-    run(main())
-
-
-def test_legacy_mode_opens_one_connection_per_chain():
-    """mux=False is the seed behaviour: the ablation baseline."""
-
-    async def main():
-        outer, inner, client = await start_deployment(mux=False)
-        try:
-            listener = await client.bind()
-            echo_task = asyncio.ensure_future(echo_chain(listener))
-            host, port = listener.proxy_addr
-            for i in range(3):
-                r, w = await asyncio.open_connection(host, port)
-                w.write(b"x")
-                await w.drain()
-                assert await r.readexactly(1) == b"x"
-                w.close()
-            await asyncio.sleep(0.05)
-            assert inner.stats.nxport_connections == 3
             echo_task.cancel()
             await listener.close()
         finally:

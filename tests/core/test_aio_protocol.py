@@ -11,6 +11,7 @@ from repro.core.aio.protocol import (
     ok_reply,
     read_control,
     require_fields,
+    require_host,
     require_port,
     write_control,
 )
@@ -103,3 +104,18 @@ def test_require_port_rejects(bad):
 @pytest.mark.parametrize("good", [1, 80, 65535])
 def test_require_port_accepts(good):
     assert require_port(good) == good
+
+
+@pytest.mark.parametrize(
+    "bad", [5, None, ["a"], "", "a\x00b", "a..b", "\ud800", "x" * 64 + ".com",
+            "h." * 127 + "hh"]
+)
+def test_require_host_rejects(bad):
+    with pytest.raises(ProtocolError, match="invalid host"):
+        require_host(bad)
+
+
+@pytest.mark.parametrize("good", ["127.0.0.1", "::1", "relay.example.org",
+                                  "h." * 127 + "h"])
+def test_require_host_accepts(good):
+    assert require_host(good) == good

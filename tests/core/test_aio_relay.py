@@ -5,6 +5,7 @@ its own daemons and tears them down.
 """
 
 import asyncio
+import json
 
 import pytest
 
@@ -248,6 +249,37 @@ def test_invalid_port_rejected():
     run(main())
 
 
+@pytest.mark.parametrize("request_msg", [
+    {"op": "connect", "host": 5, "port": 80},
+    {"op": "connect", "host": ["a"], "port": 80},
+    {"op": "connect", "host": "a\x00b", "port": 80},
+    {"op": "connect", "host": "a..b", "port": 80},
+    {"op": "bind", "client_host": 5, "client_port": 9,
+     "inner_host": 7, "inner_port": 9},
+])
+def test_malformed_host_gets_typed_refusal(request_msg):
+    """A hostile ``host`` field must not escape the handler as a
+    TypeError/ValueError (bare close, uncounted) nor publish a port."""
+
+    async def main():
+        outer = await AioOuterServer().start()
+        try:
+            r, w = await asyncio.open_connection("127.0.0.1", outer.control_port)
+            w.write(json.dumps(request_msg).encode() + b"\n")
+            await w.drain()
+            reply = json.loads(await asyncio.wait_for(r.readline(), 5))
+            assert reply["ok"] is False and "invalid host" in reply["error"]
+            assert await r.read() == b""
+            w.close()
+            assert outer.stats.failed_requests == 1
+            assert outer.stats.passive_binds == 0
+            assert not outer._public_servers
+        finally:
+            await outer.stop()
+
+    run(main())
+
+
 def test_client_without_outer_is_direct():
     async def main():
         echo_srv, echo_port = await start_echo_server()
@@ -313,12 +345,34 @@ def test_inner_allowed_peers_enforced():
         closed_inner = await AioInnerServer(allowed_peers=["203.0.113.9"]).start()
         try:
             # Permitted source: a protocol error reply, not a refusal.
+            dialled = []
+            target = await asyncio.start_server(
+                lambda _r, tw: (dialled.append(1), tw.close()), "127.0.0.1", 0
+            )
+            tport = target.sockets[0].getsockname()[1]
             r, w = await asyncio.open_connection("127.0.0.1", open_inner.nxport)
             w.write(b'{"op": "bogus"}\n')
             await w.drain()
             line = await r.readline()
-            assert b"unknown op" in line
+            assert b"NXMUX/1 only" in line
             w.close()
+            # ... including for the per-chain ``relayto`` op, which only
+            # the sim plane speaks: typed refusal, nothing dialled.
+            r, w = await asyncio.open_connection("127.0.0.1", open_inner.nxport)
+            w.write(json.dumps(
+                {"op": "relayto", "host": "127.0.0.1", "port": tport}
+            ).encode() + b"\n")
+            await w.drain()
+            assert json.loads(await r.readline()) == {
+                "ok": False, "error": "nxport speaks NXMUX/1 only"
+            }
+            assert await r.read() == b""
+            w.close()
+            assert open_inner.stats.failed_requests == 2
+            assert open_inner.stats.passive_chains == 0
+            assert not dialled
+            target.close()
+            await target.wait_closed()
             # Forbidden source: refused before any protocol handling.
             r, w = await asyncio.open_connection("127.0.0.1", closed_inner.nxport)
             w.write(b'{"op": "relayto", "host": "x", "port": 1}\n')

@@ -34,8 +34,8 @@ def _obs_env():
     spans.uninstall()
 
 
-async def start_deployment(**outer_kwargs):
-    outer = await AioOuterServer(**outer_kwargs).start()
+async def start_deployment():
+    outer = await AioOuterServer().start()
     inner = await AioInnerServer().start()
     client = AioProxyClient(
         outer_addr=("127.0.0.1", outer.control_port),
@@ -164,26 +164,14 @@ def test_window_stall_counter_survives_reconnect(_obs_env):
 
 
 def test_tagging_client_vs_untagged_relayto(_obs_env):
-    """Legacy (seed wire format) peers interoperate with a tagging
-    deployment: the JSON control lines simply carry one extra key that
-    old peers would ignore, and its absence parses to None."""
+    """Seed-wire-format clients interoperate with a tagging deployment:
+    ``tctx`` is one extra key on the JSON control line, and its absence
+    parses to None."""
     rec = _obs_env
 
     async def main():
-        outer, inner, client = await start_deployment(mux=False)
+        outer, inner, _client = await start_deployment()
         try:
-            # Tagging client through the legacy per-chain data plane.
-            listener = await client.bind()
-            echo_task = asyncio.ensure_future(echo_chain(listener))
-            host, port = listener.proxy_addr
-            r, w = await asyncio.open_connection(host, port)
-            w.write(b"legacy")
-            await w.drain()
-            assert await r.readexactly(6) == b"legacy"
-            w.close()
-            echo_task.cancel()
-            await listener.close()
-
             # Seed-format control line (no tctx key) still relays.
             import json as _json
 
@@ -216,10 +204,6 @@ def test_tagging_client_vs_untagged_relayto(_obs_env):
             await inner.stop()
 
     run(main())
-    # The tagged legacy chain produced a tagged inner-side instant.
-    tagged = [ev for ev in rec.events
-              if ev.name == "legacy_chain" and "trace" in ev.args]
-    assert tagged
     # The untagged connect recorded its span with NO trace args.
     connects = [ev for ev in rec.events if ev.name == "active_chain"]
     assert connects
