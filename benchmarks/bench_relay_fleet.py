@@ -55,7 +55,6 @@ from repro.bench.results import bench_arg_parser, bench_meta, emit_results, repo
 from repro.core.aio.fleet import FleetManager, FleetSpec
 from repro.core.aio.pump import STREAM_LIMIT, maybe_drain, tune_stream
 from repro.core.aio.streams import StripeSink, send_striped
-from repro.core.placement import TokenBucket
 
 MB = 1024 * 1024
 WAN_DELAY_S = 3.5e-3
@@ -82,6 +81,36 @@ STRIPE_WINDOW = 64
 #: sub-transfers; re-dialing between them gives placement fresh
 #: byte-rate signal (see :func:`_send_side_thread`).
 SUB_XFER_MB = 4
+
+
+class _LinkBucket:
+    """Token bucket (``rate`` bytes/s, ``burst`` bytes) modelling one
+    relay host's WAN link.  One bucket serializes its waiters — the
+    link *is* the shared resource — and debits in burst-sized
+    installments, so a read larger than the burst still completes."""
+
+    def __init__(self, rate: float, burst: float) -> None:
+        self.rate = rate
+        self.burst = burst
+        self.tokens = burst
+        self._last = time.monotonic()
+        self._lock = asyncio.Lock()
+
+    async def acquire(self, n: int) -> None:
+        async with self._lock:
+            while n > 0:
+                now = time.monotonic()
+                self.tokens = min(
+                    self.burst, self.tokens + (now - self._last) * self.rate
+                )
+                self._last = now
+                step = min(n, self.burst)
+                if self.tokens >= step:
+                    self.tokens -= step
+                    n -= step
+                else:
+                    delay = (step - self.tokens) / self.rate
+                    await asyncio.sleep(max(delay, 0.001))
 
 
 async def _wan_pipe(reader, writer, delay: float, bucket=None) -> None:
@@ -126,7 +155,7 @@ async def _wan_pipe(reader, writer, delay: float, bucket=None) -> None:
 class WanEmulator:
     """WAN hop in front of one stripe sink, with per-source-host caps.
 
-    ``buckets`` maps onward source IP → shared :class:`TokenBucket`;
+    ``buckets`` maps onward source IP → shared :class:`_LinkBucket`;
     pass one dict across emulators so every stream a relay host
     originates — whichever client/sink it serves — contends for that
     host's link, exactly like a real site uplink.
@@ -135,7 +164,7 @@ class WanEmulator:
     def __init__(
         self,
         sink_port: int,
-        buckets: "dict[str, TokenBucket]",
+        buckets: "dict[str, _LinkBucket]",
         cap_mb_per_s: float = HOST_CAP_MB_S,
         delay_s: float = WAN_DELAY_S,
     ) -> None:
@@ -172,7 +201,7 @@ class WanEmulator:
             if bucket is None:
                 # Small burst (1/8 s of link) so a transfer can't ride
                 # a banked backlog past the cap.
-                bucket = TokenBucket(self.cap, self.cap / 8)
+                bucket = _LinkBucket(self.cap, self.cap / 8)
                 self.buckets[src] = bucket
             onward_r, onward_w = await asyncio.open_connection(
                 "127.0.0.1", self.sink_port, limit=STREAM_LIMIT
@@ -225,7 +254,7 @@ async def _dial_chain(fleet_port: int, host: str, port: int):
 async def _one_client(
     fleet_port: int,
     payload: bytes,
-    buckets: "dict[str, TokenBucket]",
+    buckets: "dict[str, _LinkBucket]",
     streams: int = 4,
     block: int = 128 * 1024,
     window: int = 8,
@@ -321,7 +350,7 @@ def _sink_side_thread(
             await sink_srv.wait_closed()
 
     async def amain() -> None:
-        buckets: "dict[str, TokenBucket]" = {}
+        buckets: "dict[str, _LinkBucket]" = {}
         oks = await asyncio.gather(
             *[run_job(job, buckets) for job in jobs]
         )
@@ -568,7 +597,7 @@ async def run_smoke_drain(trace_dir: str) -> int:
         await agg_endpoint.start()
         aggregator.start()
         client = AioProxyClient(outer_addr=("127.0.0.1", fleet.port))
-        buckets: "dict[str, TokenBucket]" = {}
+        buckets: "dict[str, _LinkBucket]" = {}
         sink_conns: asyncio.Queue = asyncio.Queue()
 
         async def on_conn(reader, writer):

@@ -20,8 +20,7 @@ real asyncio one in :mod:`repro.core.aio` (run it on actual sockets:
 from repro.core.api import DirectListener, NexusProxyClient, ProxiedListener
 from repro.core.chain import ChainModel, RelayStage, WireLeg
 from repro.core.config import DEFAULT_RELAY_CONFIG, RelayConfig
-from repro.core.fleet import SimFleet
-from repro.core.frames import DataFrame, FrameError, FramedConnection, StripeBlock
+from repro.core.frames import DataFrame, FrameError, FramedConnection
 from repro.core.inner import InnerServer
 from repro.core.outer import OuterServer, RelayStats
 from repro.core.protocol import (
@@ -53,7 +52,5 @@ __all__ = [
     "RelayStats",
     "Reply",
     "RelayTo",
-    "SimFleet",
-    "StripeBlock",
     "WireLeg",
 ]

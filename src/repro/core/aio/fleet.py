@@ -23,7 +23,7 @@ file descriptors attached to its ``sendmsg`` as ``SCM_RIGHTS``
 ancillary data, paired FIFO on the receive side):
 
 * worker → manager: ``hello`` (worker id, pid, bound ports),
-  ``hb`` (state, bytes_relayed, active_chains, edge_throttle_waits),
+  ``hb`` (state, bytes_relayed, active_chains),
   ``closed`` (one handed-off chain ended; carries the client address
   so the manager releases its quota slot), ``drained``.
 * manager → worker: ``handoff`` (``fds: 1`` — the accepted socket),
@@ -67,7 +67,6 @@ from repro.core.placement import (
     WORKER_UP,
     AdmissionControl,
     LeastLoadedPlacer,
-    TokenBucket,
     WorkerView,
     fleet_snapshot,
 )
@@ -93,11 +92,6 @@ class FleetSpec:
     #: Per-client concurrent-chain quota at the front door
     #: (``None`` = unlimited).
     max_chains_per_client: Optional[int] = None
-    #: Fleet-wide edge byte-rate cap, split evenly across workers
-    #: (``None`` = unlimited).  Rate-capped chains take the
-    #: stream-pump path.
-    edge_rate_bytes_per_s: Optional[float] = None
-    edge_burst_bytes: Optional[float] = None
     #: Source addresses for workers' onward connections, one per
     #: worker (loopback aliases in benchmarks, NICs in deployment) so
     #: per-relay-host WAN emulation can bucket traffic by worker.
@@ -146,7 +140,6 @@ class _WorkerRuntime:
         self.index = index
         self.state = WORKER_UP
         self.outer: Any = None
-        self.limiter: Optional[TokenBucket] = None
         self.sock: Optional[socket.socket] = None
         self.loop: Optional[asyncio.AbstractEventLoop] = None
         self.chains: "set[asyncio.Task]" = set()
@@ -173,9 +166,6 @@ class _WorkerRuntime:
             "state": self.state,
             "bytes_relayed": stats.bytes_relayed,
             "active_chains": len(self.chains),
-            "edge_throttle_waits": (
-                self.limiter.waits if self.limiter is not None else 0
-            ),
         }
 
 
@@ -241,14 +231,6 @@ async def _worker_async(
         _obs.install(rec)
         _trace.enable(f"{spec.trace_site}-w{index}")
 
-    if spec.edge_rate_bytes_per_s is not None:
-        per_worker = spec.edge_rate_bytes_per_s / spec.workers
-        burst = (
-            spec.edge_burst_bytes / spec.workers
-            if spec.edge_burst_bytes is not None else None
-        )
-        rt.limiter = TokenBucket(per_worker, burst)
-
     onward = (
         spec.onward_bind_hosts[index]
         if spec.onward_bind_hosts is not None else None
@@ -256,8 +238,7 @@ async def _worker_async(
     # Chains arrive as fds, so the worker's own listener is a private
     # loopback port (used only for debug / direct dials in tests).
     outer = AioOuterServer(
-        "127.0.0.1", 0, secret=spec.secret, onward_bind_host=onward,
-        limiter=rt.limiter,
+        "127.0.0.1", 0, secret=spec.secret, onward_bind_host=onward
     )
     rt.outer = outer
     if rec is not None:
@@ -658,9 +639,6 @@ class FleetManager:
                         int(msg.get("bytes_relayed", 0)),
                         int(msg.get("active_chains", 0)),
                     )
-                    handle.view.extra["edge_throttle_waits"] = int(
-                        msg.get("edge_throttle_waits", 0)
-                    )
                 elif op == "closed":
                     client = str(msg.get("client", ""))
                     if client:
@@ -771,14 +749,8 @@ class FleetManager:
     # -- observability ----------------------------------------------------
 
     def snapshot(self) -> "dict[str, Any]":
-        """Fleet-wide counters; key schema shared with the sim mirror
-        (:meth:`repro.core.fleet.SimFleet.snapshot`), ``mode`` included."""
+        """Fleet-wide counters (see
+        :func:`repro.core.placement.fleet_snapshot`)."""
         return fleet_snapshot(
-            "handoff",
-            (h.view for h in self.handles.values()),
-            self.placer.stats,
-            edge_throttle_waits=sum(
-                int(h.view.extra.get("edge_throttle_waits", 0))
-                for h in self.handles.values()
-            ),
+            (h.view for h in self.handles.values()), self.placer.stats
         )

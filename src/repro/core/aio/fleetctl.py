@@ -184,9 +184,6 @@ def _spec_from_args(args: argparse.Namespace) -> FleetSpec:
         port=args.port,
         secret=args.secret,
         max_chains_per_client=args.quota,
-        edge_rate_bytes_per_s=(
-            args.edge_rate_mb * 1e6 if args.edge_rate_mb is not None else None
-        ),
         heartbeat_s=args.heartbeat,
         drain_grace_s=args.drain_grace,
         telemetry=args.telemetry,
@@ -306,10 +303,6 @@ def main(argv: "list[str] | None" = None) -> int:
         "--quota", type=int, default=None, metavar="N",
         help="max concurrent chains per client address",
     )
-    serve.add_argument(
-        "--edge-rate-mb", type=float, default=None, metavar="MB_PER_S",
-        help="fleet-wide edge byte-rate cap, split across workers",
-    )
     serve.add_argument("--heartbeat", type=float, default=0.25)
     serve.add_argument("--drain-grace", type=float, default=2.0)
     serve.add_argument(
@@ -333,8 +326,7 @@ def main(argv: "list[str] | None" = None) -> int:
     )
     serve.add_argument(
         "--slo", default=None, metavar="SPEC",
-        help="SLO spec file (JSON always; YAML when PyYAML is "
-        "installed) — default: the built-in fleet rules",
+        help="JSON SLO spec file — default: the built-in fleet rules",
     )
     serve.add_argument(
         "--slo-window", type=float, default=10.0, metavar="SECONDS",

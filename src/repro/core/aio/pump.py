@@ -157,15 +157,11 @@ async def pump(
     *,
     chunker: Optional[AdaptiveChunker] = None,
     on_chunk: Optional[Callable[[int], None]] = None,
-    limiter: "Optional[object]" = None,
 ) -> int:
     """Copy ``reader`` → ``writer`` until EOF/error; half-close; return
     bytes moved.
 
     ``chunker`` overrides the default adaptive read-size policy.
-    ``limiter`` (any object with ``await acquire(nbytes)``, e.g. a
-    fleet edge :class:`repro.core.placement.TokenBucket`) debits every
-    chunk before it is written, turning the pump into a rate-capped leg.
     """
     moved = 0
     if chunker is None:
@@ -177,8 +173,6 @@ async def pump(
                 break
             n = len(data)
             moved += n
-            if limiter is not None:
-                await limiter.acquire(n)
             if on_chunk is not None:
                 on_chunk(n)
             writer.write(data)

@@ -12,8 +12,8 @@ inner server answers the nxport.  There is one data plane:
 * **active chains** (Fig. 3): the two sockets are protocol-swapped
   onto the zero-copy relay ends of :mod:`repro.core.aio.pump`; the
   stream ``pump()`` (adaptive 4 KB → 256 KB reads, ``drain()`` only
-  past the high-water mark) carries a chain only when a fleet edge
-  ``limiter`` is attached or a transport cannot be swapped.
+  past the high-water mark) carries a chain only when a transport
+  cannot be swapped.
 
 Every relay socket runs with ``TCP_NODELAY``.
 """
@@ -65,6 +65,11 @@ log = logging.getLogger("repro.nexus_proxy")
 #: (:class:`repro.obs.metrics.LogHistogram`); this alias keeps the
 #: established import path working.
 Histogram = LogHistogram
+
+#: Deadline (seconds) for the first line on the control port and on the
+#: nxport: a connection that sends nothing is refused instead of
+#: pinning its handler (and, in a fleet, a worker chain slot) forever.
+FIRST_LINE_TIMEOUT_S = 10.0
 
 
 @dataclass
@@ -162,29 +167,23 @@ async def _relay_pair(
     b_reader: asyncio.StreamReader,
     b_writer: asyncio.StreamWriter,
     stats: AioRelayStats,
-    limiter: "object | None" = None,
 ) -> None:
     """Bidirectional relay; returns when both directions finish.
 
     The pair is first handed to the zero-copy buffered-protocol relay
     (``recv_into`` ring buffers, direct socket forwarding); transports
     that cannot be protocol-swapped fall back to the stream pumps.
-
-    A ``limiter`` (fleet edge token bucket) forces the stream-pump
-    path: rate capping needs an awaitable debit per chunk, which the
-    protocol-swapped relay's read callbacks cannot host.
     """
     try:
-        if limiter is None:
-            moved = await relay_sockets_zero_copy(
-                a_reader, a_writer, b_reader, b_writer,
-                on_chunk=stats.on_chunk,
-            )
-            if moved is not None:
-                return
+        moved = await relay_sockets_zero_copy(
+            a_reader, a_writer, b_reader, b_writer,
+            on_chunk=stats.on_chunk,
+        )
+        if moved is not None:
+            return
         await asyncio.gather(
-            pump(a_reader, b_writer, on_chunk=stats.on_chunk, limiter=limiter),
-            pump(b_reader, a_writer, on_chunk=stats.on_chunk, limiter=limiter),
+            pump(a_reader, b_writer, on_chunk=stats.on_chunk),
+            pump(b_reader, a_writer, on_chunk=stats.on_chunk),
         )
     finally:
         for w in (a_writer, b_writer):
@@ -257,7 +256,6 @@ class AioOuterServer(_Server):
         control_port: int = 0,
         secret: "str | None" = None,
         onward_bind_host: "str | None" = None,
-        limiter: "object | None" = None,
     ) -> None:
         super().__init__(host)
         self.control_port = control_port
@@ -267,9 +265,6 @@ class AioOuterServer(_Server):
         #: Fleet workers each bind a distinct loopback alias here so
         #: per-relay-host WAN emulation can tell them apart.
         self.onward_bind_host = onward_bind_host
-        #: Edge byte-rate limiter (``await acquire(n)``); rate-capped
-        #: chains take the stream-pump path instead of zero-copy.
-        self.limiter = limiter
         self._public_servers: set[asyncio.base_events.Server] = set()
         #: One persistent mux link per (inner_host, inner_port).
         self._mux_links: Dict[Tuple[str, int], MuxConnector] = {}
@@ -314,9 +309,14 @@ class AioOuterServer(_Server):
     ) -> None:
         tune_stream(writer)
         try:
-            msg = await read_control(reader)
+            msg = await asyncio.wait_for(
+                read_control(reader), FIRST_LINE_TIMEOUT_S
+            )
         except ProtocolError as exc:
             await self._refuse(writer, str(exc))
+            return
+        except asyncio.TimeoutError:
+            await self._refuse(writer, "no control line before deadline")
             return
         op = msg.get("op")
         if self.secret is not None and msg.get("secret") != self.secret:
@@ -356,13 +356,10 @@ class AioOuterServer(_Server):
                                    dest=f"{host}:{port}",
                                    **_trace.span_args(ctx)):
                     await _relay_pair(
-                        reader, writer, onward_r, onward_w, self.stats,
-                        self.limiter,
+                        reader, writer, onward_r, onward_w, self.stats
                     )
                 return
-            await _relay_pair(
-                reader, writer, onward_r, onward_w, self.stats, self.limiter,
-            )
+            await _relay_pair(reader, writer, onward_r, onward_w, self.stats)
         finally:
             self.disown(onward_w)
 
@@ -496,7 +493,12 @@ class AioInnerServer(_Server):
                 await self._refuse(writer, "source address not permitted")
                 return
         try:
-            line = await reader.readline()
+            line = await asyncio.wait_for(
+                reader.readline(), FIRST_LINE_TIMEOUT_S
+            )
+        except asyncio.TimeoutError:
+            await self._refuse(writer, "no nxport line before deadline")
+            return
         except (asyncio.LimitOverrunError, ValueError, ConnectionError, OSError):
             writer.close()
             return

@@ -30,12 +30,7 @@ from dataclasses import dataclass
 from typing import Iterator, Optional
 
 from repro.core.config import DEFAULT_RELAY_CONFIG, RelayConfig
-from repro.core.frames import (
-    DEFAULT_STRIPE_BLOCK,
-    FramedConnection,
-    recv_striped as _recv_striped,
-    send_striped as _send_striped,
-)
+from repro.core.frames import FramedConnection
 from repro.obs import spans as _obs
 from repro.obs import trace as _trace
 from repro.core.protocol import (
@@ -92,14 +87,6 @@ class ProxiedListener:
 
     # Table 1 spelling.
     NXProxyAccept = accept
-
-    def recv_striped(self, timeout: Optional[float] = None) -> Iterator[Event]:
-        """Generator: receive one GridFTP-style striped bulk transfer
-        whose parallel streams arrive as chained-in peers on this
-        listener; returns the sink report (see
-        :func:`repro.core.frames.recv_striped`)."""
-        report = yield from _recv_striped(self.accept, timeout=timeout)
-        return report
 
     def close(self) -> None:
         """Release the bind: closes the private socket and the control
@@ -196,39 +183,6 @@ class NexusProxyClient:
 
     # Table 1 spelling.
     NXProxyConnect = connect
-
-    def send_striped(
-        self,
-        dest: "Address | tuple[str, int]",
-        nbytes: int,
-        streams: int = 4,
-        block_bytes: int = DEFAULT_STRIPE_BLOCK,
-        timeout: Optional[float] = None,
-    ) -> Iterator[Event]:
-        """Generator: send one ``nbytes`` bulk transfer to ``dest`` as
-        ``streams`` parallel relayed connections (GridFTP-style
-        striping; mirror of the live
-        :meth:`repro.core.aio.api.AioProxyClient.send_striped`).
-
-        Each stream is a full :meth:`connect` — its own relay chain —
-        and the receiving side must be draining the same transfer
-        (:meth:`ProxiedListener.recv_striped`).  Returns the sender
-        report.
-        """
-        if streams < 1:
-            raise NXProxyError(f"streams must be >= 1, got {streams}")
-        conns = []
-        try:
-            for _ in range(streams):
-                framed = yield from self.connect(dest, timeout=timeout)
-                conns.append(framed)
-            report = yield from _send_striped(
-                conns, nbytes, block_bytes=block_bytes
-            )
-        finally:
-            for framed in conns:
-                framed.close()
-        return report
 
     # -- passive open ----------------------------------------------------------
 

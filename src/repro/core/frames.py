@@ -20,9 +20,8 @@ talk to a direct one.
 from __future__ import annotations
 
 import itertools
-from collections import deque
 from dataclasses import dataclass
-from typing import Any, Callable, Iterator, Optional
+from typing import Any, Iterator, Optional
 
 from repro.simnet.kernel import Event, Process
 from repro.simnet.socket import Connection, SocketError
@@ -32,10 +31,6 @@ __all__ = [
     "FrameError",
     "FramedConnection",
     "FRAME_HEADER_BYTES",
-    "STRIPE_FRAME_BYTES",
-    "StripeBlock",
-    "recv_striped",
-    "send_striped",
 ]
 
 #: Wire overhead per chunk frame (message id, index, count, length).
@@ -210,319 +205,3 @@ class FramedConnection:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<FramedConnection {self.conn!r} chunk={self.chunk_bytes}>"
-
-
-# -- GridFTP-style striped bulk transfers ---------------------------------
-#
-# Mirror of the live plane's parallel-stream wire format
-# (:mod:`repro.core.aio.streams`): a transfer is split into
-# offset-tagged blocks striped across k connections; the sink sends
-# restart markers (its contiguous watermark) back upstream, and a dead
-# stream's unacknowledged blocks are requeued onto its siblings so the
-# transfer never restarts from offset 0.  Relays stay oblivious —
-# stripe messages ride the same chunk frames as any other traffic.
-
-#: Per stripe message header (live plane: ``struct !BQI`` — kind,
-#: offset, length).
-STRIPE_FRAME_BYTES = 13
-
-#: JSON hello line announcing a stream on the live wire; modelled as a
-#: fixed-size control message here.
-STRIPE_HELLO_BYTES = 64
-
-#: Default stripe block size (matches the live plane's DEFAULT_BLOCK).
-DEFAULT_STRIPE_BLOCK = 256 * 1024
-
-_xfer_ids = itertools.count(1)
-
-
-@dataclass(frozen=True, slots=True)
-class StripeBlock:
-    """One wire message of a striped bulk transfer.
-
-    ``kind`` is one of ``"hello"`` (per-stream announcement carrying
-    the transfer geometry), ``"block"`` (offset-tagged payload),
-    ``"end"`` (sender is done on this stream) or ``"mark"`` (restart
-    marker: the sink's contiguous watermark, flowing sink→source).
-    """
-
-    xfer: str
-    stream: int
-    kind: str
-    offset: int = 0
-    length: int = 0
-    total: int = 0
-    streams: int = 1
-    block: int = 0
-
-    @property
-    def wire_bytes(self) -> int:
-        if self.kind == "hello":
-            return STRIPE_HELLO_BYTES
-        if self.kind == "block":
-            return STRIPE_FRAME_BYTES + self.length
-        return STRIPE_FRAME_BYTES
-
-
-class _StripeSendState:
-    """Shared sender-side progress for one striped transfer."""
-
-    def __init__(self, sim, xfer: str, total: int, block: int) -> None:
-        self.sim = sim
-        self.xfer = xfer
-        self.total = total
-        self.block = block
-        self.pending: deque[int] = deque(range(0, total, block))
-        #: Highest contiguous offset acknowledged by the sink.
-        self.watermark = 0
-        self.bytes_sent = 0
-        self.blocks_sent = 0
-        self.requeued_blocks = 0
-        self.dead_streams = 0
-        self._progress = sim.event()
-
-    @property
-    def done(self) -> bool:
-        return self.watermark >= self.total
-
-    def notify(self) -> None:
-        event, self._progress = self._progress, self.sim.event()
-        event.succeed()
-
-    def wait_progress(self) -> Event:
-        return self._progress
-
-    def mark(self, offset: int) -> None:
-        """Advance the restart marker; stale/duplicate marks are no-ops."""
-        if offset > self.watermark:
-            self.watermark = offset
-            self.notify()
-
-    def requeue(self, offsets) -> None:
-        """Put a dead stream's unacknowledged blocks back on the queue."""
-        fresh = [
-            o for o in sorted(offsets)
-            if o >= self.watermark and o not in self.pending
-        ]
-        if fresh:
-            self.pending.extend(fresh)
-            self.requeued_blocks += len(fresh)
-        self.notify()
-
-
-def _send_stream(
-    state: _StripeSendState,
-    framed: FramedConnection,
-    idx: int,
-    streams: int,
-    inflight: "set[int]",
-) -> Iterator[Event]:
-    """One sender stream: hello, then blocks off the shared queue."""
-    hello = StripeBlock(
-        state.xfer, idx, "hello",
-        total=state.total, streams=streams, block=state.block,
-    )
-    try:
-        yield framed.send(hello, nbytes=hello.wire_bytes)
-        while not state.done:
-            inflight -= {o for o in inflight if o < state.watermark}
-            if not state.pending:
-                yield state.wait_progress()
-                continue
-            offset = state.pending.popleft()
-            length = min(state.block, state.total - offset)
-            inflight.add(offset)
-            blk = StripeBlock(
-                state.xfer, idx, "block",
-                offset=offset, length=length, total=state.total,
-            )
-            yield framed.send(blk, nbytes=blk.wire_bytes)
-            state.bytes_sent += length
-            state.blocks_sent += 1
-        end = StripeBlock(state.xfer, idx, "end")
-        yield framed.send(end, nbytes=end.wire_bytes)
-    except SocketError:
-        # Stream died: its unacknowledged blocks ride the siblings.
-        state.dead_streams += 1
-        state.requeue(inflight)
-
-
-def _read_marks(
-    state: _StripeSendState, framed: FramedConnection, inflight: "set[int]"
-) -> Iterator[Event]:
-    """Per-stream restart-marker reader (sink → source direction).
-
-    Death detection mirrors the live plane: a reset here means the
-    stream is gone, so its unacknowledged blocks are requeued even if
-    the send loop is idle-waiting and would never notice on its own.
-    (A block the sibling already carried may get requeued once more;
-    the sink's dedupe absorbs it, exactly as on the live wire.)
-    """
-    while not state.done:
-        try:
-            payload, _ = yield from framed.recv()
-        except SocketError:
-            state.requeue(inflight)
-            return
-        if isinstance(payload, StripeBlock) and payload.kind == "mark":
-            state.mark(payload.offset)
-
-
-def send_striped(
-    conns: "list[FramedConnection]",
-    nbytes: int,
-    block_bytes: int = DEFAULT_STRIPE_BLOCK,
-    xfer: Optional[str] = None,
-) -> Iterator[Event]:
-    """Generator: stripe one ``nbytes`` bulk transfer across ``conns``.
-
-    Returns a report dict (``bytes_sent``, ``requeued_blocks``, ...).
-    Raises :class:`FrameError` if every stream dies before the sink
-    acknowledges the full transfer.
-    """
-    if not conns:
-        raise FrameError("send_striped needs at least one connection")
-    if nbytes < 0:
-        raise FrameError(f"transfer size must be >= 0, got {nbytes}")
-    if block_bytes <= 0:
-        raise FrameError(f"block_bytes must be positive, got {block_bytes}")
-    sim = conns[0].sim
-    if xfer is None:
-        xfer = f"xfer-{next(_xfer_ids)}"
-    state = _StripeSendState(sim, xfer, nbytes, block_bytes)
-    senders = []
-    for idx, framed in enumerate(conns):
-        inflight: set[int] = set()
-        senders.append(
-            sim.process(
-                _send_stream(state, framed, idx, len(conns), inflight),
-                name=f"stripe-send[{idx}]",
-            )
-        )
-        sim.process(
-            _read_marks(state, framed, inflight), name=f"stripe-marks[{idx}]"
-        )
-    yield sim.all_of(senders)
-    if not state.done:
-        raise FrameError(
-            f"striped transfer {xfer} stalled at {state.watermark}/{nbytes} "
-            f"bytes ({state.dead_streams} dead streams)"
-        )
-    return {
-        "xfer": xfer,
-        "streams": len(conns),
-        "block_bytes": block_bytes,
-        "total_bytes": nbytes,
-        "bytes_sent": state.bytes_sent,
-        "blocks_sent": state.blocks_sent,
-        "requeued_blocks": state.requeued_blocks,
-        "dead_streams": state.dead_streams,
-    }
-
-
-class _StripeRecvState:
-    """Shared sink-side reassembly for one striped transfer."""
-
-    def __init__(self, hello: StripeBlock) -> None:
-        self.xfer = hello.xfer
-        self.total = hello.total
-        self.block = hello.block
-        self.received: dict[int, int] = {}
-        self.watermark = 0
-        self.duplicate_blocks = 0
-        self.marks_sent = 0
-        self.streams_seen = 0
-
-    @property
-    def done(self) -> bool:
-        return self.watermark >= self.total
-
-    def accept_block(self, offset: int, length: int) -> bool:
-        """Record one block; returns whether the watermark advanced."""
-        if offset in self.received:
-            self.duplicate_blocks += 1
-            return False
-        if offset < 0 or offset + length > self.total:
-            raise FrameError(
-                f"stripe block [{offset}, {offset + length}) outside "
-                f"transfer of {self.total} bytes"
-            )
-        self.received[offset] = length
-        advanced = False
-        while self.watermark in self.received:
-            self.watermark += self.received[self.watermark]
-            advanced = True
-        return advanced
-
-
-def _recv_stream(
-    state: _StripeRecvState, framed: FramedConnection, idx: int
-) -> Iterator[Event]:
-    """One sink stream: announce the watermark, reassemble blocks."""
-    state.streams_seen += 1
-    try:
-        mark = StripeBlock(state.xfer, idx, "mark", offset=state.watermark)
-        yield framed.send(mark, nbytes=mark.wire_bytes)
-        state.marks_sent += 1
-        while True:
-            payload, _ = yield from framed.recv()
-            if not isinstance(payload, StripeBlock) or payload.xfer != state.xfer:
-                raise FrameError(f"unexpected stripe message: {payload!r}")
-            if payload.kind == "end":
-                return
-            if payload.kind != "block":
-                raise FrameError(f"unexpected {payload.kind} frame at sink")
-            if state.accept_block(payload.offset, payload.length) or state.done:
-                mark = StripeBlock(
-                    state.xfer, idx, "mark", offset=state.watermark
-                )
-                yield framed.send(mark, nbytes=mark.wire_bytes)
-                state.marks_sent += 1
-    except SocketError:
-        # Stream died; siblings carry its blocks after the sender
-        # requeues from our last restart marker.
-        return
-
-
-def recv_striped(
-    accept: Callable[..., Iterator[Event]],
-    timeout: Optional[float] = None,
-) -> Iterator[Event]:
-    """Generator: receive one striped transfer whose streams arrive via
-    ``accept()`` (e.g. ``ProxiedListener.accept``).  Returns a report
-    dict; raises :class:`FrameError` if the transfer never completes.
-    """
-    framed = yield from accept(timeout=timeout)
-    payload, _ = yield from framed.recv(timeout=timeout)
-    if not isinstance(payload, StripeBlock) or payload.kind != "hello":
-        raise FrameError(f"expected stripe hello, got {payload!r}")
-    state = _StripeRecvState(payload)
-    sim = framed.sim
-    handlers = [sim.process(_recv_stream(state, framed, 0), name="stripe-recv[0]")]
-    for idx in range(1, payload.streams):
-        framed_n = yield from accept(timeout=timeout)
-        hello_n, _ = yield from framed_n.recv(timeout=timeout)
-        if not isinstance(hello_n, StripeBlock) or hello_n.kind != "hello":
-            raise FrameError(f"expected stripe hello, got {hello_n!r}")
-        if hello_n.xfer != state.xfer:
-            raise FrameError(
-                f"stream for transfer {hello_n.xfer} joined {state.xfer}"
-            )
-        handlers.append(
-            sim.process(
-                _recv_stream(state, framed_n, idx), name=f"stripe-recv[{idx}]"
-            )
-        )
-    yield sim.all_of(handlers)
-    if not state.done:
-        raise FrameError(
-            f"striped transfer {state.xfer} incomplete: "
-            f"{state.watermark}/{state.total} bytes"
-        )
-    return {
-        "xfer": state.xfer,
-        "total_bytes": state.total,
-        "streams_seen": state.streams_seen,
-        "duplicate_blocks": state.duplicate_blocks,
-        "marks_sent": state.marks_sent,
-    }

@@ -1,16 +1,10 @@
-"""Plane-neutral fleet placement, admission and rate-limit policy.
+"""Fleet placement and admission policy.
 
-The relay fleet (ROADMAP item 1) shards the paper's single outer
-daemon into N workers behind one logical endpoint.  *Which worker gets
-the next chain* is pure policy — a function of worker health and load,
-not of sockets — so it lives here, importable by both planes:
-
-* the **live** plane (:mod:`repro.core.aio.fleet`) drives it with wall
-  clocks and heartbeat messages from real worker processes;
-* the **sim** plane (:mod:`repro.core.fleet`) drives the *same
-  objects* with the DES clock and :class:`~repro.core.outer.RelayStats`
-  snapshots, so a simulated scenario models exactly the placement the
-  deployment would make.
+The relay fleet (:mod:`repro.core.aio.fleet`) shards the paper's single
+outer daemon into N workers behind one logical endpoint.  *Which worker
+gets the next chain* is pure policy — a function of worker health and
+load, not of sockets — so it lives here, driven by the fleet manager's
+wall clock and the heartbeat messages of its worker processes.
 
 Policy pieces:
 
@@ -19,9 +13,8 @@ Policy pieces:
   Hashes are :func:`hashlib.blake2b` digests, so placement is
   deterministic across processes and runs (``hash()`` is salted).
 * :class:`WorkerView` — one worker as the placer sees it: health
-  state plus an EWMA byte-rate derived from successive
-  ``bytes_relayed`` snapshots (the live plane feeds heartbeats, the
-  sim plane feeds :meth:`RelayStats.snapshot` values).
+  state plus an EWMA byte-rate derived from successive heartbeat
+  ``bytes_relayed`` samples.
 * :class:`LeastLoadedPlacer` — the placement decision: least live
   byte-rate among healthy workers (chains placed since the last
   heartbeat charged an estimated rate, so dial bursts spread instead
@@ -30,19 +23,13 @@ Policy pieces:
   indistinguishable.
 * :class:`AdmissionControl` — per-client concurrent-chain quotas at
   the edge.
-* :class:`TokenBucketCore` — a clock-agnostic token bucket; the live
-  plane wraps it in :class:`TokenBucket` (``loop.time`` + sleeps), the
-  sim plane advances it with ``sim.now``.
 
-:func:`fleet_snapshot` builds the fleet-wide counter snapshot both
-planes expose; sharing the builder keeps the live/sim key schemas
-identical by construction (mirroring the 13-key relay snapshot parity
-from PR 3).
+:func:`fleet_snapshot` builds the fleet-wide counter snapshot the
+manager exposes to ``status``, telemetry and the aggregator.
 """
 
 from __future__ import annotations
 
-import asyncio
 import bisect
 import hashlib
 from typing import Any, Dict, Iterable, List, Optional, Tuple
@@ -52,8 +39,6 @@ __all__ = [
     "WorkerView",
     "LeastLoadedPlacer",
     "AdmissionControl",
-    "TokenBucketCore",
-    "TokenBucket",
     "PlacementStats",
     "fleet_snapshot",
     "WORKER_UP",
@@ -70,8 +55,8 @@ WORKER_GONE = "gone"
 #: falls back to the hash ring for deterministic spread.
 RATE_TIE_EPSILON = 4096.0
 
-#: A worker whose last heartbeat is older than this (seconds, in
-#: whichever clock domain drives the placer) has an unknown rate.
+#: A worker whose last heartbeat is older than this (seconds) has an
+#: unknown rate.
 DEFAULT_STALE_S = 5.0
 
 #: EWMA smoothing for byte-rates: weight of the newest interval.
@@ -139,7 +124,6 @@ class WorkerView:
     __slots__ = (
         "worker_id", "state", "active_chains", "bytes_relayed",
         "byte_rate", "heartbeats", "last_heartbeat", "pending_chains",
-        "extra",
     )
 
     def __init__(self, worker_id: str) -> None:
@@ -158,9 +142,6 @@ class WorkerView:
         #: pending chains an estimated rate until the next sample
         #: reflects them.
         self.pending_chains = 0
-        #: Plane-specific extras (telemetry port, pid, ...) carried
-        #: into the snapshot untouched.
-        self.extra: Dict[str, Any] = {}
 
     def observe(
         self, now: float, bytes_relayed: int, active_chains: int
@@ -199,8 +180,8 @@ class PlacementStats:
 
     __slots__ = (
         "placed_chains", "placed_least_loaded", "placed_hash_ring",
-        "rejected_quota", "rejected_no_worker", "edge_throttle_waits",
-        "handoffs", "drains_started", "drains_completed",
+        "rejected_quota", "rejected_no_worker", "handoffs",
+        "drains_started", "drains_completed",
     )
 
     def __init__(self) -> None:
@@ -209,9 +190,6 @@ class PlacementStats:
         self.placed_hash_ring = 0
         self.rejected_quota = 0
         self.rejected_no_worker = 0
-        #: Pump waits imposed by the edge token bucket (summed over
-        #: workers in the live plane).
-        self.edge_throttle_waits = 0
         self.handoffs = 0
         self.drains_started = 0
         self.drains_completed = 0
@@ -313,8 +291,7 @@ class AdmissionControl:
 
     ``max_chains_per_client=None`` disables the quota (every admit
     succeeds).  Clients are whatever string the edge identifies peers
-    by — the live front door uses the peer IP, the sim fleet the
-    client host name.
+    by — the live front door uses the peer IP.
     """
 
     def __init__(self, max_chains_per_client: Optional[int] = None) -> None:
@@ -341,96 +318,13 @@ class AdmissionControl:
             self.active.pop(client, None)
 
 
-class TokenBucketCore:
-    """Clock-agnostic token bucket (rate bytes/s, burst bytes).
-
-    The caller owns time: :meth:`refill` with its clock's ``now``
-    before :meth:`try_take`; :meth:`delay_for` says how long until
-    ``n`` tokens will exist.  Exact arithmetic, no background task —
-    which is what lets the DES plane drive it with simulated time.
-    """
-
-    __slots__ = ("rate", "burst", "tokens", "_last")
-
-    def __init__(self, rate: float, burst: Optional[float] = None) -> None:
-        if rate <= 0:
-            raise ValueError(f"rate must be positive, got {rate}")
-        self.rate = float(rate)
-        self.burst = float(burst) if burst is not None else self.rate
-        if self.burst <= 0:
-            raise ValueError(f"burst must be positive, got {burst}")
-        self.tokens = self.burst
-        self._last: Optional[float] = None
-
-    def refill(self, now: float) -> None:
-        if self._last is not None and now > self._last:
-            self.tokens = min(
-                self.burst, self.tokens + (now - self._last) * self.rate
-            )
-        self._last = now if self._last is None or now > self._last else self._last
-
-    def try_take(self, n: float) -> bool:
-        if self.tokens >= n:
-            self.tokens -= n
-            return True
-        return False
-
-    def delay_for(self, n: float) -> float:
-        """Seconds until ``n`` tokens will be available (0 if now).
-        Debts larger than the burst accrue over multiple refills."""
-        want = min(n, self.burst)
-        if self.tokens >= want:
-            return 0.0
-        return (want - self.tokens) / self.rate
-
-
-class TokenBucket:
-    """Asyncio wrapper over :class:`TokenBucketCore` for the live edge.
-
-    ``await acquire(n)`` debits ``n`` bytes, sleeping while the bucket
-    is dry; ``waits`` counts the sleeps (surfaced in worker heartbeats
-    as ``edge_throttle_waits``).  One bucket serializes its waiters —
-    by design, as the bucket *is* the shared edge resource.
-    """
-
-    def __init__(self, rate: float, burst: Optional[float] = None) -> None:
-        self.core = TokenBucketCore(rate, burst)
-        self.waits = 0
-        self._lock = asyncio.Lock()
-
-    async def acquire(self, n: float) -> None:
-        loop = asyncio.get_running_loop()
-        async with self._lock:
-            # Debit in burst-sized installments: the bucket never holds
-            # more than `burst` tokens, so a single request for n >
-            # burst (an adaptive pump chunk can outgrow a small burst)
-            # would otherwise spin forever — with the lock held,
-            # freezing every chain sharing this edge.
-            remaining = n
-            while remaining > 0:
-                self.core.refill(loop.time())
-                step = min(remaining, self.core.burst)
-                if self.core.try_take(step):
-                    remaining -= step
-                    continue
-                self.waits += 1
-                await asyncio.sleep(max(self.core.delay_for(step), 0.001))
-
-
 def fleet_snapshot(
-    mode: str,
-    workers: "Iterable[WorkerView]",
-    stats: PlacementStats,
-    *,
-    edge_throttle_waits: Optional[int] = None,
+    workers: "Iterable[WorkerView]", stats: PlacementStats
 ) -> "dict[str, Any]":
-    """The fleet-wide counter snapshot, one schema for both planes.
-
-    ``edge_throttle_waits`` overrides the stats counter when the edge
-    buckets live elsewhere (live workers report theirs in heartbeats).
-    """
+    """The fleet-wide counter snapshot (``mode`` is always ``"handoff"``:
+    the front door hands every accepted socket to a worker)."""
     return {
-        "mode": mode,
+        "mode": "handoff",
         "workers": {
             view.worker_id: view.snapshot() for view in workers
         },
@@ -439,10 +333,6 @@ def fleet_snapshot(
         "placed_hash_ring": stats.placed_hash_ring,
         "rejected_quota": stats.rejected_quota,
         "rejected_no_worker": stats.rejected_no_worker,
-        "edge_throttle_waits": (
-            stats.edge_throttle_waits
-            if edge_throttle_waits is None else edge_throttle_waits
-        ),
         "handoffs": stats.handoffs,
         "drains_started": stats.drains_started,
         "drains_completed": stats.drains_completed,

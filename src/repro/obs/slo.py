@@ -4,9 +4,7 @@ The aggregator (:mod:`repro.obs.aggregate`) gives the fleet windowed
 history; this module makes "healthy" a checkable statement about that
 history instead of an operator's eyeball:
 
-* :func:`load_slo_spec` — rules from a JSON (always) or YAML (when
-  PyYAML is importable — CI images don't carry it, so YAML is a
-  convenience, never a requirement) spec file.
+* :func:`load_slo_spec` — rules from a JSON spec file.
 * Two rule kinds:
 
   - ``threshold`` — "``stat`` of ``metric`` over ``window_s`` must be
@@ -149,30 +147,20 @@ def parse_slo_spec(doc: Any) -> "list[Rule]":
 
 
 def load_slo_spec(path: str) -> "list[Rule]":
-    """Rules from a spec file: JSON everywhere, YAML when PyYAML is
-    installed (the CI toolchain doesn't ship it)."""
+    """Rules from a JSON spec file."""
+    if path.endswith((".yaml", ".yml")):
+        raise SLOSpecError(
+            f"{path}: SLO specs are JSON — re-express the spec as JSON"
+        )
     try:
         with open(path) as fh:
             text = fh.read()
     except OSError as exc:
         raise SLOSpecError(f"{path}: cannot read ({exc.strerror or exc})")
-    if path.endswith((".yaml", ".yml")):
-        try:
-            import yaml
-        except ImportError:
-            raise SLOSpecError(
-                f"{path}: YAML spec but PyYAML is not installed — "
-                "re-express the spec as JSON (always supported)"
-            )
-        try:
-            doc = yaml.safe_load(text)
-        except yaml.YAMLError as exc:
-            raise SLOSpecError(f"{path}: bad YAML ({exc})")
-    else:
-        try:
-            doc = json.loads(text)
-        except ValueError as exc:
-            raise SLOSpecError(f"{path}: bad JSON ({exc})")
+    try:
+        doc = json.loads(text)
+    except ValueError as exc:
+        raise SLOSpecError(f"{path}: bad JSON ({exc})")
     try:
         return parse_slo_spec(doc)
     except SLOSpecError as exc:

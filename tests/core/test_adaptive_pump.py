@@ -254,3 +254,41 @@ def test_config_validates_max_chunk_bytes():
     with pytest.raises(ValueError, match="max_chunk_bytes"):
         RelayConfig(chunk_bytes=4096, max_chunk_bytes=1024).validate()
     RelayConfig(adaptive_chunking=True).validate()  # defaults consistent
+
+
+def test_adaptive_relay_accounts_coalesced_flushes():
+    """With adaptive chunking on, multi-frame wake-ups on a passive
+    chain land in the coalesce counters — the sim analogue of
+    scatter-gather flushes."""
+    dep = make_dep(RelayConfig(adaptive_chunking=True, max_chunk_bytes=65536))
+    out = {}
+
+    def listener_side():
+        listener = yield from dep.client(dep.pa).bind()
+
+        def sender_side():
+            client = dep.client(dep.innerh)
+            framed = yield from client.connect(listener.proxy_addr)
+            yield framed.send("bulk", nbytes=500_000)
+            framed.close()
+
+        dep.sim.process(sender_side())
+        framed = yield from listener.accept()
+        out["recv"] = yield from framed.recv()
+        listener.close()
+
+    dep.sim.process(listener_side())
+    dep.sim.run()
+    assert out["recv"] == ("bulk", 500_000)
+    snap = dep.outer.stats.snapshot()
+    assert snap["coalesced_flushes"] == 12
+    assert sum(snap["coalesce_bytes_hist"].values()) == snap["coalesced_flushes"]
+
+
+def test_relay_stats_schema_parity_between_planes():
+    """The sim and live relay snapshots must share one key schema so
+    BENCH JSON from either plane is directly comparable."""
+    from repro.core.aio.relay import AioRelayStats
+    from repro.core.outer import RelayStats
+
+    assert set(RelayStats().snapshot()) == set(AioRelayStats().snapshot())

@@ -90,14 +90,13 @@ def test_fleet_serve_defaults_match_spec_defaults(monkeypatch):
 def test_fleet_serve_arguments_reach_spec(monkeypatch):
     spec = _served_spec(monkeypatch, [
         "--workers", "3", "--host", "0.0.0.0", "--port", "7123",
-        "--secret", "s3cret", "--quota", "5", "--edge-rate-mb", "2.5",
+        "--secret", "s3cret", "--quota", "5",
         "--heartbeat", "0.1", "--drain-grace", "4", "--telemetry",
         "--sample-interval", "0.2", "--trace-dir", "/tmp/t",
         "--trace-site", "ci",
     ])
     assert spec == FleetSpec(
         workers=3, host="0.0.0.0", port=7123, secret="s3cret",
-        max_chains_per_client=5, edge_rate_bytes_per_s=2.5e6,
-        heartbeat_s=0.1, drain_grace_s=4.0, telemetry=True,
-        sample_interval_s=0.2, trace_dir="/tmp/t", trace_site="ci",
+        max_chains_per_client=5, heartbeat_s=0.1, drain_grace_s=4.0,
+        telemetry=True, sample_interval_s=0.2, trace_dir="/tmp/t", trace_site="ci",
     )

@@ -38,6 +38,46 @@ async def start_echo_server():
     return server, server.sockets[0].getsockname()[1]
 
 
+async def start_paced_pipe(sink_port: int, bytes_per_s: float):
+    """A forwarding pipe in front of a sink that paces the sink-bound
+    direction to ``bytes_per_s`` (one budget shared by every connection),
+    so a transfer reliably outlasts what a test does mid-flight.  A clean
+    EOF is passed on as a half-close, a reset as a close."""
+    pace = asyncio.Lock()
+
+    async def forward(reader, writer, paced):
+        try:
+            while True:
+                data = await reader.read(64 * 1024)
+                if not data:
+                    break
+                if paced:
+                    async with pace:
+                        await asyncio.sleep(len(data) / bytes_per_s)
+                writer.write(data)
+                await writer.drain()
+            writer.write_eof()
+        except (ConnectionError, OSError):
+            writer.close()
+
+    async def on_conn(reader, writer):
+        try:
+            sink_r, sink_w = await asyncio.open_connection(
+                "127.0.0.1", sink_port
+            )
+        except OSError:
+            writer.close()
+            return
+        await asyncio.gather(
+            forward(reader, sink_w, True), forward(sink_r, writer, False)
+        )
+        sink_w.close()
+        writer.close()
+
+    server = await asyncio.start_server(on_conn, "127.0.0.1", 0)
+    return server, server.sockets[0].getsockname()[1]
+
+
 async def dial_chain(fleet_port: int, host: str, port: int):
     """One active-open relay chain through the fleet endpoint.
 
@@ -178,13 +218,6 @@ def test_drain_migrates_striped_transfer_with_zero_loss(tmp_path):
             workers=2,
             heartbeat_s=0.1,
             drain_grace_s=0.4,
-            # Throttle the edge so an 8 MB transfer takes ~1.2 s: the
-            # drain's abort (0.35 s sleep + 0.4 s grace) demonstrably
-            # lands mid-flight even on a fast run.  12 MB/s with a 1 MB
-            # burst let the transfer finish inside the grace window,
-            # yielding reconnects == 0.
-            edge_rate_bytes_per_s=7 * MB,
-            edge_burst_bytes=256 * 1024,
             trace_dir=str(tmp_path),
         )
         fleet = await FleetManager(spec).start()
@@ -196,13 +229,18 @@ def test_drain_migrates_striped_transfer_with_zero_loss(tmp_path):
             await sink_conns.put((reader, writer))
 
         sink_srv = await asyncio.start_server(on_conn, "127.0.0.1", 0)
-        sink_port = sink_srv.sockets[0].getsockname()[1]
+        # Pace the sink so an 8 MB transfer takes ~1.2 s: the drain's
+        # abort (0.35 s sleep + 0.4 s grace) demonstrably lands
+        # mid-flight even on a fast run.
+        pipe_srv, pipe_port = await start_paced_pipe(
+            sink_srv.sockets[0].getsockname()[1], 7 * MB
+        )
 
         async def accept():
             return await sink_conns.get()
 
         async def dial():
-            return await client.connect("127.0.0.1", sink_port)
+            return await client.connect("127.0.0.1", pipe_port)
 
         # StripeSink, not one-shot recv_striped: a stream the drain
         # aborts just as the last block lands redials after the
@@ -240,6 +278,7 @@ def test_drain_migrates_striped_transfer_with_zero_loss(tmp_path):
             assert snap["placed_chains"] >= 4 + report["reconnects"]
         finally:
             await sink.close()
+            pipe_srv.close()
             sink_srv.close()
             await fleet.stop()
         return fleet
@@ -275,18 +314,7 @@ def test_striped_transfer_with_more_streams_than_workers():
 
     async def main():
         fleet = await FleetManager(
-            FleetSpec(
-                workers=1,
-                heartbeat_s=0.1,
-                # Throttle so the 2 MB transfer (~0.3 s) outlasts the
-                # three later streams' dial+handoff: unthrottled, the
-                # first stream can push the whole payload on fast runs
-                # and streams_seen lands below 4.  The 256 KB burst is
-                # smaller than an adaptive pump chunk can grow, so this
-                # also exercises installment debits in TokenBucket.
-                edge_rate_bytes_per_s=8 * MB,
-                edge_burst_bytes=256 * 1024,
-            )
+            FleetSpec(workers=1, heartbeat_s=0.1)
         ).start()
         sink_conns: "asyncio.Queue" = asyncio.Queue()
 
@@ -294,13 +322,19 @@ def test_striped_transfer_with_more_streams_than_workers():
             await sink_conns.put((reader, writer))
 
         sink_srv = await asyncio.start_server(on_conn, "127.0.0.1", 0)
-        sink_port = sink_srv.sockets[0].getsockname()[1]
+        # Pace the sink so the 2 MB transfer (~0.25 s) outlasts the
+        # three later streams' dial+handoff: unpaced, the first stream
+        # can push the whole payload on fast runs and streams_seen
+        # lands below 4.
+        pipe_srv, pipe_port = await start_paced_pipe(
+            sink_srv.sockets[0].getsockname()[1], 8 * MB
+        )
 
         async def accept():
             return await sink_conns.get()
 
         async def dial():
-            return await dial_chain(fleet.port, "127.0.0.1", sink_port)
+            return await dial_chain(fleet.port, "127.0.0.1", pipe_port)
 
         try:
             recv_task = asyncio.ensure_future(recv_striped(accept))
@@ -313,6 +347,7 @@ def test_striped_transfer_with_more_streams_than_workers():
             assert sink_report["streams_seen"] == 4
             assert fleet.snapshot()["handoffs"] == 4
         finally:
+            pipe_srv.close()
             sink_srv.close()
             await fleet.stop()
 

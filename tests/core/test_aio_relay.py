@@ -233,6 +233,49 @@ def test_inner_rejects_bad_request():
     run(main())
 
 
+async def _idle_until_refused(port):
+    """Connect, send nothing, and wait (bounded) for the server's reply."""
+    r, w = await asyncio.open_connection("127.0.0.1", port)
+    try:
+        return await asyncio.wait_for(r.readline(), timeout=5)
+    finally:
+        w.close()
+
+
+def test_idle_control_connection_refused_after_deadline(monkeypatch):
+    from repro.core.aio import relay
+
+    monkeypatch.setattr(relay, "FIRST_LINE_TIMEOUT_S", 0.2, raising=False)
+
+    async def main():
+        outer = await AioOuterServer().start()
+        try:
+            line = await _idle_until_refused(outer.control_port)
+            assert b'"ok":false' in line and b"deadline" in line
+            assert outer.stats.failed_requests == 1
+        finally:
+            await outer.stop()
+
+    run(main())
+
+
+def test_idle_nxport_connection_refused_after_deadline(monkeypatch):
+    from repro.core.aio import relay
+
+    monkeypatch.setattr(relay, "FIRST_LINE_TIMEOUT_S", 0.2, raising=False)
+
+    async def main():
+        inner = await AioInnerServer().start()
+        try:
+            line = await _idle_until_refused(inner.nxport)
+            assert b'"ok":false' in line and b"deadline" in line
+            assert inner.stats.failed_requests == 1
+        finally:
+            await inner.stop()
+
+    run(main())
+
+
 def test_invalid_port_rejected():
     async def main():
         outer = await AioOuterServer().start()

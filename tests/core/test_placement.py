@@ -1,4 +1,4 @@
-"""Unit tests for the plane-neutral fleet policy pieces."""
+"""Unit tests for the fleet placement and admission policy pieces."""
 
 import pytest
 
@@ -9,7 +9,6 @@ from repro.core.placement import (
     AdmissionControl,
     ConsistentHashRing,
     LeastLoadedPlacer,
-    TokenBucketCore,
     WorkerView,
     fleet_snapshot,
 )
@@ -166,53 +165,12 @@ def test_admission_quota_and_release():
         AdmissionControl(0)
 
 
-# -- token bucket -----------------------------------------------------------
-
-
-def test_token_bucket_core_refill_and_delay():
-    b = TokenBucketCore(rate=1000.0, burst=500.0)
-    b.refill(0.0)
-    assert b.try_take(500)
-    assert not b.try_take(1)
-    assert b.delay_for(250) == pytest.approx(0.25)
-    b.refill(0.25)
-    assert b.try_take(250)
-    # Time never runs backwards for the bucket.
-    b.refill(0.1)
-    assert b.tokens == pytest.approx(0.0)
-    # Debts above the burst are clamped to one burst's delay.
-    assert b.delay_for(10_000) == pytest.approx(0.5)
-    with pytest.raises(ValueError):
-        TokenBucketCore(0)
-
-
-def test_token_bucket_acquire_larger_than_burst_completes():
-    """A single acquire for more bytes than the burst must complete in
-    installments, not spin forever: the bucket never holds more than
-    one burst of tokens, and acquire holds the bucket lock while it
-    waits — an unsatisfiable take would freeze every chain sharing the
-    edge (an adaptive pump chunk can outgrow a small configured
-    burst)."""
-    import asyncio
-
-    from repro.core.placement import TokenBucket
-
-    async def main():
-        bucket = TokenBucket(rate=1_000_000.0, burst=4096.0)
-        # 8x the burst: finishes only if acquire debits in steps.
-        await asyncio.wait_for(bucket.acquire(32_768), timeout=5)
-        assert bucket.waits >= 1
-
-    asyncio.run(main())
-
-
 # -- snapshot schema --------------------------------------------------------
 
 FLEET_SNAPSHOT_KEYS = {
     "mode", "workers", "placed_chains", "placed_least_loaded",
     "placed_hash_ring", "rejected_quota", "rejected_no_worker",
-    "edge_throttle_waits", "handoffs", "drains_started",
-    "drains_completed",
+    "handoffs", "drains_started", "drains_completed",
 }
 
 
@@ -220,8 +178,6 @@ def test_fleet_snapshot_schema_and_override():
     placer = LeastLoadedPlacer()
     v = WorkerView("w0")
     v.state = WORKER_UP
-    snap = fleet_snapshot("live", [v], placer.stats)
+    snap = fleet_snapshot([v], placer.stats)
     assert set(snap) == FLEET_SNAPSHOT_KEYS
-    assert snap["edge_throttle_waits"] == 0
-    snap = fleet_snapshot("live", [v], placer.stats, edge_throttle_waits=7)
-    assert snap["edge_throttle_waits"] == 7
+    assert snap["mode"] == "handoff"

@@ -81,29 +81,11 @@ def test_load_slo_spec_json(tmp_path):
         load_slo_spec(str(tmp_path / "missing.json"))
 
 
-def test_load_slo_spec_yaml_is_gated(tmp_path, monkeypatch):
+def test_load_slo_spec_yaml_is_gated(tmp_path):
     path = tmp_path / "slo.yaml"
-    path.write_text(
-        "slos:\n"
-        "  - name: floor\n"
-        "    metric: m\n"
-        "    stat: rate\n"
-        "    op: '>='\n"
-        "    bound: 10\n"
-    )
-    try:
-        import yaml  # noqa: F401  (present locally, absent in CI)
-    except ImportError:
-        with pytest.raises(SLOSpecError, match="PyYAML is not installed"):
-            load_slo_spec(str(path))
-    else:
-        assert [r.name for r in load_slo_spec(str(path))] == ["floor"]
-        # The ImportError path must hold even where PyYAML exists.
-        import sys
-
-        monkeypatch.setitem(sys.modules, "yaml", None)
-        with pytest.raises(SLOSpecError, match="PyYAML is not installed"):
-            load_slo_spec(str(path))
+    path.write_text("slos:\n  - name: floor\n")
+    with pytest.raises(SLOSpecError, match="SLO specs are JSON"):
+        load_slo_spec(str(path))
 
 
 # -- threshold rules ------------------------------------------------------

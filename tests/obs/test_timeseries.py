@@ -158,17 +158,18 @@ def test_wall_sampler_runs_on_the_loop():
 # -- sim-plane determinism -----------------------------------------------
 
 
-def _sampled_sim_fleet_export() -> str:
-    """A SimFleet scenario with real relayed traffic and an attached
-    sim-domain sampler; returns the exported series as canonical JSON."""
-    from tests.core.test_sim_fleet import FleetDeployment
-    from repro.core import FramedConnection, NexusProxyClient
+def _sampled_sim_relay_export() -> str:
+    """Relayed sim traffic with a sim-domain sampler attached to the
+    outer server's stats; returns the exported series as canonical
+    JSON."""
+    from repro.core import FramedConnection
+    from tests.core.conftest import Deployment
 
-    dep = FleetDeployment()
-    fleet = dep.fleet
-    fleet.start()
-    sampler = fleet.start_sampler(interval_s=0.05)
-    assert fleet.start_sampler() is sampler  # idempotent
+    dep = Deployment()
+    sampler = TimeSeriesSampler(
+        dep.outer.stats.snapshot, interval_s=0.05, domain="sim"
+    )
+    sampler.attach_sim(dep.sim)
 
     def server():
         ls = dep.pb.listen(9000)
@@ -180,13 +181,10 @@ def _sampled_sim_fleet_export() -> str:
 
     def client_proc(i):
         yield dep.sim.timeout(0.07 * i)
-        addr = fleet.place("pa", chain_key=f"c{i}")
-        assert addr is not None
-        client = NexusProxyClient(dep.pa, outer_addr=addr, config=dep.config)
-        fc = yield from client.connect(("pb", 9000))
+        fc = yield from dep.client().connect(("pb", 9000))
         yield fc.send("ping", nbytes=8192)
         yield from fc.recv()
-        fleet.release("pa", addr.host)
+        fc.close()
 
     dep.sim.process(server())
     for i in range(3):
@@ -204,7 +202,7 @@ def test_sim_series_byte_identical_across_kernels(monkeypatch):
     payloads = {}
     for mode in ("seed", "fast"):
         monkeypatch.setenv("REPRO_SIM_KERNEL", mode)
-        payloads[mode] = _sampled_sim_fleet_export()
+        payloads[mode] = _sampled_sim_relay_export()
     assert payloads["seed"] == payloads["fast"]
     import json
 
