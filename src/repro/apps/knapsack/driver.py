@@ -88,7 +88,7 @@ class RunResult:
     rank_stats: tuple[RankStats, ...]
     best_value: int
     #: Kernel events scheduled while this run drove the simulator
-    #: (BENCH_sim.json's events/sec denominator).
+    #: (the ``table4`` workload's ``simnet.kernel.events``).
     events: int = 0
     #: Host-process seconds spent driving the run (not simulated time).
     wall_time: float = 0.0

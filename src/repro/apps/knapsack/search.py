@@ -9,7 +9,9 @@ is what work-stealing ships between ranks and what the tests assert
 on.  Internally :class:`SearchState` has two engines:
 
 * ``engine="seed"`` — the original tuple-stack loop, kept verbatim as
-  the reference implementation and the baseline for ``BENCH_sim.json``;
+  the reference implementation the tests compare ``"fast"`` against
+  (whose speed the contract benchmark reports as
+  ``apps.knapsack.search.nodes_per_s``);
 * ``engine="fast"`` (default) — the chunked kernel.  Nodes live on the
   stack as single packed ints, ``node = (value << shift | capacity)
   << ibits | index``, so no tuples are built or torn apart at all: the

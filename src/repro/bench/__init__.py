@@ -7,7 +7,7 @@ paper-style text table.  The pytest-benchmark targets in
 """
 
 from repro.bench.calibrate import table2_chain_models
-from repro.bench.results import bench_meta, write_results
+from repro.bench.results import bench_meta
 from repro.bench.sweep import fan_out, resolve_jobs
 from repro.bench.table2 import Table2Row, render_table2, run_table2
 from repro.bench.table4 import Table4Config, Table4Results, render_table4, run_table4
@@ -31,5 +31,4 @@ __all__ = [
     "run_table4",
     "run_tuning_sweep",
     "table2_chain_models",
-    "write_results",
 ]

@@ -9,7 +9,6 @@
     repro-bench table4 --profile                # cProfile the run
     repro-bench table4 --trace                  # Chrome trace + summary
     repro-bench all --jobs 0                    # all tables, all cores
-    repro-bench regress BENCH_sim.json baseline.json   # perf gate
 """
 
 from __future__ import annotations
@@ -34,14 +33,6 @@ def _print_table3() -> None:
 
 
 def main(argv: "list[str] | None" = None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
-    if argv and argv[0] == "regress":
-        # The regression gate has its own argument surface; hand off
-        # before the table-target parser rejects it.
-        from repro.bench.regress import main as regress_main
-
-        return regress_main(argv[1:])
     parser = argparse.ArgumentParser(
         prog="repro-bench",
         description="Regenerate the paper's tables on the simulated testbed",

@@ -1,17 +1,14 @@
-"""Shared result-file plumbing for the live benchmarks.
+"""Provenance for ``repro-bench`` artifacts.
 
-Every ``benchmarks/bench_*_live.py`` harness stamps its JSON with the
-same provenance block (:func:`bench_meta`) and writes it through
-:func:`write_results`, so ``BENCH_relay.json`` and ``BENCH_sim.json``
-stay comparable across machines and commits: a perf claim without the
-interpreter version, platform, core count and git revision attached is
-not reproducible evidence.
+:func:`bench_meta` is the block a ``repro-bench --trace`` artifact
+carries (interpreter version, platform, core count, git revision), and
+:func:`git_revision` / :func:`git_dirty` stamp telemetry the same way.
+Performance numbers come from the contract benchmark (``BENCHMARK.json``,
+``benchmark/run.py``), which records its own provenance.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
 import os
 import platform
 import subprocess
@@ -19,14 +16,10 @@ from pathlib import Path
 from typing import Any, Optional
 
 __all__ = [
-    "bench_arg_parser",
     "bench_meta",
-    "emit_results",
     "git_dirty",
     "git_revision",
-    "refresh_meta",
     "repo_root",
-    "write_results",
     "write_trace_artifacts",
 ]
 
@@ -55,7 +48,7 @@ def git_revision() -> Optional[str]:
 
 def git_dirty() -> Optional[bool]:
     """Whether the working tree differs from HEAD (``None`` outside
-    git).  A benchmark JSON whose ``dirty`` flag is true was produced
+    git).  An artifact whose ``dirty`` flag is true was produced
     by code no commit hash identifies."""
     try:
         out = subprocess.run(
@@ -76,10 +69,7 @@ def bench_meta(**extra: Any) -> dict:
     """The provenance block every benchmark JSON starts with.
 
     Keyword arguments are appended verbatim (workload sizes, mode
-    flags, ...) after the common fields.  ``git_sha``/``dirty`` are
-    re-resolved by :func:`emit_results` at write time: a long-lived
-    suite may emit on a different commit than it started on, and the
-    stale-sha bug put ``ea68c74`` on results produced commits later.
+    flags, ...) after the common fields.
     """
     meta: dict[str, Any] = {
         "python": platform.python_version(),
@@ -93,84 +83,17 @@ def bench_meta(**extra: Any) -> dict:
     return meta
 
 
-def refresh_meta(results: dict) -> dict:
-    """Re-resolve the working-tree provenance (``git_sha``, ``dirty``)
-    in ``results["meta"]`` — called at emit time so the stamped
-    revision is the one the numbers were actually produced under."""
-    meta = results.get("meta")
-    if isinstance(meta, dict):
-        meta["git_sha"] = git_revision()
-        meta["dirty"] = git_dirty()
-    return results
-
-
-def write_results(
-    results: dict,
-    out: Optional[str],
-    default_name: str,
-) -> Optional[Path]:
-    """Write ``results`` as indented JSON.
-
-    ``out`` is the CLI argument: a path, ``None`` (use ``default_name``
-    in the repo root), or ``"-"`` (skip writing, return ``None`` — the
-    CI smoke mode).
-    """
-    if out == "-":
-        return None
-    path = Path(out) if out else repo_root() / default_name
-    path.write_text(json.dumps(results, indent=2) + "\n")
-    return path
-
-
-def bench_arg_parser(
-    doc: Optional[str],
-    default_name: str,
-    quick_help: str = "reduced workload (CI smoke run)",
-) -> argparse.ArgumentParser:
-    """The argument surface every live harness shares.
-
-    ``--quick`` and ``--out`` behave identically across harnesses
-    (``--out`` follows :func:`write_results`'s convention); callers add
-    their harness-specific flags on the returned parser.
-    """
-    parser = argparse.ArgumentParser(
-        description=(doc or "").splitlines()[0] if doc else None
-    )
-    parser.add_argument("--quick", action="store_true", help=quick_help)
-    parser.add_argument(
-        "--out",
-        default=None,
-        help="write results JSON here "
-        f"(default: {default_name} in the repo root; '-' to skip)",
-    )
-    return parser
-
-
-def emit_results(
-    results: dict, out: Optional[str], default_name: str
-) -> Optional[Path]:
-    """:func:`write_results` plus the standard ``wrote <path>`` line.
-
-    Refreshes ``meta.git_sha``/``meta.dirty`` first (see
-    :func:`refresh_meta`)."""
-    path = write_results(refresh_meta(results), out, default_name)
-    if path is not None:
-        print(f"wrote {path}")
-    return path
-
-
 def write_trace_artifacts(
     rec: Any,
     base: Optional[str],
     default_name: str,
     **extra_meta: Any,
 ) -> "tuple[Path, Path]":
-    """Write a recorder's trace artifacts next to the BENCH_*.json files.
+    """Write a recorder's trace artifacts.
 
     ``rec`` is an installed :class:`repro.obs.spans.ObsRecorder`;
-    ``base`` follows the same convention as :func:`write_results`'s
-    ``out`` (a path stem, or ``None`` for ``default_name`` in the repo
-    root).  Both files get the :func:`bench_meta` provenance block, so
+    ``base`` is a path stem, or ``None`` for ``default_name`` in the
+    repo root.  Both files get the :func:`bench_meta` provenance block, so
     a trace carries the same evidence chain as the numbers it explains.
     Returns ``(chrome_trace_path, summary_path)``.
     """

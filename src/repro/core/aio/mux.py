@@ -63,6 +63,7 @@ if TYPE_CHECKING:  # pragma: no cover
 __all__ = [
     "MUX_MAGIC",
     "DEFAULT_WINDOW",
+    "DIAL_TIMEOUT_S",
     "FrameType",
     "FrameDecoder",
     "ChainReset",
@@ -73,6 +74,12 @@ __all__ = [
 ]
 
 log = logging.getLogger("repro.nexus_proxy.mux")
+
+#: Deadline (seconds) for a relay's onward dial — the outer's active
+#: ``connect`` and the inner's passive OPEN: a destination that drops
+#: SYNs gets a typed error instead of pinning the chain until the
+#: kernel gives up.
+DIAL_TIMEOUT_S = 10.0
 
 #: Per-chain, per-direction flow-control window in bytes.
 DEFAULT_WINDOW = 256 * 1024
@@ -599,15 +606,19 @@ async def serve_mux_session(
         try:
             req = json.loads(payload)
             host, port = req["host"], require_port(req["port"])
-            onward_r, onward_w = await asyncio.open_connection(
-                host, port, limit=STREAM_LIMIT
+            onward_r, onward_w = await asyncio.wait_for(
+                asyncio.open_connection(host, port, limit=STREAM_LIMIT),
+                DIAL_TIMEOUT_S,
             )
-        except (OSError, ValueError, KeyError, TypeError) as exc:
+        except (OSError, ValueError, KeyError, TypeError,
+                asyncio.TimeoutError) as exc:
             stats.failed_requests += 1
             session.chains.pop(chain_id, None)
             with contextlib.suppress(Exception):
+                reason = ("connect timed out"
+                          if isinstance(exc, asyncio.TimeoutError) else str(exc))
                 session.send_frame(chain_id, FrameType.OPEN_ERR,
-                                   str(exc).encode()[:MAX_CONTROL_PAYLOAD])
+                                   reason.encode()[:MAX_CONTROL_PAYLOAD])
             return
         if chain._reset is not None:  # RST or link loss raced the dial
             onward_w.close()

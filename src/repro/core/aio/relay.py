@@ -27,6 +27,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
 from repro.core.aio.mux import (
+    DIAL_TIMEOUT_S,
     MUX_MAGIC,
     ChainReset,
     MuxConnector,
@@ -114,7 +115,8 @@ class AioRelayStats:
 
         The key schema is shared verbatim with the *simulated* plane's
         :meth:`repro.core.outer.RelayStats.snapshot`, so Table 2 sim
-        results and ``bench_relay_live.py`` emit comparable JSON.
+        results and the contract benchmark's ``core.aio.relay.*`` metrics
+        (``bytes_per_chunk``, ``failed_requests``) read the same keys.
         """
         return {
             "active_connects": self.active_connects,
@@ -333,13 +335,19 @@ class AioOuterServer(_Server):
             require_fields(msg, "host", "port")
             host = require_host(msg["host"])
             port = require_port(msg["port"])
-            onward_r, onward_w = await asyncio.open_connection(
-                host, port, limit=STREAM_LIMIT,
-                local_addr=(
-                    (self.onward_bind_host, 0)
-                    if self.onward_bind_host is not None else None
+            onward_r, onward_w = await asyncio.wait_for(
+                asyncio.open_connection(
+                    host, port, limit=STREAM_LIMIT,
+                    local_addr=(
+                        (self.onward_bind_host, 0)
+                        if self.onward_bind_host is not None else None
+                    ),
                 ),
+                DIAL_TIMEOUT_S,
             )
+        except asyncio.TimeoutError:  # before OSError: a subclass on 3.11+
+            await self._refuse(writer, "connect timed out")
+            return
         except (ProtocolError, OSError) as exc:
             await self._refuse(writer, f"connect failed: {exc}")
             return

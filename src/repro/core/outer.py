@@ -55,11 +55,12 @@ class RelayStats:
 
     :meth:`snapshot` shares its key schema with the live plane's
     :meth:`repro.core.aio.relay.AioRelayStats.snapshot` — same names,
-    same units — so the sim Table 2 path and ``bench_relay_live.py``
-    emit directly comparable JSON.  (The sim plane forwards *frames*;
-    they land under the shared ``chunks_relayed`` key.  The mux
-    counters exist only so the schema matches; the sim data plane has
-    no mux link and leaves them at zero.)
+    same units — so the sim Table 2 path and the contract benchmark's
+    ``core.aio.relay.*`` metrics read directly comparable counters.
+    (The sim plane forwards *frames*; they land under the shared
+    ``chunks_relayed`` key.  The mux counters exist only so the schema
+    matches; the sim data plane has no mux link and leaves them at
+    zero.)
     """
 
     def __init__(self) -> None:

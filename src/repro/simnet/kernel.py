@@ -639,8 +639,9 @@ class Simulator:
 
     @property
     def events_scheduled(self) -> int:
-        """Total events posted to the heap so far (the events/sec
-        numerator in ``BENCH_sim.json``)."""
+        """Total events posted to the heap so far (the contract
+        benchmark's ``simnet.kernel.events``, and the denominator of
+        ``simnet.kernel.us_per_event``)."""
         return self._eid
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

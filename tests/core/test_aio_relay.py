@@ -5,7 +5,10 @@ its own daemons and tears them down.
 """
 
 import asyncio
+import contextlib
 import json
+import socket
+import time
 
 import pytest
 
@@ -15,6 +18,8 @@ from repro.core.aio import (
     AioProxyClient,
     GuardedDialer,
 )
+from repro.core.aio import mux, relay
+from repro.core.aio.mux import ChainReset, MuxConnector
 from repro.core.protocol import NXProxyError
 from repro.simnet.firewall import Firewall, FirewallBlocked
 
@@ -99,6 +104,66 @@ def test_connect_to_dead_port_reports_error():
             assert outer.stats.failed_requests == 1
         finally:
             await outer.stop()
+            await inner.stop()
+
+    run(main())
+
+
+@contextlib.contextmanager
+def black_hole():
+    """A loopback port whose SYNs go unanswered: a ``listen(0)``
+    listener whose accept queue is already full of unaccepted
+    connects, so a further dial hangs until its caller gives up."""
+    lsock = socket.socket()
+    lsock.bind(("127.0.0.1", 0))
+    lsock.listen(0)
+    port = lsock.getsockname()[1]
+    fillers = []
+    try:
+        for _ in range(4):
+            s = socket.socket()
+            fillers.append(s)
+            s.setblocking(False)
+            with contextlib.suppress(BlockingIOError):
+                s.connect(("127.0.0.1", port))
+        time.sleep(0.1)  # let the handshakes fill the queue
+        yield port
+    finally:
+        for s in fillers:
+            s.close()
+        lsock.close()
+
+
+def test_active_connect_to_black_hole_times_out(monkeypatch):
+    monkeypatch.setattr(relay, "DIAL_TIMEOUT_S", 0.3)
+
+    async def main():
+        outer, inner, client = await start_deployment()
+        try:
+            with black_hole() as port:
+                with pytest.raises(NXProxyError, match="connect timed out"):
+                    await asyncio.wait_for(client.connect("127.0.0.1", port), 3)
+            assert outer.stats.failed_requests == 1
+        finally:
+            await outer.stop()
+            await inner.stop()
+
+    run(main())
+
+
+def test_passive_open_to_black_hole_times_out(monkeypatch):
+    monkeypatch.setattr(mux, "DIAL_TIMEOUT_S", 0.3)
+
+    async def main():
+        inner = await AioInnerServer().start()
+        link = MuxConnector("127.0.0.1", inner.nxport, AioOuterServer().stats)
+        try:
+            with black_hole() as port:
+                with pytest.raises(ChainReset, match="connect timed out"):
+                    await asyncio.wait_for(link.open_chain("127.0.0.1", port), 3)
+            assert inner.stats.failed_requests == 1
+        finally:
+            await link.stop()
             await inner.stop()
 
     run(main())
