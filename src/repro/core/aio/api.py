@@ -173,7 +173,6 @@ class AioProxyClient:
         streams: int = DEFAULT_STREAMS,
         block_bytes: int = DEFAULT_BLOCK,
         window_blocks: int = DEFAULT_WINDOW,
-        reconnect: bool = True,
     ) -> "Dict[str, Any]":
         """Send ``data`` to ``host:port`` as a GridFTP-style striped
         bulk transfer over ``streams`` parallel relayed connections.
@@ -191,7 +190,7 @@ class AioProxyClient:
         return await send_striped(
             dial, data,
             streams=streams, block_bytes=block_bytes,
-            window_blocks=window_blocks, reconnect=reconnect,
+            window_blocks=window_blocks,
         )
 
     # -- passive open (Fig. 4) --------------------------------------------------

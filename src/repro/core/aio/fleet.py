@@ -58,7 +58,7 @@ import tempfile
 import threading
 from collections import deque
 from dataclasses import asdict, dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, Optional
 
 from repro.core.aio.pump import STREAM_LIMIT
 from repro.core.placement import (
@@ -92,10 +92,6 @@ class FleetSpec:
     #: Per-client concurrent-chain quota at the front door
     #: (``None`` = unlimited).
     max_chains_per_client: Optional[int] = None
-    #: Source addresses for workers' onward connections, one per
-    #: worker (loopback aliases in benchmarks, NICs in deployment) so
-    #: per-relay-host WAN emulation can bucket traffic by worker.
-    onward_bind_hosts: Optional[List[str]] = None
     heartbeat_s: float = 0.25
     #: Default drain grace: busy chains get this long to finish before
     #: being aborted into a client redial.
@@ -116,14 +112,6 @@ class FleetSpec:
     def __post_init__(self) -> None:
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
-        if (
-            self.onward_bind_hosts is not None
-            and len(self.onward_bind_hosts) < self.workers
-        ):
-            raise ValueError(
-                f"need {self.workers} onward_bind_hosts, "
-                f"got {len(self.onward_bind_hosts)}"
-            )
 
 
 # ---------------------------------------------------------------------------
@@ -231,15 +219,9 @@ async def _worker_async(
         _obs.install(rec)
         _trace.enable(f"{spec.trace_site}-w{index}")
 
-    onward = (
-        spec.onward_bind_hosts[index]
-        if spec.onward_bind_hosts is not None else None
-    )
     # Chains arrive as fds, so the worker's own listener is a private
     # loopback port (used only for debug / direct dials in tests).
-    outer = AioOuterServer(
-        "127.0.0.1", 0, secret=spec.secret, onward_bind_host=onward
-    )
+    outer = AioOuterServer("127.0.0.1", 0, secret=spec.secret)
     rt.outer = outer
     if rec is not None:
         rec.registry.register_collector("relay", outer.stats.snapshot)

@@ -80,7 +80,7 @@ def parse_control_line(line: bytes) -> dict[str, Any]:
         raise ProtocolError(f"control line too long ({len(line)} bytes)")
     try:
         msg = json.loads(line)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad JSON, or bytes that are not UTF-8 at all
         raise ProtocolError(f"control line is not JSON: {exc}") from exc
     if not isinstance(msg, dict):
         raise ProtocolError(f"control message must be an object, got {type(msg).__name__}")

@@ -257,16 +257,11 @@ class AioOuterServer(_Server):
         host: str = "127.0.0.1",
         control_port: int = 0,
         secret: "str | None" = None,
-        onward_bind_host: "str | None" = None,
     ) -> None:
         super().__init__(host)
         self.control_port = control_port
         #: Optional shared secret every connect/bind request must carry.
         self.secret = secret
-        #: Source address for onward (wide-area-side) connections.
-        #: Fleet workers each bind a distinct loopback alias here so
-        #: per-relay-host WAN emulation can tell them apart.
-        self.onward_bind_host = onward_bind_host
         self._public_servers: set[asyncio.base_events.Server] = set()
         #: One persistent mux link per (inner_host, inner_port).
         self._mux_links: Dict[Tuple[str, int], MuxConnector] = {}
@@ -336,13 +331,7 @@ class AioOuterServer(_Server):
             host = require_host(msg["host"])
             port = require_port(msg["port"])
             onward_r, onward_w = await asyncio.wait_for(
-                asyncio.open_connection(
-                    host, port, limit=STREAM_LIMIT,
-                    local_addr=(
-                        (self.onward_bind_host, 0)
-                        if self.onward_bind_host is not None else None
-                    ),
-                ),
+                asyncio.open_connection(host, port, limit=STREAM_LIMIT),
                 DIAL_TIMEOUT_S,
             )
         except asyncio.TimeoutError:  # before OSError: a subclass on 3.11+

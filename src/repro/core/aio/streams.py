@@ -33,30 +33,36 @@ after which both directions speak fixed 13-byte binary frames
   before it sends a byte.
 
 The sender requeues a dead stream's unacknowledged blocks (those at or
-above the latest restart marker) onto its siblings and, by default,
-dials a replacement stream — the transfer completes without
-retransmitting anything the sink already acknowledged.  The sink
-reassembles out-of-order blocks in place in a preallocated buffer and
-drops duplicates (a requeued block racing its original).
+above the latest restart marker) onto its siblings and dials a
+replacement stream (up to ``max_reconnects`` times) — the transfer
+completes without retransmitting anything the sink already
+acknowledged.  The sink reassembles out-of-order blocks in place in a
+preallocated buffer and drops duplicates (a requeued block racing its
+original).
+
+Every one of those decisions is made by two sans-io engines,
+:class:`StripeSender` and :class:`StripeReceiver`.  After its hello a
+stream is a protocol that feeds its engine events (DESIGN §6.5), so no
+task runs per stream — only dials and the sink's accept loop.
 """
 
 from __future__ import annotations
 
 import asyncio
-import contextlib
 import json
 import struct
 import uuid
 from collections import deque
-from typing import Any, Awaitable, Callable, Dict, Optional, Tuple
+from typing import Any, Awaitable, Callable, Dict, List, Optional, Set, Tuple
 
-from repro.core.aio.protocol import ProtocolError, parse_control_line
-from repro.core.aio.pump import maybe_drain, send_segments, tune_stream
+from repro.core.aio.protocol import ProtocolError, parse_control_line, steal_reader_buffer
+from repro.core.aio.pump import send_segments, tune_stream
 from repro.obs import spans as _obs
 
 __all__ = [
     "DEFAULT_BLOCK",
     "DEFAULT_STREAMS",
+    "HELLO_TIMEOUT_S",
     "StripeError",
     "StripeSink",
     "send_striped",
@@ -74,6 +80,10 @@ DEFAULT_STREAMS = 4
 #: one: aggregate inflight scales with k while each stream's burst (and
 #: the sink's reorder buffer per stream) stays bounded.
 DEFAULT_WINDOW = 32
+#: Deadline (seconds) for a stream's handshake: the sink closes a dial
+#: whose hello is late, and the sender counts a late first restart
+#: marker as stream death.
+HELLO_TIMEOUT_S = 10.0
 
 #: Per-stream frame header: type, offset, length.
 _FRAME = struct.Struct("!BQI")
@@ -100,185 +110,362 @@ def _hello_line(xfer: str, stream: int, streams: int, total: int, block: int) ->
     )
 
 
-class _StreamDied(Exception):
-    """Internal: one stream's connection failed mid-transfer."""
+def _parse_hello(line: bytes) -> Dict[str, Any]:
+    """A validated stripe hello, or :class:`ProtocolError`."""
+    hello = parse_control_line(line)
+    total = hello.get("total")
+    block = hello.get("block")
+    if (
+        hello.get("stripe") != 1
+        or not isinstance(hello.get("xfer"), str)
+        or type(total) is not int
+        or total < 0
+        or type(block) is not int
+        or block < 1
+    ):
+        raise ProtocolError(f"bad stripe hello: {hello!r}")
+    return hello
 
-    def __init__(self, inflight: "set[int]") -> None:
-        super().__init__("stripe stream died")
-        self.inflight = inflight
 
+class StripeSender:
+    """Send side of one transfer, without I/O.
 
-class _SendState:
-    """Shared progress of one striped send across its stream tasks."""
+    Events in: :meth:`stream_up`, :meth:`mark` (a restart marker),
+    :meth:`stream_dead`.  Out: :meth:`next_block` (what stream ``j``
+    sends next, if anything) and :attr:`done`.  Every unacknowledged
+    offset sits either in ``pending`` or in exactly one stream's
+    ``inflight`` set.
+    """
 
     __slots__ = (
-        "view", "total", "block", "pending", "watermark", "bytes_sent",
-        "blocks_sent", "requeued_blocks", "reconnects", "_progress",
+        "total", "block", "window", "pending", "inflight", "watermark",
+        "bytes_sent", "blocks_sent", "requeued_blocks",
     )
 
-    def __init__(self, view: memoryview, block: int) -> None:
-        self.view = view
-        self.total = view.nbytes
+    def __init__(self, total: int, block: int, window: int) -> None:
+        self.total = total
         self.block = block
-        self.pending: "deque[int]" = deque(range(0, self.total, block))
+        self.window = window
+        #: Offsets to send, ascending: the lowest unacknowledged first.
+        self.pending: "deque[int]" = deque(range(0, total, block))
+        #: Stream -> offsets it sent above the watermark.
+        self.inflight: Dict[int, Set[int]] = {}
         #: Contiguous byte count acknowledged by the sink (max MARK seen).
         self.watermark = 0
         self.bytes_sent = 0
         self.blocks_sent = 0
         self.requeued_blocks = 0
-        self.reconnects = 0
-        self._progress = asyncio.Event()
 
     @property
     def done(self) -> bool:
         return self.watermark >= self.total
 
-    def notify(self) -> None:
-        """Wake every stream waiting on progress (mark or requeue)."""
-        event, self._progress = self._progress, asyncio.Event()
-        event.set()
+    def stream_up(self, j: int) -> None:
+        self.inflight[j] = set()
 
-    async def wait_progress(self) -> None:
-        event = self._progress
-        await event.wait()
-
-    def mark(self, offset: int) -> None:
-        if offset > self.watermark:
-            self.watermark = offset
-            self.notify()
-
-    def requeue(self, offsets: "set[int]") -> None:
-        """Put a dead stream's unacknowledged blocks back in play.
-
-        Requeued offsets go to the FRONT of the queue.  They sort below
-        everything still unsent (they were popped earliest), and the
-        sink's restart marker cannot advance past the lowest of them.
-        Appended at the tail they hide behind the whole unsent backlog;
-        once every surviving stream fills its window with post-gap
-        blocks the transfer deadlocks, because windows only drain when
-        the watermark moves and the watermark is gated on the requeued
-        gap block nobody can reach.
-        """
-        stale = sorted(
-            (o for o in offsets if o + 1 > self.watermark), reverse=True
-        )
-        for off in stale:
-            if off not in self.pending:
-                self.pending.appendleft(off)
-                self.requeued_blocks += 1
-        if stale:
-            self.notify()
-
-
-async def _read_marks(
-    reader: asyncio.StreamReader, state: _SendState
-) -> None:
-    """Consume restart markers from the sink; EOF/garbage ends the
-    stream (the caller treats that as stream death)."""
-    while True:
-        header = await reader.readexactly(_FRAME.size)
-        ftype, offset, _length = _FRAME.unpack(header)
-        if ftype != _MARK:
-            raise StripeError(f"unexpected frame type {ftype} from sink")
-        state.mark(offset)
-        if state.done:
-            return
-
-
-async def _stream_send_loop(
-    writer: asyncio.StreamWriter,
-    state: _SendState,
-    inflight: "set[int]",
-    stream_idx: int,
-    window_blocks: int,
-    on_block: Optional[Callable[[int, int, int], Any]],
-) -> None:
-    rec = _obs.RECORDER
-    while not state.done:
-        if writer.transport.is_closing():
-            raise ConnectionResetError("stripe stream transport closing")
+    def mark(self, offset: int) -> bool:
+        """Apply a restart marker; whether it advanced the watermark.
+        Stale and repeated markers are no-ops; one off a block boundary
+        is a :class:`ProtocolError`."""
+        if offset > self.total or (offset % self.block and offset != self.total):
+            raise ProtocolError(f"restart marker {offset} is not a block boundary")
+        if offset <= self.watermark:
+            return False
+        self.watermark = offset
         # Acknowledged blocks need no tracking (never requeued).
-        if inflight and state.watermark:
-            inflight.difference_update(
-                [o for o in inflight if o + state.block <= state.watermark]
-            )
-        if len(inflight) >= window_blocks:
-            # Window full: every slot is above the restart marker.  A
-            # requeued gap block sorting below this whole window is
-            # still sent (window overrun of one): the watermark -- the
-            # only thing that drains the window -- cannot advance past
-            # it, so parking on it would deadlock once every stream's
-            # window holds only post-gap blocks.
-            if not (state.pending and state.pending[0] < min(inflight)):
-                if rec is not None:
-                    rec.count_pair(
-                        "stripe.window_stalls", f"s{stream_idx}", 1
-                    )
-                await state.wait_progress()
-                continue
-        try:
-            offset = state.pending.popleft()
-        except IndexError:
-            # Nothing to send: either the transfer is draining (marks
-            # pending) or another stream's death may requeue work.
-            await state.wait_progress()
-            continue
-        length = min(state.block, state.total - offset)
-        inflight.add(offset)
-        if on_block is not None:
-            on_block(stream_idx, offset, length)
-        send_segments(
-            writer,
-            [_FRAME.pack(_BLOCK, offset, length),
-             state.view[offset:offset + length]],
-        )
-        state.bytes_sent += length
-        state.blocks_sent += 1
-        if rec is not None:
-            rec.count_pair("stripe.stream_bytes", f"s{stream_idx}", length)
-        await maybe_drain(writer)
-    writer.write(_FRAME.pack(_END, state.watermark, 0))
-    await writer.drain()
+        for offsets in self.inflight.values():
+            offsets.difference_update([o for o in offsets if o < offset])
+        return True
+
+    def stream_dead(self, j: int) -> int:
+        """Put stream ``j``'s unacknowledged blocks back in play; returns
+        how many.
+
+        Requeued offsets go AHEAD of everything still unsent: the sink's
+        restart marker cannot advance past the lowest of them.  Behind
+        the unsent backlog they deadlock the transfer once every
+        surviving stream fills its window with post-gap blocks, because
+        windows only drain when the watermark moves.
+        """
+        stale = self.inflight.pop(j, set())
+        self.pending = deque(sorted(stale.union(self.pending)))
+        self.requeued_blocks += len(stale)
+        return len(stale)
+
+    def next_block(self, j: int) -> Optional[Tuple[int, int]]:
+        """``(offset, length)`` for stream ``j`` to send, or ``None``."""
+        pending = self.pending
+        while pending and pending[0] < self.watermark:
+            pending.popleft()  # a requeued block whose first copy landed
+        if not pending:
+            return None
+        # Window full or not, the block AT the watermark is sent (window
+        # overrun of one, the gap rescue): the watermark -- the only
+        # thing that drains a window -- cannot advance past it, so
+        # parking on it deadlocks once every window holds post-gap blocks.
+        if len(self.inflight[j]) >= self.window and pending[0] != self.watermark:
+            return None
+        offset = pending.popleft()
+        length = min(self.block, self.total - offset)
+        self.inflight[j].add(offset)
+        self.bytes_sent += length
+        self.blocks_sent += 1
+        return offset, length
 
 
-async def _run_stream(
-    stream_idx: int,
-    reader: asyncio.StreamReader,
-    writer: asyncio.StreamWriter,
-    state: _SendState,
-    window_blocks: int,
-    on_block: Optional[Callable[[int, int, int], Any]],
-) -> None:
-    """Drive one connected stream until the transfer completes or the
-    stream dies (raises :class:`_StreamDied` with its inflight set)."""
-    inflight: "set[int]" = set()
-    send_task = asyncio.ensure_future(
-        _stream_send_loop(
-            writer, state, inflight, stream_idx, window_blocks, on_block
-        )
+class StripeReceiver:
+    """Receive side of one transfer, without I/O.
+
+    Events in: :meth:`join` (a stream's hello), :meth:`claim` (a BLOCK
+    header), :meth:`arrived` (that block's payload is in place).  Out:
+    where each payload goes, :meth:`take_mark` (the marker due after a
+    read) and :attr:`done`.
+    """
+
+    __slots__ = (
+        "xfer", "total", "block", "buf", "watermark", "streams_seen",
+        "duplicate_blocks", "marks_sent", "_landed", "_mark_due",
     )
-    mark_task = asyncio.ensure_future(_read_marks(reader, state))
-    try:
-        done, _ = await asyncio.wait(
-            {send_task, mark_task}, return_when=asyncio.FIRST_COMPLETED
+
+    def __init__(self, xfer: str, total: int, block: int) -> None:
+        self.xfer = xfer
+        self.total = total
+        self.block = block
+        self.buf = bytearray(total)
+        #: Contiguous byte count in place.
+        self.watermark = 0
+        self.streams_seen = 0
+        self.duplicate_blocks = 0
+        self.marks_sent = 0
+        #: Offsets above the watermark whose payload is in place.
+        self._landed: Set[int] = set()
+        self._mark_due = False
+
+    @property
+    def done(self) -> bool:
+        return self.watermark >= self.total
+
+    def join(self) -> int:
+        """A stream's immediate marker: a (re)joining stream resumes
+        from the watermark, never from offset 0."""
+        self.streams_seen += 1
+        self.marks_sent += 1
+        return self.watermark
+
+    def claim(self, offset: int, length: int) -> Optional[memoryview]:
+        """Where a block's payload goes: its place in ``buf``, or
+        ``None`` (scratch) when a copy of it already landed."""
+        if (
+            offset % self.block
+            or offset >= self.total
+            or length != min(self.block, self.total - offset)
+        ):
+            raise ProtocolError(f"BLOCK ({offset}, {length}) is not a block of the transfer")
+        if offset < self.watermark or offset in self._landed:
+            self._duplicate()
+            return None
+        # Nothing is reserved here: a copy still being read on another
+        # stream may never land (that stream may be dying while the
+        # sender resends the block), so this copy is read in place too.
+        # Both carry the same source bytes.
+        return memoryview(self.buf)[offset:offset + length]
+
+    def arrived(self, offset: int) -> bool:
+        """A claimed payload is in place; whether this copy landed the
+        block (one racing a concurrent copy that landed it is a duplicate)."""
+        if offset < self.watermark or offset in self._landed:
+            self._duplicate()
+            return False
+        self._landed.add(offset)
+        if offset == self.watermark:  # else a gap below still stalls the watermark
+            while self.watermark in self._landed:
+                self._landed.remove(self.watermark)
+                self.watermark = min(self.watermark + self.block, self.total)
+            self._mark_due = True
+        return True
+
+    def _duplicate(self) -> None:
+        # First copy wins.  A copy means the sender is behind (a marker
+        # lost with a stream, a resend after completion): tell it.
+        self.duplicate_blocks += 1
+        self._mark_due = True
+
+    def take_mark(self) -> Optional[int]:
+        """Per read: the marker due (watermark advanced, or a duplicate)."""
+        due = self._mark_due
+        self._mark_due = False
+        if not due:
+            return None
+        self.marks_sent += 1
+        return self.watermark
+
+
+class _SendStream(asyncio.Protocol):
+    """One stream of a send after its hello: markers in, blocks out."""
+
+    def __init__(self, send: "_Send", idx: int, writer: asyncio.StreamWriter) -> None:
+        self.send = send
+        self.idx = idx
+        self.writer = writer
+        self.transport = writer.transport
+        self.paused = False
+        #: A partial frame from the last read.
+        self.stash = b""
+        #: A silent sink: no first restart marker in time is stream death.
+        self.deadline = asyncio.get_running_loop().call_later(
+            HELLO_TIMEOUT_S, self.transport.abort
         )
-        for task in done:
-            exc = task.exception()
-            if exc is not None:
-                raise exc
-        if state.done:
+
+    def data_received(self, data: bytes) -> None:
+        data = self.stash + data
+        whole = len(data) - len(data) % _FRAME.size
+        self.stash = data[whole:]
+        try:
+            for ftype, offset, _length in _FRAME.iter_unpack(data[:whole]):
+                if ftype != _MARK:
+                    raise ProtocolError(f"unexpected frame type {ftype} from sink")
+                self.deadline.cancel()
+                self.send.on_mark(offset)
+        except ProtocolError:
+            self.transport.abort()
+
+    def pause_writing(self) -> None:
+        self.paused = True
+
+    def resume_writing(self) -> None:
+        self.paused = False
+        self.send.pump(self)
+
+    def connection_lost(self, exc: Optional[BaseException]) -> None:
+        self.deadline.cancel()
+        self.send.on_lost(self)
+
+
+class _Send:
+    """Dials, redials and live streams of one striped send."""
+
+    def __init__(
+        self,
+        connect: ConnectFn,
+        view: memoryview,
+        streams: int,
+        block: int,
+        window: int,
+        xfer: str,
+        max_reconnects: int,
+        on_block: Optional[Callable[[int, int, int], Any]],
+    ) -> None:
+        self.tx = StripeSender(view.nbytes, block, window)
+        self.connect = connect
+        self.view = view
+        self.streams = streams
+        self.xfer = xfer
+        self.on_block = on_block
+        #: Per stream index: redials (and failed dials) left.
+        self.budget = [max_reconnects] * streams
+        self.reconnects = 0
+        self.live: Dict[int, _SendStream] = {}
+        self.dials: Set[asyncio.Task] = set()
+        self.errors: List[BaseException] = []
+        self.finished: "asyncio.Future[None]" = asyncio.get_running_loop().create_future()
+
+    def dial(self, idx: int) -> None:
+        task = asyncio.ensure_future(self._dial(idx))
+        self.dials.add(task)
+        task.add_done_callback(self._dial_done)
+
+    def _dial_done(self, task: asyncio.Task) -> None:
+        self.dials.discard(task)
+        if not task.cancelled() and task.exception() is not None:
+            self.errors.append(task.exception())
+        self._check_stuck()
+
+    async def _dial(self, idx: int) -> None:
+        while True:
+            try:
+                reader, writer = await self.connect()
+                break
+            except (ConnectionError, OSError) as exc:
+                if self.budget[idx] <= 0:
+                    raise StripeError(f"stream {idx}: dial failed: {exc}") from exc
+                self.budget[idx] -= 1
+                await asyncio.sleep(0.02)
+        tune_stream(writer)
+        writer.write(_hello_line(self.xfer, idx, self.streams, self.tx.total, self.tx.block))
+        stream = _SendStream(self, idx, writer)
+        writer.transport.set_protocol(stream)
+        self.live[idx] = stream
+        self.tx.stream_up(idx)
+        stream.data_received(steal_reader_buffer(reader) or b"")
+        if reader.at_eof() or reader.exception() is not None:
+            # It ended before the swap: tell the new protocol.
+            writer.transport.abort()
+            stream.connection_lost(None)
             return
-        # A task finished cleanly before completion: the mark reader
-        # only returns early on sink EOF — treat as stream death.
-        raise ConnectionResetError("sink closed stream early")
-    except (ConnectionError, OSError, asyncio.IncompleteReadError, StripeError) as exc:
-        raise _StreamDied(inflight) from exc
-    finally:
-        for task in (send_task, mark_task):
-            task.cancel()
-        await asyncio.gather(send_task, mark_task, return_exceptions=True)
-        with contextlib.suppress(Exception):
-            writer.close()
+        self.pump(stream)
+
+    def pump(self, stream: _SendStream) -> None:
+        """Send what the engine hands ``stream`` while the transport takes it."""
+        transport = stream.transport
+        while not stream.paused and not transport.is_closing():
+            nxt = self.tx.next_block(stream.idx)
+            if nxt is None:
+                return
+            offset, length = nxt
+            if self.on_block is not None:
+                self.on_block(stream.idx, offset, length)
+                if transport.is_closing():
+                    return  # the hook killed it: the block is requeued with it
+            send_segments(
+                stream.writer,
+                [_FRAME.pack(_BLOCK, offset, length), self.view[offset:offset + length]],
+            )
+
+    def on_mark(self, offset: int) -> None:
+        if not self.tx.mark(offset):
+            return
+        if not self.tx.done:
+            for stream in list(self.live.values()):
+                self.pump(stream)
+            return
+        for stream in self.live.values():
+            if not stream.transport.is_closing():
+                stream.transport.write(_FRAME.pack(_END, offset, 0))
+                stream.transport.close()
+        if not self.finished.done():
+            self.finished.set_result(None)
+
+    def on_lost(self, stream: _SendStream) -> None:
+        idx = stream.idx
+        if self.live.get(idx) is not stream:
+            return
+        del self.live[idx]
+        if self.finished.done():
+            return
+        self.tx.stream_dead(idx)
+        if self.budget[idx] > 0:
+            self.budget[idx] -= 1
+            self.reconnects += 1
+            rec = _obs.RECORDER
+            if rec is not None:
+                rec.wall_instant("stripe", "stream_reconnect",
+                                 track=f"stripe:{self.xfer}", stream=idx)
+            self.dial(idx)
+        else:
+            self.errors.append(StripeError(f"stream {idx} died and reconnect budget exhausted"))
+        for sibling in list(self.live.values()):
+            self.pump(sibling)
+        self._check_stuck()
+
+    def _check_stuck(self) -> None:
+        if self.live or self.dials or self.finished.done():
+            return
+        exc = StripeError(
+            f"striped transfer incomplete at watermark {self.tx.watermark}/"
+            f"{self.tx.total} ({len(self.errors)}/{self.streams} streams failed)"
+        )
+        exc.__cause__ = self.errors[0] if self.errors else None
+        self.finished.set_exception(exc)
 
 
 async def send_striped(
@@ -289,18 +476,18 @@ async def send_striped(
     block_bytes: int = DEFAULT_BLOCK,
     window_blocks: int = DEFAULT_WINDOW,
     xfer_id: Optional[str] = None,
-    reconnect: bool = True,
     max_reconnects: int = 4,
     on_block: Optional[Callable[[int, int, int], Any]] = None,
 ) -> Dict[str, Any]:
     """Send ``data`` striped across ``streams`` parallel connections.
 
-    ``connect`` is awaited once per stream (plus once per replacement
-    when ``reconnect`` is on) and must yield a fresh
-    ``(reader, writer)`` to the sink — e.g. a relay-chain dial.  Blocks
-    are offset-tagged, so streams need no mutual ordering; a stream
-    that dies has its unacknowledged blocks requeued onto its siblings
-    and (by default) is re-dialed, resuming from the sink's last
+    ``connect`` is awaited once per stream (plus once per replacement)
+    and must yield a fresh ``(reader, writer)`` to the sink — e.g. a
+    relay-chain dial.  Blocks are offset-tagged, so streams need no
+    mutual ordering.  A stream that dies, or whose first restart marker
+    is later than :data:`HELLO_TIMEOUT_S`, has its unacknowledged
+    blocks requeued onto its siblings and is re-dialed (up to
+    ``max_reconnects`` times per stream), resuming from the sink's last
     restart marker rather than offset 0.  ``on_block(stream, offset,
     length)`` fires before each block send — a failure-injection and
     progress hook.
@@ -317,15 +504,12 @@ async def send_striped(
         raise ValueError(f"block_bytes must be >= 1, got {block_bytes}")
     if window_blocks < 1:
         raise ValueError(f"window_blocks must be >= 1, got {window_blocks}")
-    view = memoryview(data)
-    if view.ndim != 1 or view.itemsize != 1:
-        view = view.cast("B")
-    state = _SendState(view, block_bytes)
+    view = memoryview(data).cast("B")
     xfer = xfer_id or uuid.uuid4().hex[:16]
     rec = _obs.RECORDER
     t0 = rec.wall_ts() if rec is not None else 0.0
 
-    if state.total == 0:
+    if view.nbytes == 0:
         # Degenerate transfer: one stream still announces itself so
         # the sink learns the (zero) size and completes.
         reader, writer = await connect()
@@ -334,184 +518,125 @@ async def send_striped(
             writer.write(_FRAME.pack(_END, 0, 0))
             await writer.drain()
         finally:
-            with contextlib.suppress(Exception):
-                writer.close()
+            writer.close()
         return {
             "xfer": xfer, "streams": 1, "block_bytes": block_bytes,
             "total_bytes": 0, "bytes_sent": 0, "blocks_sent": 0,
             "requeued_blocks": 0, "reconnects": 0,
         }
 
-    async def run_one(idx: int) -> None:
-        budget = max_reconnects if reconnect else 0
-        while not state.done:
-            try:
-                reader, writer = await connect()
-            except (ConnectionError, OSError) as exc:
-                if budget <= 0:
-                    raise StripeError(f"stream {idx}: dial failed: {exc}") from exc
-                budget -= 1
-                await asyncio.sleep(0.02)
-                continue
-            tune_stream(writer)
-            try:
-                try:
-                    writer.write(
-                        _hello_line(xfer, idx, streams, state.total, block_bytes)
-                    )
-                    await writer.drain()
-                except (ConnectionError, OSError) as exc:
-                    raise _StreamDied(set()) from exc
-                await _run_stream(
-                    idx, reader, writer, state, window_blocks, on_block
-                )
-                return
-            except _StreamDied as died:
-                state.requeue(died.inflight)
-                if state.done:
-                    return
-                if budget <= 0:
-                    raise StripeError(
-                        f"stream {idx} died and reconnect budget exhausted"
-                    ) from died
-                budget -= 1
-                state.reconnects += 1
-                if rec is not None:
-                    rec.wall_instant("stripe", "stream_reconnect",
-                                     track=f"stripe:{xfer}", stream=idx)
-            finally:
-                with contextlib.suppress(Exception):
-                    writer.close()
-
-    results = await asyncio.gather(
-        *[run_one(i) for i in range(streams)], return_exceptions=True
-    )
-    if not state.done:
-        errors = [r for r in results if isinstance(r, BaseException)]
-        raise StripeError(
-            f"striped transfer incomplete at watermark {state.watermark}/"
-            f"{state.total} ({len(errors)}/{streams} streams failed)"
-        ) from (errors[0] if errors else None)
+    send = _Send(connect, view, streams, block_bytes, window_blocks, xfer,
+                 max_reconnects, on_block)
+    for i in range(streams):
+        send.dial(i)
+    try:
+        await send.finished
+    finally:
+        # No more redials; abort what a failed or cancelled send left.
+        send.finished.cancel()
+        for stream in list(send.live.values()):
+            if not stream.transport.is_closing():
+                stream.transport.abort()
+        for task in send.dials:
+            task.cancel()
+        await asyncio.gather(*send.dials, return_exceptions=True)
+    tx = send.tx
     if rec is not None:
         rec.wall_span_end("stripe", "send", t0, track=f"stripe:{xfer}",
-                          bytes=state.total, streams=streams,
-                          reconnects=state.reconnects)
+                          bytes=tx.total, streams=streams,
+                          reconnects=send.reconnects)
     return {
         "xfer": xfer,
         "streams": streams,
         "block_bytes": block_bytes,
         "window_blocks": window_blocks,
-        "total_bytes": state.total,
-        "bytes_sent": state.bytes_sent,
-        "blocks_sent": state.blocks_sent,
-        "requeued_blocks": state.requeued_blocks,
-        "reconnects": state.reconnects,
+        "total_bytes": tx.total,
+        "bytes_sent": tx.bytes_sent,
+        "blocks_sent": tx.blocks_sent,
+        "requeued_blocks": tx.requeued_blocks,
+        "reconnects": send.reconnects,
     }
 
 
-class _RecvState:
-    """Reassembly state of one striped receive."""
+class _SinkStream(asyncio.BufferedProtocol):
+    """One stream into a :class:`StripeSink` after its hello.
 
-    __slots__ = (
-        "xfer", "total", "block", "buf", "received", "watermark",
-        "duplicate_blocks", "marks_sent", "streams_seen", "done",
-        "_stall_t0",
-    )
+    Reads land in the 13-byte header slot, then directly in the
+    reassembly buffer at the block's offset (one copy, kernel to final
+    place); a duplicate's payload lands in a scratch buffer.
+    """
 
-    def __init__(self, hello: Dict[str, Any]) -> None:
-        self.xfer = hello["xfer"]
-        self.total = int(hello["total"])
-        self.block = int(hello["block"])
-        if self.total < 0 or self.block < 1:
-            raise ProtocolError(f"bad stripe hello: {hello}")
-        self.buf = bytearray(self.total)
-        self.received: Dict[int, int] = {}
-        self.watermark = 0
-        self.duplicate_blocks = 0
-        self.marks_sent = 0
-        self.streams_seen = 0
-        self.done = asyncio.Event()
-        self._stall_t0: Optional[float] = None
-        if self.total == 0:
-            self.done.set()
+    def __init__(self, sink: "StripeSink", rx: StripeReceiver, writer: Any) -> None:
+        self.sink = sink
+        self.rx = rx
+        # Kept: a collected StreamWriter closes its transport.
+        self.writer = writer
+        self.transport = writer.transport
+        self.header = memoryview(bytearray(_FRAME.size))
+        #: Where the next bytes go.
+        self.dst = self.header
+        #: The block being read in place (-1: none, or into scratch).
+        self.offset = -1
+        #: Payload bytes of the current block still to come.
+        self.left = 0
+        self.closed: "asyncio.Future[None]" = asyncio.get_running_loop().create_future()
 
-    def accept_block(self, offset: int, payload: "bytes | memoryview") -> bool:
-        """Place one block; returns False for duplicates/garbage."""
-        length = len(payload)
-        if offset < 0 or offset + length > self.total:
-            raise ProtocolError(f"block [{offset}, {offset + length}) out of range")
-        if offset in self.received:
-            self.duplicate_blocks += 1
-            return False
-        self.buf[offset:offset + length] = payload
-        self.received[offset] = length
-        rec = _obs.RECORDER
-        if self.watermark == offset:
-            while True:
-                length_at = self.received.get(self.watermark)
-                if length_at is None:
-                    break
-                self.watermark += length_at
-            if self._stall_t0 is not None:
-                if rec is not None:
-                    rec.wall_span_end("stripe", "reassembly_stall",
-                                      self._stall_t0, track=f"stripe:{self.xfer}",
-                                      watermark=self.watermark)
-                self._stall_t0 = None
-            if self.watermark >= self.total:
-                self.done.set()
-            return True
-        # Out-of-order arrival: a gap below this block stalls the
-        # contiguous watermark until the missing block lands.
-        if self._stall_t0 is None and rec is not None:
-            self._stall_t0 = rec.wall_ts()
-        return True
+    def get_buffer(self, sizehint: int) -> memoryview:
+        return self.dst
 
+    def buffer_updated(self, nbytes: int, leftover: bytes = b"") -> None:
+        """A read of ``nbytes`` into ``dst``, then ``leftover`` (bytes read
+        past the hello) copied in as if read; at most one marker back."""
+        view = memoryview(leftover)
+        try:
+            self._advance(nbytes)
+            while view and not self.transport.is_closing():
+                n = min(len(self.dst), len(view))
+                self.dst[:n] = view[:n]
+                view = view[n:]
+                self._advance(n)
+        except ProtocolError:
+            self.transport.abort()
+            return
+        mark = self.rx.take_mark()
+        if mark is not None and not self.transport.is_closing():
+            self.transport.write(_FRAME.pack(_MARK, mark, 0))
+        if self.rx.done:
+            self.sink._complete(self.rx)
 
-async def _recv_stream(
-    reader: asyncio.StreamReader,
-    writer: asyncio.StreamWriter,
-    state: _RecvState,
-    stream_idx: int,
-) -> None:
-    """Serve one sender stream: place its blocks, return restart
-    markers whenever the contiguous watermark advances."""
-    rec = _obs.RECORDER
+    def _advance(self, n: int) -> None:
+        if self.left:
+            self.left -= n
+            self.dst = self.dst[n:]
+            if not self.left:
+                if self.offset >= 0:
+                    self.rx.arrived(self.offset)
+                self.offset = -1
+                self.dst = self.header
+            return
+        filled = _FRAME.size - len(self.dst) + n
+        if filled < _FRAME.size:
+            self.dst = self.header[filled:]
+            return
+        self.dst = self.header
+        ftype, offset, length = _FRAME.unpack(self.header)
+        if ftype == _END:
+            self.transport.close()
+        elif ftype != _BLOCK:
+            raise ProtocolError(f"unexpected frame type {ftype} from sender")
+        else:
+            view = self.rx.claim(offset, length)
+            self.left = length
+            if view is None:
+                self.dst = memoryview(bytearray(length))
+            else:
+                self.offset = offset
+                self.dst = view
 
-    def send_mark() -> None:
-        writer.write(_FRAME.pack(_MARK, state.watermark, 0))
-        state.marks_sent += 1
-
-    # Immediate marker: a (re)joining stream resumes from the
-    # watermark, never from offset 0.
-    send_mark()
-    await writer.drain()
-    try:
-        while not state.done.is_set():
-            header = await reader.readexactly(_FRAME.size)
-            ftype, offset, length = _FRAME.unpack(header)
-            if ftype == _END:
-                break
-            if ftype != _BLOCK:
-                raise ProtocolError(f"unexpected frame type {ftype} from sender")
-            if length > state.block:
-                raise ProtocolError(
-                    f"block length {length} exceeds stripe block {state.block}"
-                )
-            payload = await reader.readexactly(length) if length else b""
-            before = state.watermark
-            state.accept_block(offset, payload)
-            if rec is not None:
-                rec.count_pair("stripe.sink_bytes", f"s{stream_idx}", length)
-            if state.watermark > before or state.done.is_set():
-                send_mark()
-                await maybe_drain(writer)
-    finally:
-        # Flush the final marker (the sender's completion signal).
-        with contextlib.suppress(Exception):
-            await writer.drain()
-        with contextlib.suppress(Exception):
-            writer.close()
+    def connection_lost(self, exc: Optional[BaseException]) -> None:
+        if not self.closed.done():
+            self.sink._streams.discard(self)
+            self.closed.set_result(None)
 
 
 class StripeSink:
@@ -525,11 +650,12 @@ class StripeSink:
     restart marker.  Without that memory, a sender whose stream died
     in the same instant the last block landed (a drained relay worker
     aborting chains, say) redials into a sink that no longer knows the
-    transfer and waits forever for a marker that will never come — so
-    any caller whose senders can redial across a transfer boundary
-    (worker drains, sequential sub-transfers on one listener) must
-    hold a sink open until the *senders* report completion, not merely
-    until the payload arrives.
+    transfer and waits for a marker that never comes — so any caller
+    whose senders can redial across a transfer boundary (worker drains,
+    sequential sub-transfers on one listener) must hold a sink open
+    until the *senders* report completion, not merely until the payload
+    arrives.  A dial that sends no hello within :data:`HELLO_TIMEOUT_S`
+    is closed.
     """
 
     def __init__(
@@ -543,61 +669,66 @@ class StripeSink:
         self._on_stream = on_stream
         #: xfer id -> final watermark of transfers served to completion
         #: (insertion-ordered; trimmed to the ``remember`` newest).
-        self._completed: "Dict[str, int]" = {}
+        self._completed: Dict[str, int] = {}
         self._remember = remember
-        self._state: Optional[_RecvState] = None
-        self._first: "Optional[asyncio.Future[None]]" = None
-        self._handlers: "set[asyncio.Task]" = set()
+        self._rx: Optional[StripeReceiver] = None
+        #: Set while a recv() waits; resolves when its transfer completes.
+        self._done: "Optional[asyncio.Future[None]]" = None
+        self._hellos: Set[asyncio.Task] = set()
+        self._streams: Set[_SinkStream] = set()
         self._acceptor = asyncio.ensure_future(self._accept_loop())
 
     async def _accept_loop(self) -> None:
         while True:
             reader, writer = await self._accept()
-            task = asyncio.ensure_future(self._handle(reader, writer))
-            self._handlers.add(task)
-            task.add_done_callback(self._handlers.discard)
+            task = asyncio.ensure_future(self._hello(reader, writer))
+            self._hellos.add(task)
+            task.add_done_callback(self._hellos.discard)
 
-    async def _handle(self, reader: asyncio.StreamReader,
-                      writer: asyncio.StreamWriter) -> None:
+    async def _hello(self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter) -> None:
         tune_stream(writer)
         try:
-            line = await reader.readline()
-            hello = parse_control_line(line)
-            if hello.get("stripe") != 1:
-                raise ProtocolError(f"not a stripe hello: {hello!r}")
-            xfer = hello.get("xfer")
+            line = await asyncio.wait_for(reader.readline(), HELLO_TIMEOUT_S)
+            hello = _parse_hello(line)
+            xfer = hello["xfer"]
             if xfer in self._completed:
                 # Redial raced transfer completion: hand the sender
                 # the final marker so it observes the full watermark.
                 writer.write(_FRAME.pack(_MARK, self._completed[xfer], 0))
-                await writer.drain()
+            elif self._rx is not None or (self._done is not None and not self._done.done()):
+                if self._rx is None:
+                    self._rx = StripeReceiver(xfer, hello["total"], hello["block"])
+                elif xfer != self._rx.xfer:
+                    raise ProtocolError(f"stream for foreign transfer {xfer!r}")
+                if self._on_stream is not None:
+                    self._on_stream(int(hello.get("stream", self._rx.streams_seen)))
+                self._adopt(reader, writer, self._rx)
                 return
-            if self._state is None:
-                if self._first is None or self._first.done():
-                    # No recv() pending: a stray stream for a transfer
-                    # nobody is (or will be) assembling.  Closing it
-                    # reads as stream death on the sender.
-                    return
-                self._state = _RecvState(hello)
-                self._first.set_result(None)
-            elif xfer != self._state.xfer:
-                raise ProtocolError(f"stream for foreign transfer {xfer!r}")
-            state = self._state
-            state.streams_seen += 1
-            idx = int(hello.get("stream", state.streams_seen - 1))
-            if self._on_stream is not None:
-                self._on_stream(idx)
-            await _recv_stream(reader, writer, state, idx)
-        except (ProtocolError, ValueError) as exc:
-            if self._first is not None and not self._first.done():
-                self._first.set_exception(StripeError(str(exc)))
-        except (ConnectionError, OSError, asyncio.IncompleteReadError):
-            # Stream died mid-transfer: the sender requeues; nothing
-            # to do here but release the socket.
-            pass
-        finally:
-            with contextlib.suppress(Exception):
-                writer.close()
+            # Else no recv() is pending: a stray stream for a transfer
+            # nobody is (or will be) assembling.  Closing it reads as
+            # stream death on the sender.
+        except (ProtocolError, ValueError, TypeError) as exc:
+            if self._rx is None and self._done is not None and not self._done.done():
+                self._done.set_exception(StripeError(str(exc)))
+        except (asyncio.TimeoutError, ConnectionError, OSError):
+            pass  # no hello in time, or the dial died
+        writer.close()
+
+    def _adopt(self, reader: asyncio.StreamReader, writer: Any, rx: StripeReceiver) -> None:
+        stream = _SinkStream(self, rx, writer)
+        writer.transport.set_protocol(stream)
+        writer.transport.resume_reading()
+        self._streams.add(stream)
+        writer.write(_FRAME.pack(_MARK, rx.join(), 0))
+        stream.buffer_updated(0, steal_reader_buffer(reader) or b"")
+        if reader.at_eof() or reader.exception() is not None:
+            # It ended before the swap: tell the new protocol.
+            writer.transport.abort()
+            stream.connection_lost(None)
+
+    def _complete(self, rx: StripeReceiver) -> None:
+        if rx is self._rx and self._done is not None and not self._done.done():
+            self._done.set_result(None)
 
     async def recv(self) -> Tuple[bytes, Dict[str, Any]]:
         """Receive the next striped transfer; returns ``(data, report)``.
@@ -608,43 +739,39 @@ class StripeSink:
         """
         if self._acceptor.done():
             raise StripeError("stripe sink is closed")
-        if self._state is not None or self._first is not None:
+        if self._done is not None:
             raise StripeError("a recv() is already in progress")
-        self._first = asyncio.get_running_loop().create_future()
+        self._done = asyncio.get_running_loop().create_future()
         try:
-            await self._first
-            state = self._state
-            assert state is not None
-            await state.done.wait()
+            await self._done
+            rx = self._rx
         finally:
-            self._first = None
-            self._state = None
-        self._completed[state.xfer] = state.watermark
+            self._done = None
+            self._rx = None
+        self._completed[rx.xfer] = rx.watermark
         while len(self._completed) > self._remember:
             del self._completed[next(iter(self._completed))]
         report = {
-            "xfer": state.xfer,
-            "total_bytes": state.total,
-            "streams_seen": state.streams_seen,
-            "duplicate_blocks": state.duplicate_blocks,
-            "marks_sent": state.marks_sent,
+            "xfer": rx.xfer,
+            "total_bytes": rx.total,
+            "streams_seen": rx.streams_seen,
+            "duplicate_blocks": rx.duplicate_blocks,
+            "marks_sent": rx.marks_sent,
         }
-        return bytes(state.buf), report
+        return bytes(rx.buf), report
 
     async def close(self, *, grace_s: float = 1.0) -> None:
-        """Stop accepting; give in-flight handlers ``grace_s`` to flush
-        their final restart markers, then cancel any stragglers."""
-        self._acceptor.cancel()
-        with contextlib.suppress(asyncio.CancelledError):
-            await self._acceptor
-        if self._handlers:
-            _done, pending = await asyncio.wait(
-                set(self._handlers), timeout=grace_s
-            )
-            for task in pending:
-                task.cancel()
-            if pending:
-                await asyncio.gather(*pending, return_exceptions=True)
+        """Stop accepting; give open streams ``grace_s`` to flush their
+        final restart markers and end, then abort the stragglers."""
+        for task in (self._acceptor, *self._hellos):
+            task.cancel()
+        await asyncio.gather(self._acceptor, *self._hellos, return_exceptions=True)
+        if self._streams:
+            closed = [stream.closed for stream in self._streams]
+            await asyncio.wait(closed, timeout=grace_s)
+            for stream in list(self._streams):
+                stream.transport.abort()
+            await asyncio.wait(closed)
 
 
 async def recv_striped(
@@ -662,11 +789,12 @@ async def recv_striped(
     accepted.
 
     One-shot: accepting stops the moment the payload is complete, so a
-    sender stream that redials *after* that point hangs waiting for
-    its first restart marker.  When senders can redial across the
-    completion boundary (relay-worker drains, back-to-back transfers
-    on one listener), use :class:`StripeSink` and keep it open until
-    the sender reports completion.
+    sender stream that redials *after* that point gets no restart
+    marker, and the sender counts it dead after :data:`HELLO_TIMEOUT_S`.
+    When senders can
+    redial across the completion boundary (relay-worker drains,
+    back-to-back transfers on one listener), use :class:`StripeSink`
+    and keep it open until the sender reports completion.
     """
     sink = StripeSink(accept, on_stream=on_stream)
     try:

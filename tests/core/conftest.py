@@ -1,4 +1,5 @@
-"""Shared fixtures: a miniature firewalled deployment.
+"""Shared fixtures: a leak check for live-plane tests, and a miniature
+firewalled deployment.
 
 Topology (a reduced Fig. 5)::
 
@@ -12,10 +13,30 @@ The firewall rejects (rather than drops) in tests so that blocked
 connects fail fast instead of burning simulated timeout.
 """
 
+import asyncio
+import contextlib
+import os
+
 import pytest
 
 from repro.core import InnerServer, NexusProxyClient, OuterServer, RelayConfig
 from repro.simnet import Firewall, Network
+
+
+@contextlib.asynccontextmanager
+async def leak_check():
+    """Everything started inside is gone on exit: no task but the
+    caller's, no file descriptor that was not open before."""
+    tasks0 = asyncio.all_tasks()
+    fds0 = set(os.listdir("/proc/self/fd"))
+    yield
+    for _ in range(200):
+        tasks = asyncio.all_tasks() - tasks0
+        fds = set(os.listdir("/proc/self/fd")) - fds0
+        if not tasks and not fds:
+            return
+        await asyncio.sleep(0.01)
+    raise AssertionError(f"leaked tasks {tasks} / fds {sorted(fds)}")
 
 
 class Deployment:

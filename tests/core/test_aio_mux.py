@@ -11,7 +11,6 @@ reconnect.
 import asyncio
 import contextlib
 import json
-import os
 import struct
 
 import pytest
@@ -30,6 +29,8 @@ from repro.core.aio.mux import (
 )
 from repro.core.aio.pump import STREAM_LIMIT, WRITE_HIGH_WATER
 from repro.core.aio.relay import AioRelayStats, Histogram
+
+from tests.core.conftest import leak_check
 
 HEADER = struct.Struct("!IBI")
 
@@ -333,22 +334,6 @@ async def read_to_eof(reader):
     while data := await reader.read(1 << 16):
         got += data
     return bytes(got)
-
-
-@contextlib.asynccontextmanager
-async def leak_check():
-    """Everything started inside is gone on exit: no task but the
-    caller's, no file descriptor that was not open before."""
-    tasks0 = asyncio.all_tasks()
-    fds0 = set(os.listdir("/proc/self/fd"))
-    yield
-    for _ in range(200):
-        tasks = asyncio.all_tasks() - tasks0
-        fds = set(os.listdir("/proc/self/fd")) - fds0
-        if not tasks and not fds:
-            return
-        await asyncio.sleep(0.01)
-    raise AssertionError(f"leaked tasks {tasks} / fds {sorted(fds)}")
 
 
 async def raw_bind(outer, inner_port, client_port=4000):

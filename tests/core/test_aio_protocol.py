@@ -39,8 +39,9 @@ def test_read_control_roundtrip():
 
 def test_read_control_rejects_garbage():
     async def main():
-        with pytest.raises(ProtocolError, match="not JSON"):
-            await read_control(make_reader(b"not json\n"))
+        for garbage in (b"not json\n", b"\xc3\x28 not even UTF-8\n"):
+            with pytest.raises(ProtocolError, match="not JSON"):
+                await read_control(make_reader(garbage))
 
     run(main())
 
