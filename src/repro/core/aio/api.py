@@ -77,10 +77,11 @@ class AioProxiedListener:
         self._local_server.close()
         await self._local_server.wait_closed()
 
-    async def recv_striped(self) -> "Tuple[bytes, Dict[str, Any]]":
+    async def recv_striped(self) -> "Tuple[bytearray, Dict[str, Any]]":
         """Receive one GridFTP-style striped bulk transfer whose
         streams arrive as chained-in peers on this listener; returns
-        ``(data, report)`` (see :func:`repro.core.aio.streams.recv_striped`)."""
+        ``(data, report)``, ``data`` a ``bytearray`` the caller owns
+        (see :func:`repro.core.aio.streams.recv_striped`)."""
         return await recv_striped(self.accept)
 
 

@@ -28,11 +28,13 @@ bulk path runs on:
   ``sendmsg`` per drain), bounded by a configurable coalesce budget.
 * :func:`relay_sockets_zero_copy` — swaps an established
   socket↔socket relay leg from stream pumps to a pair of
-  ``asyncio.BufferedProtocol`` ends whose reads land in a reusable
-  ``memoryview`` ring buffer (``recv_into`` instead of ``recv``) and
-  are forwarded inside the read callback — no per-chunk task wake-up,
-  no StreamReader buffering, and no copy at all when the destination
-  socket takes the bytes immediately.
+  ``asyncio.BufferedProtocol`` ends whose reads land in one
+  ``MAX_CHUNK`` buffer shared by every end on the event-loop thread
+  (``recv_into`` instead of ``recv``) and are forwarded inside the
+  read callback — no per-chunk task wake-up, no StreamReader
+  buffering, no buffer per chain, and no copy at all when the
+  destination socket takes the bytes immediately.  Sharing is safe
+  because a read callback is done with the buffer before it returns.
 """
 
 from __future__ import annotations
@@ -41,6 +43,7 @@ import asyncio
 import contextlib
 import os
 import socket as _socket
+import threading
 from typing import Callable, List, Optional, Sequence, Union
 
 from repro.core.aio.protocol import steal_reader_buffer
@@ -287,7 +290,11 @@ def write_direct(transport: asyncio.Transport, fd: Optional[int], view: Segment)
     """Forward one received view: straight to the socket with
     ``os.write`` when the transport is idle (nothing queued can be
     overtaken), the unsent tail copied once into the transport.
-    Returns the bytes that went direct, without any user-space copy."""
+    Returns the bytes that went direct, without any user-space copy.
+
+    The tail copy is what lets callers reuse ``view``'s buffer the
+    moment this returns: a transport may keep a view of what it is
+    handed until the kernel takes it."""
     sent = 0
     if fd is not None and transport.get_write_buffer_size() == 0:
         try:
@@ -415,16 +422,34 @@ class SegmentBatcher:
 # ---------------------------------------------------------------------------
 
 
+_thread = threading.local()
+
+
+def _read_view() -> memoryview:
+    """The one ``MAX_CHUNK`` read buffer of this thread's relay ends.
+
+    One per thread, not per module: each event loop runs on its own
+    thread, and a buffer is only safe to share between callbacks that
+    can never interleave."""
+    view = getattr(_thread, "view", None)
+    if view is None:
+        view = _thread.view = memoryview(bytearray(MAX_CHUNK))
+    return view
+
+
 class _RelayEnd(asyncio.BufferedProtocol):
     """One direction of a protocol-swapped socket↔socket relay.
 
-    The event loop reads straight into this end's reusable
-    ``memoryview`` buffer (``recv_into``); ``buffer_updated`` forwards
-    the filled view to the peer transport inside the read callback —
-    directly to the peer socket when its transport is idle (no copy at
-    all), otherwise one copy into the peer's write buffer.  asyncio's
-    write-side flow control maps onto the peer's read side:
-    ``pause_writing`` on this transport pauses the *peer's* reading.
+    The event loop reads straight into the read buffer every end on
+    this thread shares (``recv_into``), so an active chain costs no
+    buffer of its own; ``buffer_updated`` forwards the filled view to
+    the peer transport inside the read callback — directly to the peer
+    socket when its transport is idle (no copy at all), otherwise one
+    copy into the peer's write buffer.  Either way the view is dead
+    when the callback returns, before the loop can read into it for
+    another end.  asyncio's write-side flow control maps onto the
+    peer's read side: ``pause_writing`` on this transport pauses the
+    *peer's* reading.
     """
 
     __slots__ = (
@@ -433,7 +458,6 @@ class _RelayEnd(asyncio.BufferedProtocol):
         "peer",
         "moved",
         "direct_bytes",
-        "_buf",
         "_view",
         "_on_chunk",
         "_done",
@@ -444,7 +468,6 @@ class _RelayEnd(asyncio.BufferedProtocol):
         self,
         done: "asyncio.Future[int]",
         on_chunk: Optional[Callable[[int], None]] = None,
-        buf_size: int = MAX_CHUNK,
     ) -> None:
         self.transport: Optional[asyncio.Transport] = None
         self.fd: Optional[int] = None
@@ -452,8 +475,7 @@ class _RelayEnd(asyncio.BufferedProtocol):
         self.moved = 0
         #: Bytes that went peer-socket-direct without any userspace copy.
         self.direct_bytes = 0
-        self._buf = bytearray(buf_size)
-        self._view = memoryview(self._buf)
+        self._view = _read_view()
         self._on_chunk = on_chunk
         self._done = done
         self._read_eof = False
@@ -474,6 +496,8 @@ class _RelayEnd(asyncio.BufferedProtocol):
         peer_t = self.peer.transport
         if peer_t is None or peer_t.is_closing():
             return
+        # write_direct copies the tail the socket does not take: the
+        # next read on this thread, for any chain, overwrites the view.
         self.direct_bytes += write_direct(peer_t, self.peer.fd, self._view[:nbytes])
 
     def eof_received(self) -> bool:
@@ -546,10 +570,10 @@ async def relay_sockets_zero_copy(
     """Bidirectional zero-copy relay between two established streams.
 
     Swaps both connections' protocols to :class:`_RelayEnd` buffered
-    protocols, so from here on the event loop ``recv_into``\\ s a
-    reusable buffer and forwards inside the read callback — no
-    StreamReader, no per-chunk task wake-up, no copy when the
-    destination socket keeps up.  Any bytes the stream layer had
+    protocols, so from here on the event loop ``recv_into``\\ s the
+    thread's shared read buffer and forwards inside the read callback
+    — no StreamReader, no per-chunk task wake-up, no buffer per chain,
+    no copy when the destination socket keeps up.  Any bytes the stream layer had
     already buffered (payload pipelined behind the control handshake)
     are forwarded first.
 

@@ -173,7 +173,8 @@ async def _relay_pair(
     """Bidirectional relay; returns when both directions finish.
 
     The pair is first handed to the zero-copy buffered-protocol relay
-    (``recv_into`` ring buffers, direct socket forwarding); transports
+    (``recv_into`` one read buffer per event-loop thread, shared by
+    every chain; direct socket forwarding); transports
     that cannot be protocol-swapped fall back to the stream pumps.
     """
     try:

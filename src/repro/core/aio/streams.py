@@ -37,8 +37,9 @@ above the latest restart marker) onto its siblings and dials a
 replacement stream (up to ``max_reconnects`` times) — the transfer
 completes without retransmitting anything the sink already
 acknowledged.  The sink reassembles out-of-order blocks in place in a
-preallocated buffer and drops duplicates (a requeued block racing its
-original).
+preallocated buffer, drops duplicates (a requeued block racing its
+original) and hands that very buffer to its caller: a transfer costs
+one allocation and no copy past the kernel's.
 
 Every one of those decisions is made by two sans-io engines,
 :class:`StripeSender` and :class:`StripeReceiver`.  After its hello a
@@ -422,12 +423,16 @@ class _Send:
             )
 
     def on_mark(self, offset: int) -> None:
-        if not self.tx.mark(offset):
+        advanced = self.tx.mark(offset)
+        if self.finished.done():
             return
         if not self.tx.done:
-            for stream in list(self.live.values()):
-                self.pump(stream)
+            if advanced:
+                for stream in list(self.live.values()):
+                    self.pump(stream)
             return
+        # The marker that completed the transfer, or the first marker
+        # of an empty one.
         for stream in self.live.values():
             if not stream.transport.is_closing():
                 stream.transport.write(_FRAME.pack(_END, offset, 0))
@@ -508,23 +513,6 @@ async def send_striped(
     xfer = xfer_id or uuid.uuid4().hex[:16]
     rec = _obs.RECORDER
     t0 = rec.wall_ts() if rec is not None else 0.0
-
-    if view.nbytes == 0:
-        # Degenerate transfer: one stream still announces itself so
-        # the sink learns the (zero) size and completes.
-        reader, writer = await connect()
-        try:
-            writer.write(_hello_line(xfer, 0, streams, 0, block_bytes))
-            writer.write(_FRAME.pack(_END, 0, 0))
-            await writer.drain()
-        finally:
-            writer.close()
-        return {
-            "xfer": xfer, "streams": 1, "block_bytes": block_bytes,
-            "total_bytes": 0, "bytes_sent": 0, "blocks_sent": 0,
-            "requeued_blocks": 0, "reconnects": 0,
-        }
-
     send = _Send(connect, view, streams, block_bytes, window_blocks, xfer,
                  max_reconnects, on_block)
     for i in range(streams):
@@ -563,7 +551,9 @@ class _SinkStream(asyncio.BufferedProtocol):
 
     Reads land in the 13-byte header slot, then directly in the
     reassembly buffer at the block's offset (one copy, kernel to final
-    place); a duplicate's payload lands in a scratch buffer.
+    place); a duplicate's payload lands in a scratch buffer, and so
+    does the rest of a block still being read when the transfer
+    completes (the buffer is the caller's from then on).
     """
 
     def __init__(self, sink: "StripeSink", rx: StripeReceiver, writer: Any) -> None:
@@ -728,14 +718,22 @@ class StripeSink:
 
     def _complete(self, rx: StripeReceiver) -> None:
         if rx is self._rx and self._done is not None and not self._done.done():
+            # A straggler still reading a copy of a landed block in
+            # place reads the rest into scratch: it ends a duplicate,
+            # and the buffer goes to the caller with no view on it.
+            for stream in self._streams:
+                if stream.rx is rx and stream.offset >= 0:
+                    stream.dst = memoryview(bytearray(len(stream.dst)))
             self._done.set_result(None)
 
-    async def recv(self) -> Tuple[bytes, Dict[str, Any]]:
+    async def recv(self) -> Tuple[bytearray, Dict[str, Any]]:
         """Receive the next striped transfer; returns ``(data, report)``.
 
         The first stream's hello sizes the reassembly buffer; streams
         may join (and rejoin after a reconnect) at any point until the
-        transfer completes.
+        transfer completes.  ``data`` is that buffer itself, not a
+        copy: the sink keeps no reference to it, so the caller may
+        resize or reuse it.
         """
         if self._acceptor.done():
             raise StripeError("stripe sink is closed")
@@ -758,7 +756,8 @@ class StripeSink:
             "duplicate_blocks": rx.duplicate_blocks,
             "marks_sent": rx.marks_sent,
         }
-        return bytes(rx.buf), report
+        data, rx.buf = rx.buf, bytearray()
+        return data, report
 
     async def close(self, *, grace_s: float = 1.0) -> None:
         """Stop accepting; give open streams ``grace_s`` to flush their
@@ -778,8 +777,9 @@ async def recv_striped(
     accept: ConnectFn,
     *,
     on_stream: Optional[Callable[[int], Any]] = None,
-) -> Tuple[bytes, Dict[str, Any]]:
-    """Receive one striped transfer; returns ``(data, report)``.
+) -> Tuple[bytearray, Dict[str, Any]]:
+    """Receive one striped transfer; returns ``(data, report)``, with
+    ``data`` the reassembly buffer itself (see :meth:`StripeSink.recv`).
 
     ``accept`` is awaited repeatedly and must yield the next inbound
     ``(reader, writer)`` stream — e.g. ``listener.accept``.  The first

@@ -23,9 +23,18 @@ from repro.core.aio.mux import ChainReset, MuxConnector
 from repro.core.protocol import NXProxyError
 from repro.simnet.firewall import Firewall, FirewallBlocked
 
+from tests.core.conftest import leak_check
+
 
 def run(coro):
-    return asyncio.run(asyncio.wait_for(coro, timeout=20))
+    """Run one live test under the leak check: every socket and task
+    it started must be gone when it returns."""
+
+    async def checked():
+        async with leak_check():
+            return await coro
+
+    return asyncio.run(asyncio.wait_for(checked(), timeout=20))
 
 
 async def start_deployment():
@@ -194,6 +203,7 @@ def test_passive_open_full_chain():
             w.write(b"come in")
             await w.drain()
             assert await peer_task == b"come in"
+            w.close()
             await listener.close()
             assert outer.stats.passive_binds == 1
             assert outer.stats.passive_chains == 1

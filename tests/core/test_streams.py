@@ -120,6 +120,61 @@ def test_striped_empty_payload_completes():
     run(main())
 
 
+def test_empty_payload_rides_the_engine_to_a_refusing_sink():
+    """A zero-byte send dials like any other: refused dials spend the
+    reconnect budget and end in ``StripeError``."""
+
+    async def main():
+        dials = []
+
+        async def refuse():
+            dials.append(1)
+            raise ConnectionRefusedError("nobody listens")
+
+        with pytest.raises(StripeError):
+            await send_striped(refuse, b"", streams=2, max_reconnects=1)
+        assert len(dials) == 4  # two streams, one redial each
+
+    run(main())
+
+
+def test_empty_payload_report_has_the_keys_of_any_other():
+    async def main():
+        reports = []
+        for data in (b"", b"\x42"):
+            # A listener each: a one-shot sink leaves the sender's spare
+            # streams unaccepted, and the next sink would read them.
+            server, connect, accept = await _loopback_pair()
+            recv_task = asyncio.ensure_future(recv_striped(accept))
+            reports.append(await send_striped(connect, data, streams=2))
+            await recv_task
+            server.close()
+            await server.wait_closed()
+        empty, one = reports
+        assert empty.keys() == one.keys()
+        assert empty["streams"] == 2 and empty["blocks_sent"] == 0
+
+    run(main())
+
+
+def test_recv_hands_over_a_buffer_with_no_view_on_it():
+    async def main():
+        server, connect, accept = await _loopback_pair()
+        payload = _payload(200_000)
+        sink = StripeSink(accept)
+        recv_task = asyncio.ensure_future(sink.recv())
+        await send_striped(connect, payload, streams=4, block_bytes=16 * 1024)
+        data, _ = await recv_task
+        assert isinstance(data, bytearray) and data == payload
+        data.extend(b"!")  # BufferError while anything exports it
+        assert data[-1:] == b"!"
+        await sink.close()
+        server.close()
+        await server.wait_closed()
+
+    run(main())
+
+
 def test_sink_answers_redial_after_completion():
     """A stream that redials after its transfer already completed must
     be handed the final restart marker, not left waiting forever —
@@ -645,6 +700,48 @@ def test_collected_stream_writers_do_not_close_sink_streams():
         got, rreport = await recv_task
         assert got == data
         assert report["reconnects"] == 0 and rreport["streams_seen"] == 2
+        await sink.close()
+        server.close()
+        await server.wait_closed()
+
+    run(main())
+
+
+def test_straggler_never_writes_into_a_handed_over_buffer():
+    """A stream still reading a copy of block 0 in place when another
+    stream completes the transfer finishes that copy into scratch: the
+    caller's buffer keeps what the caller wrote into it."""
+
+    async def main():
+        server, connect, accept = await _loopback_pair()
+        sink = StripeSink(accept)
+        recv_task = asyncio.ensure_future(sink.recv())
+        block = 16 * 1024
+        data = _payload(2 * block)
+        total = len(data)
+        conns = [await connect() for _ in range(2)]
+        for i, (r, w) in enumerate(conns):
+            w.write(json.dumps({"stripe": 1, "xfer": "cafe0002", "stream": i, "streams": 2,
+                                "total": total, "block": block}).encode() + b"\n")
+            assert WIRE.unpack(await r.readexactly(WIRE.size)) == (MARK, 0, 0)
+        (r0, w0), (r1, w1) = conns
+        half = block // 2
+        w0.write(WIRE.pack(BLOCK, 0, block) + data[:half])
+        # Stream 0 is reading block 0 in place, half of it still to come.
+        while not any(st.offset == 0 and st.left == block - half for st in sink._streams):
+            await asyncio.sleep(0.005)
+        w1.write(WIRE.pack(BLOCK, 0, block) + data[:block]
+                 + WIRE.pack(BLOCK, block, block) + data[block:])
+        got, report = await recv_task
+        assert got == data and report["duplicate_blocks"] == 0
+        got[:block] = b"x" * block
+        w0.write(data[half:block])
+        # The straggler's copy lands as a duplicate: the sink says so.
+        assert WIRE.unpack(await r0.readexactly(WIRE.size)) == (MARK, total, 0)
+        assert got[:block] == b"x" * block and got[block:] == data[block:]
+        for r, w in conns:
+            w.write(WIRE.pack(END, total, 0))
+            w.close()
         await sink.close()
         server.close()
         await server.wait_closed()

@@ -5,7 +5,10 @@ and the BufferedProtocol relay ends.
 
 import asyncio
 import hashlib
+import socket
+import tracemalloc
 
+from repro.core.aio import AioOuterServer, AioProxyClient, pump
 from repro.core.aio.pump import (
     COALESCE_BUDGET,
     SegmentBatcher,
@@ -15,9 +18,18 @@ from repro.core.aio.pump import (
     tune_stream,
 )
 
+from tests.core.conftest import leak_check
+
 
 def run(coro):
-    return asyncio.run(asyncio.wait_for(coro, timeout=30))
+    """Run one live test under the leak check: every socket and task
+    it started must be gone when it returns."""
+
+    async def checked():
+        async with leak_check():
+            return await coro
+
+    return asyncio.run(asyncio.wait_for(checked(), timeout=30))
 
 
 async def _pipe():
@@ -297,5 +309,116 @@ def test_zero_copy_relay_counts_chunks():
         for srv in (server_a, server_b):
             srv.close()
             await srv.wait_closed()
+
+    run(main())
+
+
+def _ramp(period: int, n: int) -> bytes:
+    # A period prime to every chunk size: a misplaced or foreign chunk
+    # shows as wrong bytes.
+    return (bytes(range(period)) * (n // period + 1))[:n]
+
+
+async def _sink_server(stall: float):
+    """A destination that collects what it reads, after not reading
+    at all for ``stall`` seconds; a stalling one also keeps a small
+    receive buffer, so the relay's writes to it come up short."""
+    got: "asyncio.Future[bytes]" = asyncio.get_running_loop().create_future()
+
+    async def on_conn(r, w):
+        await asyncio.sleep(stall)
+        data = bytearray()
+        while chunk := await r.read(64 * 1024):
+            data += chunk
+        got.set_result(bytes(data))
+        w.close()
+
+    lsock = socket.socket()
+    if stall:
+        lsock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 64 * 1024)
+    lsock.bind(("127.0.0.1", 0))
+    server = await asyncio.start_server(on_conn, sock=lsock)
+    return server, server.sockets[0].getsockname()[1], got
+
+
+def test_concurrent_active_chains_keep_their_own_bytes(monkeypatch):
+    """Two active chains through one relay, whose ends share one read
+    buffer, carry different ramps at once; the slow destination forces
+    the tail copy of ``write_direct``.  Every byte lands on its chain."""
+    tails = []
+
+    def spy(transport, fd, view):
+        sent = write_direct(transport, fd, view)
+        if sent < len(view):
+            tails.append(len(view) - sent)
+        return sent
+
+    write_direct = pump.write_direct
+    monkeypatch.setattr(pump, "write_direct", spy)
+
+    async def main():
+        outer = await AioOuterServer().start()
+        client = AioProxyClient(outer_addr=("127.0.0.1", outer.control_port))
+        servers = []
+        try:
+            async def carry(payload, stall):
+                server, port, got = await _sink_server(stall)
+                servers.append(server)
+                r, w = await client.connect("127.0.0.1", port)
+                w.write(payload)
+                await w.drain()
+                w.write_eof()
+                received = await got
+                w.close()
+                return received
+
+            # The slow chain outgrows what the kernel buffers take.
+            fast, slow = _ramp(251, 3 << 20), _ramp(241, 8 << 20)
+            got_fast, got_slow = await asyncio.gather(carry(fast, 0), carry(slow, 0.3))
+            assert got_fast == fast
+            assert got_slow == slow
+            assert tails  # the slow chain's unsent tails were copied
+        finally:
+            for server in servers:
+                server.close()
+                await server.wait_closed()
+            await outer.stop()
+
+    run(main())
+
+
+def test_active_chains_cost_no_buffer_each():
+    """Eight open active chains, each past one echo, add well under a
+    read buffer (``MAX_CHUNK``) per chain to the relay's traced heap."""
+
+    async def echo(r, w):
+        while data := await r.read(4096):
+            w.write(data)
+            await w.drain()
+        w.close()
+
+    async def main():
+        outer = await AioOuterServer().start()
+        client = AioProxyClient(outer_addr=("127.0.0.1", outer.control_port))
+        server = await asyncio.start_server(echo, "127.0.0.1", 0)
+        port = server.sockets[0].getsockname()[1]
+        chains = []
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for i in range(8):
+                r, w = await client.connect("127.0.0.1", port)
+                chains.append(w)
+                w.write(b"ping %d" % i)
+                assert await r.readexactly(6) == b"ping %d" % i
+            grown = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+            for w in chains:
+                w.close()
+            server.close()
+            await server.wait_closed()
+            await outer.stop()
+        assert grown < 1 << 20, f"8 chains grew the heap by {grown >> 10} KiB"
 
     run(main())
