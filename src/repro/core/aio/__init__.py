@@ -20,13 +20,8 @@ from repro.core.aio.api import AioProxiedListener, AioProxyClient
 from repro.core.aio.firewall import GuardedDialer
 from repro.core.aio.fleet import FleetManager, FleetSpec
 from repro.core.aio.mux import MUX_MAGIC, ChainReset, MuxConnector
-from repro.core.aio.pump import AdaptiveChunker, SegmentBatcher, send_segments, tune_stream
-from repro.core.aio.relay import (
-    AioInnerServer,
-    AioOuterServer,
-    AioRelayStats,
-    Histogram,
-)
+from repro.core.aio.pump import SegmentBatcher, send_segments, tune_stream
+from repro.core.aio.relay import AioInnerServer, AioOuterServer, AioRelayStats
 from repro.core.aio.streams import (
     DEFAULT_BLOCK,
     DEFAULT_STREAMS,
@@ -38,7 +33,6 @@ from repro.core.aio.streams import (
 )
 
 __all__ = [
-    "AdaptiveChunker",
     "AioInnerServer",
     "AioOuterServer",
     "AioProxiedListener",
@@ -51,7 +45,6 @@ __all__ = [
     "FleetManager",
     "FleetSpec",
     "GuardedDialer",
-    "Histogram",
     "MUX_MAGIC",
     "MuxConnector",
     "SegmentBatcher",

@@ -13,6 +13,7 @@ from __future__ import annotations
 import asyncio
 from typing import Any, Dict, Optional, Tuple
 
+from repro.core.aio.mux import DIAL_TIMEOUT_S
 from repro.core.aio.protocol import (
     ProtocolError,
     read_control,
@@ -33,6 +34,12 @@ from repro.obs import trace as _trace
 __all__ = ["AioProxyClient", "AioProxiedListener"]
 
 StreamPair = tuple[asyncio.StreamReader, asyncio.StreamWriter]
+
+#: Deadline (seconds) for one control handshake with the outer server:
+#: dial, request, reply.  Above :data:`DIAL_TIMEOUT_S`, because the
+#: outer may spend that long on its onward dial before it answers a
+#: ``connect``.
+HANDSHAKE_TIMEOUT_S = DIAL_TIMEOUT_S + 5.0
 
 
 class AioProxiedListener:
@@ -107,6 +114,34 @@ class AioProxyClient:
     def enabled(self) -> bool:
         return self.outer_addr is not None
 
+    async def _handshake(
+        self, request: "Dict[str, Any]", what: str
+    ) -> "Tuple[asyncio.StreamReader, asyncio.StreamWriter, Dict[str, Any]]":
+        """Send one control request to the outer server and read its
+        reply, all within :data:`HANDSHAKE_TIMEOUT_S`; the connection is
+        closed unless this returns."""
+
+        async def exchange():
+            assert self.outer_addr is not None
+            reader, writer = await asyncio.open_connection(
+                *self.outer_addr, limit=STREAM_LIMIT
+            )
+            try:
+                tune_stream(writer)
+                write_control(writer, request)
+                await writer.drain()
+                return reader, writer, await read_control(reader)
+            except BaseException:  # a failed read, or the deadline
+                writer.close()
+                raise
+
+        try:
+            return await asyncio.wait_for(exchange(), HANDSHAKE_TIMEOUT_S)
+        except asyncio.TimeoutError:  # before OSError: a subclass on 3.11+
+            raise NXProxyError(f"{what}: handshake timed out") from None
+        except ProtocolError as exc:
+            raise NXProxyError(f"{what}: {exc}") from exc
+
     # -- active open (Fig. 3) ------------------------------------------------
 
     async def connect(
@@ -130,28 +165,16 @@ class AioProxyClient:
             )
             tune_stream(writer)
             return reader, writer
-        assert self.outer_addr is not None
-        reader, writer = await asyncio.open_connection(
-            *self.outer_addr, limit=STREAM_LIMIT
-        )
-        tune_stream(writer)
         request = {"op": "connect", "host": host, "port": port}
         if self.secret is not None:
             request["secret"] = self.secret
         if tctx is not None:
             request["tctx"] = tctx.to_wire()
-        write_control(writer, request)
-        await writer.drain()
-        try:
-            reply = await read_control(reader)
-        except ProtocolError as exc:
-            writer.close()
-            raise NXProxyError(f"NXProxyConnect({host}:{port}): {exc}") from exc
+        what = f"NXProxyConnect({host}:{port})"
+        reader, writer, reply = await self._handshake(request, what)
         if not reply.get("ok"):
             writer.close()
-            raise NXProxyError(
-                f"NXProxyConnect({host}:{port}): {reply.get('error', 'refused')}"
-            )
+            raise NXProxyError(f"{what}: {reply.get('error', 'refused')}")
         if tctx is not None:
             rec = _obs.RECORDER
             if rec is not None:
@@ -227,11 +250,6 @@ class AioProxyClient:
         )
         local_port = local_server.sockets[0].getsockname()[1]
 
-        assert self.outer_addr is not None
-        reader, writer = await asyncio.open_connection(
-            *self.outer_addr, limit=STREAM_LIMIT
-        )
-        tune_stream(writer)
         request = {
             "op": "bind",
             "client_host": self.local_host,
@@ -243,14 +261,11 @@ class AioProxyClient:
             request["secret"] = self.secret
         if tctx is not None:
             request["tctx"] = tctx.to_wire()
-        write_control(writer, request)
-        await writer.drain()
         try:
-            reply = await read_control(reader)
-        except ProtocolError as exc:
-            writer.close()
+            reader, writer, reply = await self._handshake(request, "NXProxyBind")
+        except BaseException:
             local_server.close()
-            raise NXProxyError(f"NXProxyBind: {exc}") from exc
+            raise
         if not reply.get("ok"):
             writer.close()
             local_server.close()

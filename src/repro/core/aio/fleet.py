@@ -77,6 +77,12 @@ log = logging.getLogger("repro.fleet")
 
 _CTL_RECV = 65536
 _CTL_MAXFDS = 32
+#: How long :meth:`FleetManager.start` waits for every spawned worker
+#: to report in (a spawn re-imports the package in each child).
+HELLO_TIMEOUT_S = 60.0
+#: How long :meth:`FleetManager.drain` waits for a worker's
+#: ``drained`` report before it stops waiting and reaps the process.
+DRAIN_TIMEOUT_S = 30.0
 
 
 @dataclass
@@ -98,11 +104,6 @@ class FleetSpec:
     drain_grace_s: float = 2.0
     #: Per-worker telemetry endpoints (port 0, reported in hello).
     telemetry: bool = False
-    #: Wall-clock period of each worker's time-series sampler
-    #: (telemetry mode only; 0 disables sampling).  The ring-buffered
-    #: history rides in the ``/metrics.json`` payload, which is what
-    #: the fleet aggregator turns into windowed rates/percentiles.
-    sample_interval_s: float = 1.0
     #: Directory for per-worker trace artifacts
     #: (``worker-<id>.trace.json``); also enables causal tracing with
     #: site prefix ``<trace_site>-w<index>``.
@@ -228,7 +229,6 @@ async def _worker_async(
     await outer.start()
 
     telemetry = None
-    sampler = None
     if spec.telemetry:
         from repro.obs.telemetry import TelemetryServer
 
@@ -239,24 +239,11 @@ async def _worker_async(
 
             registry = MetricsRegistry()
             registry.register_collector("relay", outer.stats.snapshot)
-        extra_fn = None
-        if spec.sample_interval_s > 0:
-            from repro.obs.timeseries import TimeSeriesSampler
-
-            sampler = TimeSeriesSampler(
-                registry.snapshot,
-                interval_s=spec.sample_interval_s,
-                domain="wall",
-            )
-            extra_fn = lambda: {"timeseries": sampler.export()}
         telemetry = TelemetryServer(
             registry.snapshot, host="127.0.0.1", port=0,
             extra={"role": "fleet-worker", "worker": worker_id},
-            extra_fn=extra_fn,
         )
         await telemetry.start()
-        if sampler is not None:
-            sampler.start_wall()
 
     sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
     sock.connect(ctl_path)
@@ -365,8 +352,6 @@ async def _worker_async(
             task.cancel()
         if rt.chains:
             await asyncio.gather(*rt.chains, return_exceptions=True)
-        if sampler is not None:
-            await sampler.stop()
         if telemetry is not None:
             await telemetry.stop()
         await outer.stop()
@@ -452,7 +437,7 @@ class FleetManager:
 
     # -- lifecycle --------------------------------------------------------
 
-    async def start(self, *, hello_timeout: float = 60.0) -> "FleetManager":
+    async def start(self) -> "FleetManager":
         spec = self.spec
         self._ctl_dir = tempfile.mkdtemp(prefix="repro-fleet-")
         ctl_path = os.path.join(self._ctl_dir, "ctl.sock")
@@ -481,7 +466,7 @@ class FleetManager:
                 asyncio.gather(
                     *(ev.wait() for ev in self._hello_events.values())
                 ),
-                hello_timeout,
+                HELLO_TIMEOUT_S,
             )
         except asyncio.TimeoutError:
             missing = [
@@ -553,7 +538,6 @@ class FleetManager:
         worker_id: str,
         *,
         grace_s: Optional[float] = None,
-        timeout: float = 30.0,
     ) -> None:
         """Gracefully retire one worker: no new chains are placed on
         it, idle chains are aborted immediately, busy chains get the
@@ -571,7 +555,7 @@ class FleetManager:
                 handle, {"op": "drain", "grace_s": grace_s}
             )
         with contextlib.suppress(asyncio.TimeoutError):
-            await asyncio.wait_for(handle.drained.wait(), timeout)
+            await asyncio.wait_for(handle.drained.wait(), DRAIN_TIMEOUT_S)
         loop = asyncio.get_running_loop()
         deadline = loop.time() + 5.0
         while handle.proc.is_alive() and loop.time() < deadline:

@@ -187,7 +187,6 @@ def _spec_from_args(args: argparse.Namespace) -> FleetSpec:
         heartbeat_s=args.heartbeat,
         drain_grace_s=args.drain_grace,
         telemetry=args.telemetry,
-        sample_interval_s=args.sample_interval,
         trace_dir=args.trace_dir,
         trace_site=args.trace_site,
     )
@@ -308,11 +307,6 @@ def main(argv: "list[str] | None" = None) -> int:
     serve.add_argument(
         "--telemetry", action="store_true",
         help="per-worker /metrics endpoints (ports in GET /fleet wiring)",
-    )
-    serve.add_argument(
-        "--sample-interval", type=float, default=1.0, metavar="SECONDS",
-        help="per-worker time-series sampling period (telemetry mode; "
-        "0 disables; default 1.0)",
     )
     serve.add_argument(
         "--agg-port", type=int, default=None, metavar="PORT",

@@ -47,6 +47,7 @@ from repro.core.aio.protocol import (
     steal_reader_buffer,
 )
 from repro.core.aio.pump import (
+    COALESCE_BUDGET,
     MAX_CHUNK,
     STREAM_LIMIT,
     SegmentBatcher,
@@ -81,8 +82,18 @@ log = logging.getLogger("repro.nexus_proxy.mux")
 #: kernel gives up.
 DIAL_TIMEOUT_S = 10.0
 
-#: Per-chain, per-direction flow-control window in bytes.
+#: Per-chain, per-direction flow-control window in bytes.  Both ends
+#: read this one constant: a DATA frame beyond it is a protocol
+#: violation, so the two ends of a link must agree on it.
 DEFAULT_WINDOW = 256 * 1024
+#: Consumed bytes are returned as credit once this many accumulate.
+_CREDIT_BATCH = DEFAULT_WINDOW // 4
+#: The connector's redial backoff: first delay, doubling up to the cap.
+BACKOFF_BASE_S = 0.05
+BACKOFF_MAX_S = 2.0
+#: Deadline for a chain's OPEN: waiting for the link (re)dial, then
+#: for the inner server's OPEN_OK/OPEN_ERR.
+OPEN_TIMEOUT_S = 10.0
 
 
 class MuxChain(asyncio.BufferedProtocol):
@@ -96,17 +107,16 @@ class MuxChain(asyncio.BufferedProtocol):
     :meth:`deliver`, which writes them straight to the socket.
     """
 
-    def __init__(self, session: "_MuxSession", chain_id: int, window: int) -> None:
+    def __init__(self, session: "_MuxSession", chain_id: int) -> None:
         self._session = session
         self.chain_id = chain_id
         self.transport: Optional[asyncio.Transport] = None
         self.fd: Optional[int] = None
-        self._send_window = window
+        self._send_window = DEFAULT_WINDOW
         #: What the peer may still send before it must wait for credit.
-        self._recv_credit = window
+        self._recv_credit = DEFAULT_WINDOW
         #: Consumed bytes not yet returned as credit (see ``consumed``).
         self._pending_credit = 0
-        self._credit_threshold = max(1, window // 4)
         self._write_paused = False
         #: Bytes the stream layer had read before :meth:`run` adopted
         #: the socket (may exceed the window); framed under the window.
@@ -132,7 +142,7 @@ class MuxChain(asyncio.BufferedProtocol):
     def buffer_updated(self, nbytes: int) -> None:
         payload = self._session.rview[:nbytes]
         batcher = self._session.batcher
-        if batcher.pending_bytes + FRAME_HEADER.size + nbytes < batcher.budget:
+        if batcher.pending_bytes + FRAME_HEADER.size + nbytes < COALESCE_BUDGET:
             # Small: copied, so it can wait out the tick and coalesce.
             # Anything larger is flushed inside send_frame, so the view
             # of the shared buffer is never retained.
@@ -194,7 +204,7 @@ class MuxChain(asyncio.BufferedProtocol):
         self.abort(ChainReset(f"chain {self.chain_id} reset locally"))
 
     def add_credit(self, nbytes: int) -> None:
-        if self._send_window + nbytes > self._session.window:
+        if self._send_window + nbytes > DEFAULT_WINDOW:
             raise MuxError(f"chain {self.chain_id}: credit beyond the window")
         self._send_window += nbytes
         if self._send_window > 0:
@@ -250,7 +260,7 @@ class MuxChain(asyncio.BufferedProtocol):
         socket is past high-water.  Live because a sender stalled at
         zero window implies a full window un-credited here."""
         self._pending_credit += nbytes
-        if (self._pending_credit >= self._credit_threshold
+        if (self._pending_credit >= _CREDIT_BATCH
                 and not self._write_paused and self._reset is None):
             credit, self._pending_credit = self._pending_credit, 0
             self._recv_credit += credit
@@ -325,11 +335,10 @@ class _MuxSession(asyncio.BufferedProtocol):
     """
 
     def __init__(self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter,
-                 stats: "AioRelayStats", window: int = DEFAULT_WINDOW,
+                 stats: "AioRelayStats",
                  on_open: "Optional[Callable[[MuxChain, bytes], None]]" = None) -> None:
         self.writer = writer
         self.stats = stats
-        self.window = window
         self.chains: Dict[int, MuxChain] = {}
         self.alive = True
         #: The link transport is past its high-water mark: no chain reads.
@@ -407,7 +416,7 @@ class _MuxSession(asyncio.BufferedProtocol):
         if ftype == FrameType.OPEN and self._on_open is not None:
             if chain is not None:
                 raise MuxError(f"duplicate OPEN for chain {chain_id}")
-            chain = self.chains[chain_id] = MuxChain(self, chain_id, self.window)
+            chain = self.chains[chain_id] = MuxChain(self, chain_id)
             self._on_open(chain, payload)
         elif chain is None:
             return
@@ -448,29 +457,15 @@ class MuxConnector:
 
     Lazily connects on first :meth:`open_chain`.  When the link drops,
     every live chain is aborted and the connector re-dials with
-    exponential backoff (``backoff_base`` doubling up to
-    ``backoff_max``); chains requested meanwhile wait for the next
-    successful dial (bounded by ``open_timeout``).
+    exponential backoff (:data:`BACKOFF_BASE_S` doubling up to
+    :data:`BACKOFF_MAX_S`); chains requested meanwhile wait for the
+    next successful dial (bounded by :data:`OPEN_TIMEOUT_S`).
     """
 
-    def __init__(
-        self,
-        inner_host: str,
-        inner_port: int,
-        stats: "AioRelayStats",
-        *,
-        window: int = DEFAULT_WINDOW,
-        backoff_base: float = 0.05,
-        backoff_max: float = 2.0,
-        open_timeout: float = 10.0,
-    ) -> None:
+    def __init__(self, inner_host: str, inner_port: int, stats: "AioRelayStats") -> None:
         self.inner_host = inner_host
         self.inner_port = inner_port
         self.stats = stats
-        self.window = window
-        self.backoff_base = backoff_base
-        self.backoff_max = backoff_max
-        self.open_timeout = open_timeout
         self._session: Optional[_MuxSession] = None
         self._session_ready = asyncio.Event()
         self._run_task: Optional[asyncio.Task] = None
@@ -481,7 +476,7 @@ class MuxConnector:
 
     async def _run(self) -> None:
         """Connect / serve / reconnect loop."""
-        backoff = self.backoff_base
+        backoff = BACKOFF_BASE_S
         peer = f"{self.inner_host}:{self.inner_port}"
         while not self._closed:
             try:
@@ -492,17 +487,16 @@ class MuxConnector:
                 log.warning("mux dial to %s failed (%s); retrying in %.2fs",
                             peer, exc, backoff)
                 await asyncio.sleep(backoff)
-                backoff = min(backoff * 2, self.backoff_max)
+                backoff = min(backoff * 2, BACKOFF_MAX_S)
                 continue
             tune_stream(writer)
             writer.write(MUX_MAGIC)
-            session = self._session = _MuxSession(
-                reader, writer, self.stats, self.window)
+            session = self._session = _MuxSession(reader, writer, self.stats)
             self.connects += 1
             if self.connects > 1:
                 self.stats.mux_reconnects += 1
             self._session_ready.set()
-            backoff = self.backoff_base
+            backoff = BACKOFF_BASE_S
             log.info("mux link up to %s (connect #%d)", peer, self.connects)
             try:
                 exc = await session.closed
@@ -526,7 +520,7 @@ class MuxConnector:
                 await asyncio.sleep(0.01)  # link flapped; wait for redial
 
         # wait_for (not asyncio.timeout) — the latter is 3.11+.
-        return await asyncio.wait_for(wait_for_link(), self.open_timeout)
+        return await asyncio.wait_for(wait_for_link(), OPEN_TIMEOUT_S)
 
     async def stop(self) -> None:
         self._closed = True
@@ -556,7 +550,7 @@ class MuxConnector:
         session = await self._current_session()
         chain_id = self._next_chain_id
         self._next_chain_id += 1
-        chain = MuxChain(session, chain_id, self.window)
+        chain = MuxChain(session, chain_id)
         chain.tctx = tctx
         chain.open_reply = loop.create_future()
         session.chains[chain_id] = chain
@@ -566,7 +560,7 @@ class MuxConnector:
         session.send_frame(chain_id, FrameType.OPEN, json.dumps(open_req).encode())
         session.batcher.flush()
         try:
-            await asyncio.wait_for(asyncio.shield(chain.open_reply), self.open_timeout)
+            await asyncio.wait_for(asyncio.shield(chain.open_reply), OPEN_TIMEOUT_S)
         except (ChainReset, asyncio.TimeoutError):
             session.chains.pop(chain_id, None)
             raise
@@ -591,7 +585,6 @@ async def serve_mux_session(
     writer: asyncio.StreamWriter,
     stats: "AioRelayStats",
     *,
-    window: int = DEFAULT_WINDOW,
     adopt=None,
     disown=None,
 ) -> None:
@@ -650,7 +643,7 @@ async def serve_mux_session(
 
     # OPENs read behind the magic are dispatched in here; their
     # handlers first run once ``session`` is bound.
-    session = _MuxSession(reader, writer, stats, window, on_open)
+    session = _MuxSession(reader, writer, stats, on_open)
     try:
         await session.closed
     finally:

@@ -25,7 +25,7 @@ bulk path runs on:
   backpressured remainder is copied into the transport.
 * :class:`SegmentBatcher` — per-connection small-frame coalescing:
   frames queued in one event-loop tick are flushed together (one
-  ``sendmsg`` per drain), bounded by a configurable coalesce budget.
+  ``sendmsg`` per drain), bounded by the coalesce budget.
 * :func:`relay_sockets_zero_copy` — swaps an established
   socket↔socket relay leg from stream pumps to a pair of
   ``asyncio.BufferedProtocol`` ends whose reads land in one
@@ -65,7 +65,6 @@ __all__ = [
     "send_segments",
     "write_direct",
     "relay_sockets_zero_copy",
-    "steal_reader_buffer",
 ]
 
 #: Starting relay read size.
@@ -77,7 +76,7 @@ MAX_CHUNK = 256 * 1024
 STREAM_LIMIT = 2 * MAX_CHUNK
 #: Write-buffer high-water mark for relay transports.
 WRITE_HIGH_WATER = 2 * MAX_CHUNK
-#: Default coalesce budget: once this many bytes are pending in a
+#: Coalesce budget: once this many bytes are pending in a
 #: :class:`SegmentBatcher` the batch is flushed immediately instead of
 #: waiting for the end of the event-loop tick.
 COALESCE_BUDGET = 64 * 1024
@@ -91,47 +90,37 @@ class AdaptiveChunker:
     """Multiplicative-increase read sizing for one pump direction.
 
     Doubles after every full-size un-backpressured read, halves on
-    backpressure; clamped to ``[min_chunk, max_chunk]``.  A fixed-size
-    policy is the degenerate ``min_chunk == max_chunk`` case.
+    backpressure; clamped to ``[MIN_CHUNK, MAX_CHUNK]``.
     """
 
-    __slots__ = ("size", "min_chunk", "max_chunk")
+    __slots__ = ("size",)
 
-    def __init__(self, min_chunk: int = MIN_CHUNK, max_chunk: int = MAX_CHUNK) -> None:
-        if min_chunk <= 0 or max_chunk < min_chunk:
-            raise ValueError(f"bad chunk bounds [{min_chunk}, {max_chunk}]")
-        self.min_chunk = min_chunk
-        self.max_chunk = max_chunk
-        self.size = min_chunk
+    def __init__(self) -> None:
+        self.size = MIN_CHUNK
 
     def on_read(self, nbytes: int) -> None:
         """Grow only when the read filled the current budget (the
         source is keeping up)."""
         if nbytes >= self.size:
-            self.size = min(self.size * 2, self.max_chunk)
+            self.size = min(self.size * 2, MAX_CHUNK)
 
     def on_backpressure(self) -> None:
-        self.size = max(self.size // 2, self.min_chunk)
+        self.size = max(self.size // 2, MIN_CHUNK)
 
 
-def tune_stream(
-    writer: asyncio.StreamWriter,
-    *,
-    nodelay: bool = True,
-    high_water: int = WRITE_HIGH_WATER,
-) -> None:
-    """Apply relay socket tuning to a connected stream.
+def tune_stream(writer: asyncio.StreamWriter) -> None:
+    """Apply relay socket tuning to a connected stream: ``TCP_NODELAY``
+    and the :data:`WRITE_HIGH_WATER` write-buffer mark.
 
     Best-effort: transports without a raw socket (tests, TLS wrappers)
     are left alone rather than failed.
     """
-    if nodelay:
-        sock = writer.get_extra_info("socket")
-        if sock is not None:
-            with contextlib.suppress(OSError):
-                sock.setsockopt(_socket.IPPROTO_TCP, _socket.TCP_NODELAY, 1)
+    sock = writer.get_extra_info("socket")
+    if sock is not None:
+        with contextlib.suppress(OSError):
+            sock.setsockopt(_socket.IPPROTO_TCP, _socket.TCP_NODELAY, 1)
     with contextlib.suppress(Exception):
-        writer.transport.set_write_buffer_limits(high=high_water)
+        writer.transport.set_write_buffer_limits(high=WRITE_HIGH_WATER)
 
 
 def writer_backpressured(writer: asyncio.StreamWriter) -> bool:
@@ -158,17 +147,12 @@ async def pump(
     reader: asyncio.StreamReader,
     writer: asyncio.StreamWriter,
     *,
-    chunker: Optional[AdaptiveChunker] = None,
     on_chunk: Optional[Callable[[int], None]] = None,
 ) -> int:
-    """Copy ``reader`` → ``writer`` until EOF/error; half-close; return
-    bytes moved.
-
-    ``chunker`` overrides the default adaptive read-size policy.
-    """
+    """Copy ``reader`` → ``writer`` until EOF/error, read sizes set by
+    an :class:`AdaptiveChunker`; half-close; return bytes moved."""
     moved = 0
-    if chunker is None:
-        chunker = AdaptiveChunker()
+    chunker = AdaptiveChunker()
     try:
         while True:
             data = await reader.read(chunker.size)
@@ -332,8 +316,9 @@ class SegmentBatcher:
     a burst of small mux frames — WINDOW updates, tiny DATA frames from
     chatty chains — costs one syscall instead of one each.  A flush
     happens no later than the next loop iteration (``call_soon``), or
-    immediately once the pending byte total reaches ``budget``, which
-    bounds both latency and the memory pinned by queued views.
+    immediately once the pending byte total reaches
+    :data:`COALESCE_BUDGET`, which bounds both latency and the memory
+    pinned by queued views.
 
     Segments must stay valid until flushed: callers hand in immutable
     ``bytes`` or views over buffers they will not recycle before the
@@ -342,7 +327,6 @@ class SegmentBatcher:
 
     __slots__ = (
         "_writer",
-        "budget",
         "on_flush",
         "_segments",
         "_pending",
@@ -356,13 +340,9 @@ class SegmentBatcher:
         self,
         writer: asyncio.StreamWriter,
         *,
-        budget: int = COALESCE_BUDGET,
         on_flush: Optional[Callable[[int, int], None]] = None,
     ) -> None:
-        if budget <= 0:
-            raise ValueError(f"coalesce budget must be positive, got {budget}")
         self._writer = writer
-        self.budget = budget
         #: ``on_flush(nbytes, nsegments)`` fires once per non-empty flush.
         self.on_flush = on_flush
         self._segments: List[Segment] = []
@@ -385,7 +365,7 @@ class SegmentBatcher:
             if n:
                 self._segments.append(seg)
                 self._pending += n
-        if self._pending >= self.budget:
+        if self._pending >= COALESCE_BUDGET:
             self.flush()
         elif self._segments and not self._scheduled:
             self._scheduled = True

@@ -57,15 +57,9 @@ __all__ = [
     "AioRelayStats",
     "AioOuterServer",
     "AioInnerServer",
-    "Histogram",
 ]
 
 log = logging.getLogger("repro.nexus_proxy")
-
-#: The relay's histogram now lives in the shared observability layer
-#: (:class:`repro.obs.metrics.LogHistogram`); this alias keeps the
-#: established import path working.
-Histogram = LogHistogram
 
 #: Deadline (seconds) for the first line on the control port and on the
 #: nxport: a connection that sends nothing is refused instead of
@@ -96,13 +90,13 @@ class AioRelayStats:
     #: Coalesced scatter-gather flushes (one ``sendmsg`` each).
     coalesced_flushes: int = 0
     #: Per-flush coalesced batch sizes (log2 buckets of bytes).
-    coalesce_bytes: Histogram = field(default_factory=Histogram)
+    coalesce_bytes: LogHistogram = field(default_factory=LogHistogram)
     #: Per-chunk forwarded-size histogram (log2 buckets of bytes).
-    chunk_bytes: Histogram = field(default_factory=Histogram)
+    chunk_bytes: LogHistogram = field(default_factory=LogHistogram)
     #: Per-chain lifetime byte totals (log2 buckets of bytes).
-    chain_bytes: Histogram = field(default_factory=Histogram)
+    chain_bytes: LogHistogram = field(default_factory=LogHistogram)
     #: Chain establishment latency (log2 buckets of microseconds).
-    chain_setup_us: Histogram = field(default_factory=Histogram)
+    chain_setup_us: LogHistogram = field(default_factory=LogHistogram)
 
     def on_chunk(self, nbytes: int) -> None:
         """One forwarded chunk — the pump hot path."""

@@ -85,6 +85,12 @@ DEFAULT_WINDOW = 32
 #: whose hello is late, and the sender counts a late first restart
 #: marker as stream death.
 HELLO_TIMEOUT_S = 10.0
+#: A :class:`StripeSink` keeps the final restart marker of this many
+#: of its newest completed transfers.
+SINK_REMEMBER = 64
+#: How long :meth:`StripeSink.close` lets open streams flush their
+#: final restart markers before aborting them.
+SINK_CLOSE_GRACE_S = 1.0
 
 #: Per-stream frame header: type, offset, length.
 _FRAME = struct.Struct("!BQI")
@@ -648,19 +654,11 @@ class StripeSink:
     is closed.
     """
 
-    def __init__(
-        self,
-        accept: ConnectFn,
-        *,
-        on_stream: Optional[Callable[[int], Any]] = None,
-        remember: int = 64,
-    ) -> None:
+    def __init__(self, accept: ConnectFn) -> None:
         self._accept = accept
-        self._on_stream = on_stream
         #: xfer id -> final watermark of transfers served to completion
-        #: (insertion-ordered; trimmed to the ``remember`` newest).
+        #: (insertion-ordered; trimmed to the :data:`SINK_REMEMBER` newest).
         self._completed: Dict[str, int] = {}
-        self._remember = remember
         self._rx: Optional[StripeReceiver] = None
         #: Set while a recv() waits; resolves when its transfer completes.
         self._done: "Optional[asyncio.Future[None]]" = None
@@ -690,8 +688,6 @@ class StripeSink:
                     self._rx = StripeReceiver(xfer, hello["total"], hello["block"])
                 elif xfer != self._rx.xfer:
                     raise ProtocolError(f"stream for foreign transfer {xfer!r}")
-                if self._on_stream is not None:
-                    self._on_stream(int(hello.get("stream", self._rx.streams_seen)))
                 self._adopt(reader, writer, self._rx)
                 return
             # Else no recv() is pending: a stray stream for a transfer
@@ -747,7 +743,7 @@ class StripeSink:
             self._done = None
             self._rx = None
         self._completed[rx.xfer] = rx.watermark
-        while len(self._completed) > self._remember:
+        while len(self._completed) > SINK_REMEMBER:
             del self._completed[next(iter(self._completed))]
         report = {
             "xfer": rx.xfer,
@@ -759,25 +755,22 @@ class StripeSink:
         data, rx.buf = rx.buf, bytearray()
         return data, report
 
-    async def close(self, *, grace_s: float = 1.0) -> None:
-        """Stop accepting; give open streams ``grace_s`` to flush their
-        final restart markers and end, then abort the stragglers."""
+    async def close(self) -> None:
+        """Stop accepting; give open streams :data:`SINK_CLOSE_GRACE_S`
+        to flush their final restart markers and end, then abort the
+        stragglers."""
         for task in (self._acceptor, *self._hellos):
             task.cancel()
         await asyncio.gather(self._acceptor, *self._hellos, return_exceptions=True)
         if self._streams:
             closed = [stream.closed for stream in self._streams]
-            await asyncio.wait(closed, timeout=grace_s)
+            await asyncio.wait(closed, timeout=SINK_CLOSE_GRACE_S)
             for stream in list(self._streams):
                 stream.transport.abort()
             await asyncio.wait(closed)
 
 
-async def recv_striped(
-    accept: ConnectFn,
-    *,
-    on_stream: Optional[Callable[[int], Any]] = None,
-) -> Tuple[bytearray, Dict[str, Any]]:
+async def recv_striped(accept: ConnectFn) -> Tuple[bytearray, Dict[str, Any]]:
     """Receive one striped transfer; returns ``(data, report)``, with
     ``data`` the reassembly buffer itself (see :meth:`StripeSink.recv`).
 
@@ -785,8 +778,7 @@ async def recv_striped(
     ``(reader, writer)`` stream — e.g. ``listener.accept``.  The first
     stream's hello sizes the reassembly buffer; streams may join (and
     rejoin after a reconnect) at any point until the transfer
-    completes.  ``on_stream(index)`` fires as each stream's hello is
-    accepted.
+    completes.
 
     One-shot: accepting stops the moment the payload is complete, so a
     sender stream that redials *after* that point gets no restart
@@ -796,7 +788,7 @@ async def recv_striped(
     back-to-back transfers on one listener), use :class:`StripeSink`
     and keep it open until the sender reports completion.
     """
-    sink = StripeSink(accept, on_stream=on_stream)
+    sink = StripeSink(accept)
     try:
         return await sink.recv()
     finally:

@@ -57,7 +57,10 @@ RATE_TIE_EPSILON = 4096.0
 
 #: A worker whose last heartbeat is older than this (seconds) has an
 #: unknown rate.
-DEFAULT_STALE_S = 5.0
+STALE_S = 5.0
+
+#: Virtual nodes per worker on the hash ring.
+VNODES = 64
 
 #: EWMA smoothing for byte-rates: weight of the newest interval.
 RATE_ALPHA = 0.5
@@ -78,10 +81,7 @@ class ConsistentHashRing:
     makes drain cheap: surviving placements are untouched).
     """
 
-    def __init__(self, vnodes: int = 64) -> None:
-        if vnodes < 1:
-            raise ValueError(f"vnodes must be >= 1, got {vnodes}")
-        self.vnodes = vnodes
+    def __init__(self) -> None:
         self._points: List[int] = []
         self._owners: Dict[int, str] = {}
 
@@ -89,7 +89,7 @@ class ConsistentHashRing:
         return any(o == worker_id for o in self._owners.values())
 
     def add(self, worker_id: str) -> None:
-        for v in range(self.vnodes):
+        for v in range(VNODES):
             point = _stable_hash(f"{worker_id}#{v}")
             if point in self._owners:  # pragma: no cover - 64-bit collision
                 continue
@@ -158,11 +158,11 @@ class WorkerView:
         self.heartbeats += 1
         self.pending_chains = 0
 
-    def rate_known(self, now: float, stale_s: float = DEFAULT_STALE_S) -> bool:
+    def rate_known(self, now: float) -> bool:
         return (
             self.heartbeats >= 2
             and self.last_heartbeat is not None
-            and now - self.last_heartbeat <= stale_s
+            and now - self.last_heartbeat <= STALE_S
         )
 
     def snapshot(self) -> "dict[str, Any]":
@@ -203,8 +203,8 @@ class LeastLoadedPlacer:
     1. eligible = workers in state ``up`` (draining/gone never get new
        chains);
     2. if every eligible worker has a *known* byte-rate (two or more
-       heartbeats, the newest fresher than ``stale_s``) and the
-       *scores* are distinguishable (spread above
+       heartbeats, the newest fresher than :data:`STALE_S`) and
+       the *scores* are distinguishable (spread above
        :data:`RATE_TIE_EPSILON`), pick the lowest score, tie-breaking
        by fewest chains (active + pending) then worker id —
        **least-loaded**.  A worker's score is its EWMA byte-rate plus
@@ -216,11 +216,8 @@ class LeastLoadedPlacer:
        load signal).
     """
 
-    def __init__(
-        self, vnodes: int = 64, stale_s: float = DEFAULT_STALE_S
-    ) -> None:
-        self.ring = ConsistentHashRing(vnodes)
-        self.stale_s = stale_s
+    def __init__(self) -> None:
+        self.ring = ConsistentHashRing()
         self.stats = PlacementStats()
 
     def add_worker(self, view: WorkerView) -> None:
@@ -246,9 +243,7 @@ class LeastLoadedPlacer:
         if not eligible:
             self.stats.rejected_no_worker += 1
             return None, "none"
-        rates_known = all(
-            view.rate_known(now, self.stale_s) for view in eligible.values()
-        )
+        rates_known = all(view.rate_known(now) for view in eligible.values())
         if rates_known and len(eligible) > 1:
             # A chain placed since the last heartbeat contributes no
             # byte-rate yet; charge it the fleet's mean rate per

@@ -52,21 +52,24 @@ __all__ = [
 
 #: Stamped into the aggregated ``/metrics.json`` body.
 AGGREGATE_FORMAT_TAG = "repro-obs-fleet-aggregate-v1"
+#: Deadline (seconds) for each of a scrape's connect and read.
+SCRAPE_TIMEOUT_S = 3.0
+#: Aggregator rounds the fleet time series keeps.
+SERIES_CAPACITY = 240
 
 
-async def http_get(
-    host: str, port: int, path: str, timeout: float = 5.0
-) -> bytes:
+async def http_get(host: str, port: int, path: str) -> bytes:
     """Minimal HTTP/1.0 GET returning the response body.
 
     The stdlib ``urllib`` blocks the event loop; the aggregator polls
     from inside the fleetctl loop, so scrapes must be native-async.
-    Raises :class:`ConnectionError` on any failure (refused, timeout,
-    non-200) so callers have one exception to map to "stale".
+    Raises :class:`ConnectionError` on any failure (refused, timeout
+    after :data:`SCRAPE_TIMEOUT_S`, non-200) so callers have one
+    exception to map to "stale".
     """
     try:
         reader, writer = await asyncio.wait_for(
-            asyncio.open_connection(host, port), timeout
+            asyncio.open_connection(host, port), SCRAPE_TIMEOUT_S
         )
     except (OSError, asyncio.TimeoutError) as exc:
         raise ConnectionError(f"{host}:{port}: connect failed ({exc})")
@@ -75,7 +78,7 @@ async def http_get(
             f"GET {path} HTTP/1.0\r\nHost: {host}\r\n\r\n".encode("latin-1")
         )
         await writer.drain()
-        raw = await asyncio.wait_for(reader.read(), timeout)
+        raw = await asyncio.wait_for(reader.read(), SCRAPE_TIMEOUT_S)
     except (OSError, asyncio.TimeoutError) as exc:
         raise ConnectionError(f"{host}:{port}{path}: read failed ({exc})")
     finally:
@@ -92,10 +95,8 @@ async def http_get(
     return body
 
 
-async def http_get_json(
-    host: str, port: int, path: str, timeout: float = 5.0
-) -> "dict[str, Any]":
-    body = await http_get(host, port, path, timeout)
+async def http_get_json(host: str, port: int, path: str) -> "dict[str, Any]":
+    body = await http_get(host, port, path)
     try:
         obj = json.loads(body)
     except ValueError as exc:
@@ -105,18 +106,16 @@ async def http_get_json(
     return obj
 
 
-def render_fleet_prometheus(
-    view: "dict[str, Any]", prefix: str = "repro"
-) -> str:
+def render_fleet_prometheus(view: "dict[str, Any]") -> str:
     """Prometheus text for a merged fleet view, worker identity as a
     label.
 
-    Per-worker registries become ``<prefix>_worker_<metric>{worker=...}``
+    Per-worker registries become ``repro_worker_<metric>{worker=...}``
     families (histograms keep their cumulative ``le`` buckets, with the
     worker label on every bucket line); liveness is
-    ``<prefix>_worker_up`` (0 for stale/unscraped workers).  The
+    ``repro_worker_up`` (0 for stale/unscraped workers).  The
     fleet-level snapshot and derived totals render through the plain
-    single-process renderer under ``<prefix>_fleet``.
+    single-process renderer under ``repro_fleet``.
     """
     # family name -> (type, [sample lines]) so every family's samples
     # stay contiguous, as the exposition format requires.
@@ -129,7 +128,7 @@ def render_fleet_prometheus(
         entry[1].append(line)
 
     workers = view.get("workers", {})
-    up_name = f"{prefix}_worker_up"
+    up_name = "repro_worker_up"
     for wid in sorted(workers):
         w = workers[wid]
         up = 0 if (w.get("stale") or not w.get("scraped")) else 1
@@ -137,11 +136,11 @@ def render_fleet_prometheus(
         scalars, hists = flatten_numeric(w.get("registry", {}))
         for key in sorted(scalars):
             value = scalars[key]
-            name = f"{prefix}_worker_{_sanitize(key.replace('.', '_'))}"
+            name = f"repro_worker_{_sanitize(key.replace('.', '_'))}"
             ftype = "gauge" if isinstance(value, float) else "counter"
             add(name, ftype, f'{name}{{worker="{wid}"}} {value}')
         for key in sorted(hists):
-            name = f"{prefix}_worker_{_sanitize(key.replace('.', '_'))}"
+            name = f"repro_worker_{_sanitize(key.replace('.', '_'))}"
             bounds: list[tuple[int, int]] = []
             for k, v in hists[key].items():
                 try:
@@ -175,7 +174,7 @@ def render_fleet_prometheus(
     if isinstance(view.get("derived"), dict):
         fleet_level["derived"] = view["derived"]
     if fleet_level:
-        out += render_prometheus(fleet_level, prefix=f"{prefix}_fleet")
+        out += render_prometheus(fleet_level, prefix="repro_fleet")
     return out
 
 
@@ -195,14 +194,11 @@ class FleetAggregator:
         admin_host: str,
         admin_port: int,
         interval_s: float = 0.5,
-        scrape_timeout_s: float = 3.0,
-        capacity: int = 240,
         on_refresh: "Optional[Callable[[dict, float], None]]" = None,
     ) -> None:
         self.admin_host = admin_host
         self.admin_port = admin_port
         self.interval_s = interval_s
-        self.scrape_timeout_s = scrape_timeout_s
         #: Called after every round with ``(view, now)`` — the SLO
         #: engine clocks its evaluations off this.
         self.on_refresh = on_refresh
@@ -216,7 +212,7 @@ class FleetAggregator:
         self.sampler = TimeSeriesSampler(
             self.numeric_view,
             interval_s=interval_s,
-            capacity=capacity,
+            capacity=SERIES_CAPACITY,
             domain="wall",
         )
         self._task: "Optional[asyncio.Task]" = None
@@ -236,10 +232,7 @@ class FleetAggregator:
         self.rounds += 1
         wiring: "dict[str, Any]" = {}
         try:
-            admin = await http_get_json(
-                self.admin_host, self.admin_port, "/fleet",
-                self.scrape_timeout_s,
-            )
+            admin = await http_get_json(self.admin_host, self.admin_port, "/fleet")
             self.admin_ok = bool(admin.get("ok"))
             if isinstance(admin.get("fleet"), dict):
                 self.fleet = admin["fleet"]
@@ -267,8 +260,7 @@ class FleetAggregator:
                 return
             try:
                 payload = await http_get_json(
-                    self.admin_host, int(tport), "/metrics.json",
-                    self.scrape_timeout_s,
+                    self.admin_host, int(tport), "/metrics.json"
                 )
             except ConnectionError:
                 self.scrape_failures += 1

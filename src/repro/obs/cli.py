@@ -57,6 +57,9 @@ EXIT_UNREADABLE = 2
 #: daemon went away and never came back" from "bad input").
 EXIT_RETRIES = 3
 
+#: Cap (seconds) on the live subcommands' exponential retry backoff.
+MAX_BACKOFF_S = 8.0
+
 
 class Unreadable(Exception):
     """An input file that cannot be used at all (exit code 2)."""
@@ -235,9 +238,7 @@ def _endpoint_url(endpoint: str, path: str = "/metrics.json") -> str:
     return target.rstrip("/") + path
 
 
-def _fetch_with_retry(
-    url: str, timeout: float, retries: int, max_backoff_s: float = 8.0
-) -> "dict[str, Any]":
+def _fetch_with_retry(url: str, timeout: float, retries: int) -> "dict[str, Any]":
     """Fetch a live endpoint, retrying with capped exponential backoff.
 
     A telemetry endpoint restarting (a fleet worker drained and
@@ -254,7 +255,7 @@ def _fetch_with_retry(
             attempt += 1
             if attempt > retries:
                 raise
-            backoff = min(max_backoff_s, 0.25 * (2 ** (attempt - 1)))
+            backoff = min(MAX_BACKOFF_S, 0.25 * (2 ** (attempt - 1)))
             stamp = time.strftime("%H:%M:%S")
             print(
                 f"[{stamp}] {exc} — retry {attempt}/{retries} "

@@ -68,6 +68,9 @@ PH_SPAN = "X"
 PH_INSTANT = "i"
 PH_COUNTER = "C"
 
+#: Simulated-seconds period of :meth:`ObsRecorder.start_kernel_sampler`.
+KERNEL_SAMPLE_INTERVAL = 0.5
+
 
 class SpanEvent:
     """One recorded occurrence: a complete span, an instant, or a
@@ -123,21 +126,16 @@ class ObsRecorder:
     """Collects :class:`SpanEvent` records and owns the run's
     :class:`~repro.obs.metrics.MetricsRegistry`.
 
-    ``kernel_sample_interval`` is the simulated-seconds period of the
-    kernel-throughput sampler (:meth:`start_kernel_sampler`); the
+    :data:`KERNEL_SAMPLE_INTERVAL` is the simulated-seconds period of
+    the kernel-throughput sampler (:meth:`start_kernel_sampler`); the
     sampler is a simulated process, so enabling it perturbs the event
     *heap* identically under every kernel implementation and leaves
     simulated results unchanged.
     """
 
-    def __init__(
-        self,
-        wall_clock=None,
-        kernel_sample_interval: float = 0.5,
-    ) -> None:
+    def __init__(self, wall_clock=None) -> None:
         self.events: list[SpanEvent] = []
         self.registry = MetricsRegistry()
-        self.kernel_sample_interval = kernel_sample_interval
         self._wall_clock = wall_clock if wall_clock is not None else time.perf_counter
         self._wall0 = self._wall_clock()
         self._sampled_sims: list[Any] = []
@@ -232,16 +230,13 @@ class ObsRecorder:
 
     def start_kernel_sampler(self, sim: Any, track: str = "kernel") -> None:
         """Sample ``sim.events_scheduled`` every
-        ``kernel_sample_interval`` simulated seconds as counter events
+        :data:`KERNEL_SAMPLE_INTERVAL` simulated seconds as counter events
         (the events/sec timeline in the exported trace).
 
         The sampler is an ordinary simulated process: it never ends on
         its own, which is fine for ``run(until=...)`` drivers; its
         pending timeout simply stays on the heap when the driver stops.
         """
-        interval = self.kernel_sample_interval
-        if interval <= 0:
-            return
         if any(s is sim for s in self._sampled_sims):
             return  # already sampling this kernel
         self._sampled_sims.append(sim)
@@ -250,7 +245,7 @@ class ObsRecorder:
 
         def sampler() -> Iterator[Any]:
             while True:
-                yield sim.timeout(interval)
+                yield sim.timeout(KERNEL_SAMPLE_INTERVAL)
                 events = sim.events_scheduled - base
                 elapsed = sim.now - t_base
                 self.sim_counter(

@@ -121,10 +121,10 @@ class TelemetryServer:
     merged into the ``/metrics.json`` body — daemons put their identity
     (role, bound ports) there so ``repro-obs tail`` output is
     self-describing.  ``extra_fn``, if given, is called per scrape and
-    its dict merged likewise (live payload extensions: the time-series
-    document, aggregator health).  ``routes`` maps extra GET paths to
-    zero-arg callables returning ``(content_type, body)`` — the SLO
-    engine mounts ``/alerts`` this way.
+    its dict merged likewise (the fleet aggregator's merged view and
+    rollup).  ``routes`` maps extra GET paths to zero-arg callables
+    returning ``(content_type, body)`` — the SLO engine mounts
+    ``/alerts`` this way.
     """
 
     def __init__(
@@ -132,7 +132,6 @@ class TelemetryServer:
         snapshot_fn: Callable[[], "dict[str, Any]"],
         host: str = "127.0.0.1",
         port: int = 0,
-        prefix: str = "repro",
         extra: "Optional[dict[str, Any]]" = None,
         extra_fn: "Optional[Callable[[], dict[str, Any]]]" = None,
         routes: "Optional[dict[str, Callable[[], tuple[str, str]]]]" = None,
@@ -140,7 +139,6 @@ class TelemetryServer:
         self.snapshot_fn = snapshot_fn
         self.host = host
         self.port = port
-        self.prefix = prefix
         self.extra = dict(extra) if extra else {}
         self.extra_fn = extra_fn
         self.routes = dict(routes) if routes else {}
@@ -198,7 +196,7 @@ class TelemetryServer:
                 ctype, body = self.routes[path]()
                 await self._respond(writer, 200, ctype, body)
             elif path == "/metrics":
-                body = render_prometheus(self.snapshot_fn(), self.prefix)
+                body = render_prometheus(self.snapshot_fn())
                 await self._respond(
                     writer, 200, "text/plain; version=0.0.4", body
                 )

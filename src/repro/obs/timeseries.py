@@ -13,18 +13,19 @@ merged view) into bounded history plus windowed rollups:
   rollup can compute counter *rates/deltas* and window *percentiles*
   (p50/p95/p99 from bucket-count deltas) without re-walking nested
   snapshots.
-* Two clock domains, mirroring :mod:`repro.obs.spans`: the asyncio
-  daemons drive the sampler with :meth:`start_wall` (an asyncio task
-  on ``loop.time``); the simulation plane attaches it to the DES
-  kernel with :meth:`attach_sim` (``sim.every`` — the sampler's
+* Two clock domains, mirroring :mod:`repro.obs.spans`: a wall-domain
+  sampler is driven by its owner's :meth:`sample` calls (the fleet
+  aggregator takes one per scrape round) or by :meth:`start_wall` (an
+  asyncio task on ``loop.time``); the simulation plane attaches it to
+  the DES kernel with :meth:`attach_sim` (``sim.every`` — the sampler's
   wakeups are ordinary heap events, so the perturbation is identical
   under ``REPRO_SIM_KERNEL=seed|fast`` and the exported series is
   **byte-stable** across kernel modes, the property
   ``tests/obs/test_timeseries.py`` hashes).
 * :meth:`TimeSeriesSampler.export` — a deterministic plain-JSON
   document (schema-versioned, sorted keys through
-  :func:`repro.obs.export.dumps`) that telemetry endpoints embed and
-  benchmarks write as the time-series artifact.
+  :func:`repro.obs.export.dumps`), the form the byte-stability test
+  compares.
 
 Capacity is fixed (default 240 samples ≈ 4 minutes at 1 Hz): the ring
 evicts the oldest sample and counts the eviction, so a long-lived

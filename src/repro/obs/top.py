@@ -18,6 +18,10 @@ __all__ = ["render", "sparkline", "fmt_bytes", "fmt_rate"]
 
 #: Ascending intensity ramp for sparklines (ASCII-only on purpose).
 _RAMP = " .:-=+*#%@"
+#: Sparkline columns.
+SPARK_WIDTH = 40
+#: Frame columns: longer lines are cut.
+FRAME_WIDTH = 78
 
 
 def fmt_bytes(n: "Optional[float]") -> str:
@@ -35,20 +39,21 @@ def fmt_rate(n: "Optional[float]") -> str:
     return "-" if n is None else f"{fmt_bytes(n)}/s"
 
 
-def sparkline(values: "Iterable[float]", width: int = 40) -> str:
-    """An ASCII sparkline of ``values``, newest right, scaled to the
-    series max (empty series renders as spaces)."""
-    vals = [max(0.0, float(v)) for v in values][-width:]
+def sparkline(values: "Iterable[float]") -> str:
+    """An ASCII sparkline of the newest :data:`SPARK_WIDTH` ``values``,
+    newest right, scaled to the series max (empty series renders as
+    spaces)."""
+    vals = [max(0.0, float(v)) for v in values][-SPARK_WIDTH:]
     if not vals:
-        return " " * width
+        return " " * SPARK_WIDTH
     top = max(vals)
     if top <= 0:
-        return ("." * len(vals)).rjust(width)
+        return ("." * len(vals)).rjust(SPARK_WIDTH)
     chars = []
     for v in vals:
         idx = int(v / top * (len(_RAMP) - 1) + 0.5)
         chars.append(_RAMP[idx])
-    return "".join(chars).rjust(width)
+    return "".join(chars).rjust(SPARK_WIDTH)
 
 
 def _worker_rows(payload: "dict[str, Any]") -> "list[dict[str, Any]]":
@@ -110,7 +115,6 @@ def render(
     payload: "dict[str, Any]",
     alerts: "Optional[dict[str, Any]]" = None,
     rate_history: "Optional[list[float]]" = None,
-    width: int = 78,
 ) -> str:
     """One dashboard frame from the aggregated payload.
 
@@ -148,7 +152,7 @@ def render(
     )
     if rate_history:
         lines.append(
-            f"rate:  [{sparkline(rate_history, width=40)}] {fmt_rate(total_rate)}"
+            f"rate:  [{sparkline(rate_history)}] {fmt_rate(total_rate)}"
         )
     else:
         lines.append(f"rate:  {fmt_rate(total_rate)}")
@@ -175,4 +179,4 @@ def render(
         lines.append("(no workers discovered yet)")
     lines.append("")
     lines.extend(_alerts_lines(alerts))
-    return "\n".join(line[: max(width, 40)] for line in lines) + "\n"
+    return "\n".join(line[:FRAME_WIDTH] for line in lines) + "\n"

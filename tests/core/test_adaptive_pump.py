@@ -57,13 +57,6 @@ def test_chunker_shrinks_on_backpressure():
     assert c.size == MIN_CHUNK  # clamped
 
 
-def test_chunker_rejects_bad_bounds():
-    with pytest.raises(ValueError):
-        AdaptiveChunker(0, 1024)
-    with pytest.raises(ValueError):
-        AdaptiveChunker(4096, 1024)
-
-
 def test_live_pump_moves_bytes_and_half_closes():
     async def main():
         done = asyncio.Event()

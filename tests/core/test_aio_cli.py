@@ -92,11 +92,10 @@ def test_fleet_serve_arguments_reach_spec(monkeypatch):
         "--workers", "3", "--host", "0.0.0.0", "--port", "7123",
         "--secret", "s3cret", "--quota", "5",
         "--heartbeat", "0.1", "--drain-grace", "4", "--telemetry",
-        "--sample-interval", "0.2", "--trace-dir", "/tmp/t",
-        "--trace-site", "ci",
+        "--trace-dir", "/tmp/t", "--trace-site", "ci",
     ])
     assert spec == FleetSpec(
         workers=3, host="0.0.0.0", port=7123, secret="s3cret",
         max_chains_per_client=5, heartbeat_s=0.1, drain_grace_s=4.0,
-        telemetry=True, sample_interval_s=0.2, trace_dir="/tmp/t", trace_site="ci",
+        telemetry=True, trace_dir="/tmp/t", trace_site="ci",
     )

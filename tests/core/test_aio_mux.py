@@ -28,7 +28,8 @@ from repro.core.aio.mux import (
     MuxConnector,
 )
 from repro.core.aio.pump import STREAM_LIMIT, WRITE_HIGH_WATER
-from repro.core.aio.relay import AioRelayStats, Histogram
+from repro.core.aio.relay import AioRelayStats
+from repro.obs.metrics import LogHistogram
 
 from tests.core.conftest import leak_check
 
@@ -36,7 +37,14 @@ HEADER = struct.Struct("!IBI")
 
 
 def run(coro):
-    return asyncio.run(asyncio.wait_for(coro, timeout=30))
+    """Run one live test under the leak check: every socket and task
+    it started must be gone when it returns."""
+
+    async def checked():
+        async with leak_check():
+            return await coro
+
+    return asyncio.run(asyncio.wait_for(checked(), timeout=30))
 
 
 async def start_deployment():
@@ -291,7 +299,7 @@ def test_stats_snapshot_and_histograms():
 
 
 def test_histogram_bucketing():
-    h = Histogram()
+    h = LogHistogram()
     for v in (0, 1, 2, 3, 4, 1023, 1024, 10**12):
         h.record(v)
     assert h.total == 8
@@ -593,24 +601,23 @@ def test_half_close_in_each_direction():
 @pytest.mark.parametrize("first", ["outer", "inner"])
 def test_stop_mid_transfer_leaves_no_transport_and_no_task(first):
     async def main():
-        async with leak_check():
-            outer, inner, client = await start_deployment()
-            listener = await client.bind()
-            pr, pw = await asyncio.open_connection(*listener.proxy_addr)
-            lr, lw = await listener.accept()
-            flood = asyncio.ensure_future(_flood(pw))
-            await lr.readexactly(1 << 20)  # bytes are moving, more are queued
-            order = (outer, inner) if first == "outer" else (inner, outer)
-            await order[0].stop()
-            # Both ends see the chain end (an aborted socket may say so
-            # with a reset), whichever daemon went first.
-            for reader in (pr, lr):
-                with contextlib.suppress(ConnectionError):
-                    await asyncio.wait_for(read_to_eof(reader), 5)
-            await order[1].stop()
-            flood.cancel()
-            pw.close()
-            lw.close()
-            await listener.close()
+        outer, inner, client = await start_deployment()
+        listener = await client.bind()
+        pr, pw = await asyncio.open_connection(*listener.proxy_addr)
+        lr, lw = await listener.accept()
+        flood = asyncio.ensure_future(_flood(pw))
+        await lr.readexactly(1 << 20)  # bytes are moving, more are queued
+        order = (outer, inner) if first == "outer" else (inner, outer)
+        await order[0].stop()
+        # Both ends see the chain end (an aborted socket may say so
+        # with a reset), whichever daemon went first.
+        for reader in (pr, lr):
+            with contextlib.suppress(ConnectionError):
+                await asyncio.wait_for(read_to_eof(reader), 5)
+        await order[1].stop()
+        flood.cancel()
+        pw.close()
+        lw.close()
+        await listener.close()
 
     run(main())

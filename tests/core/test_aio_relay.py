@@ -18,7 +18,7 @@ from repro.core.aio import (
     AioProxyClient,
     GuardedDialer,
 )
-from repro.core.aio import mux, relay
+from repro.core.aio import api, mux, relay
 from repro.core.aio.mux import ChainReset, MuxConnector
 from repro.core.protocol import NXProxyError
 from repro.simnet.firewall import Firewall, FirewallBlocked
@@ -176,6 +176,47 @@ def test_passive_open_to_black_hole_times_out(monkeypatch):
             await inner.stop()
 
     run(main())
+
+
+async def _handshake_with_silent_outer(handshake):
+    """Run ``handshake(client)`` against a control port that accepts and
+    never answers; the client must give up with a typed error and close
+    its end."""
+    accepted = []
+
+    async def hold(reader, writer):
+        accepted.append((reader, writer))
+
+    server = await asyncio.start_server(hold, "127.0.0.1", 0)
+    client = AioProxyClient(
+        outer_addr=("127.0.0.1", server.sockets[0].getsockname()[1]),
+        inner_addr=("127.0.0.1", 1),
+    )
+    try:
+        with pytest.raises(NXProxyError, match="timed out"):
+            await asyncio.wait_for(handshake(client), 3)
+        reader, _writer = accepted[0]
+        assert b'"op"' in await reader.readline()  # the request arrived
+        assert await reader.read() == b""  # then the client hung up
+    finally:
+        for _reader, writer in accepted:
+            writer.close()
+        server.close()
+        await server.wait_closed()
+
+
+def test_connect_to_silent_outer_times_out(monkeypatch):
+    monkeypatch.setattr(api, "HANDSHAKE_TIMEOUT_S", 0.2, raising=False)
+    run(_handshake_with_silent_outer(lambda c: c.connect("127.0.0.1", 1)))
+
+
+def test_bind_to_silent_outer_times_out(monkeypatch):
+    monkeypatch.setattr(api, "HANDSHAKE_TIMEOUT_S", 0.2, raising=False)
+    run(_handshake_with_silent_outer(lambda c: c.bind()))
+
+
+def test_handshake_deadline_outlasts_the_outer_dial():
+    assert api.HANDSHAKE_TIMEOUT_S > mux.DIAL_TIMEOUT_S
 
 
 def test_passive_open_full_chain():

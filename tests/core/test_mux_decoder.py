@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.aio.mux import _MuxSession
+from repro.core.aio.mux import DEFAULT_WINDOW, _MuxSession
 from repro.core.aio.protocol import (
     MAX_CONTROL_PAYLOAD,
     MAX_FRAME_PAYLOAD,
@@ -155,7 +155,7 @@ class LinkTransport:
         pass
 
 
-def in_session(scenario, window=1024):
+def in_session(scenario):
     """Run ``scenario(session, opened, link)`` on an inner-style session
     whose OPENs are recorded in ``opened`` instead of dialled."""
 
@@ -164,7 +164,7 @@ def in_session(scenario, window=1024):
         opened = []
         session = _MuxSession(
             asyncio.StreamReader(), SimpleNamespace(transport=link, close=link.close),
-            AioRelayStats(), window, on_open=lambda chain, payload: opened.append(chain),
+            AioRelayStats(), on_open=lambda chain, payload: opened.append(chain),
         )
         return scenario(session, opened, link)
 
@@ -196,7 +196,10 @@ def test_frames_for_unknown_chains_are_dropped():
 ])
 def test_protocol_violations_shut_the_session_down(hostile, reason):
     def scenario(session, opened, link):
-        session._feed(frame(1, FrameType.OPEN, b"{}") + frame(2, FrameType.OPEN, b"{}"))
+        session._feed(frame(1, FrameType.OPEN, b"{}") + frame(2, FrameType.OPEN, b"{}")
+                      # Chain 1 may now take only 1024 more bytes.
+                      + frame(1, DATA, bytes(DEFAULT_WINDOW - 1024)))
+        assert session.alive
         session._feed(hostile)
         assert not session.alive and link.closed and not session.chains
         assert all(chain._reset is not None for chain in opened)
@@ -208,9 +211,10 @@ def test_protocol_violations_shut_the_session_down(hostile, reason):
 
 def test_data_before_the_dial_completes_waits_in_a_window_bounded_inbox():
     def scenario(session, opened, link):
-        session._feed(frame(1, FrameType.OPEN, b"{}") + frame(1, DATA, bytes(1000)))
-        assert sum(map(len, opened[0]._inbox)) == 1000 and session.alive
-        session._feed(frame(1, DATA, bytes(25)))  # 1025 > the 1024 window
+        session._feed(frame(1, FrameType.OPEN, b"{}")
+                      + frame(1, DATA, bytes(DEFAULT_WINDOW - 24)))
+        assert sum(map(len, opened[0]._inbox)) == DEFAULT_WINDOW - 24 and session.alive
+        session._feed(frame(1, DATA, bytes(25)))  # one byte beyond the window
         assert not session.alive and not opened[0]._inbox
 
     in_session(scenario)

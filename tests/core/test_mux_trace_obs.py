@@ -20,9 +20,18 @@ import pytest
 from repro.core.aio import AioInnerServer, AioOuterServer, AioProxyClient
 from repro.obs import spans, trace
 
+from tests.core.conftest import leak_check
+
 
 def run(coro):
-    return asyncio.run(asyncio.wait_for(coro, timeout=30))
+    """Run one live test under the leak check: every socket and task
+    it started must be gone when it returns."""
+
+    async def checked():
+        async with leak_check():
+            return await coro
+
+    return asyncio.run(asyncio.wait_for(checked(), timeout=30))
 
 
 @pytest.fixture(autouse=True)
@@ -198,7 +207,9 @@ def test_tagging_client_vs_untagged_relayto(_obs_env):
             data = await target_r.read(4096)
             assert data == b"untagged payload"
             cw.close()
+            target_w.close()
             srv.close()
+            await srv.wait_closed()
         finally:
             await outer.stop()
             await inner.stop()

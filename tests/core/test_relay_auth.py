@@ -7,6 +7,8 @@ import pytest
 from repro.core import NexusProxyClient, NXProxyError, RelayConfig
 from repro.core.aio import AioInnerServer, AioOuterServer, AioProxyClient
 
+from tests.core.conftest import leak_check
+
 
 # -- simulated plane -----------------------------------------------------------
 
@@ -99,7 +101,14 @@ def test_sim_missing_secret_refused():
 
 
 def run(coro):
-    return asyncio.run(asyncio.wait_for(coro, timeout=20))
+    """Run one live test under the leak check: every socket and task
+    it started must be gone when it returns."""
+
+    async def checked():
+        async with leak_check():
+            return await coro
+
+    return asyncio.run(asyncio.wait_for(checked(), timeout=20))
 
 
 def test_aio_secret_enforced():

@@ -193,15 +193,18 @@ def test_batcher_budget_boundary_flushes_immediately():
 
     async def main():
         server, (cr, cw), (sr, sw) = await _pipe()
-        batcher = SegmentBatcher(cw, budget=1024)
-        batcher.add(b"a" * 1023)
+        batcher = SegmentBatcher(cw)
+        batcher.add(b"a" * (COALESCE_BUDGET - 1))
         assert batcher.flushes == 0  # one under budget: waits
         batcher.add(b"b")  # exactly at budget now
         assert batcher.flushes == 1
-        assert batcher.bytes_flushed == 1024
+        assert batcher.bytes_flushed == COALESCE_BUDGET
         # And strictly-over-budget in one add also flushes inline.
-        batcher.add(b"c" * 2048)
+        batcher.add(b"c" * 2 * COALESCE_BUDGET)
         assert batcher.flushes == 2
+        # The receiver drains what the flushes queued, so none of it
+        # waits on a full socket buffer when the writer closes.
+        assert len(await sr.readexactly(3 * COALESCE_BUDGET)) == 3 * COALESCE_BUDGET
         cw.close()
         sw.close()
         server.close()

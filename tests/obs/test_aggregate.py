@@ -199,15 +199,13 @@ def test_render_fleet_prometheus_labels_and_families():
 def test_http_get_maps_failures_to_connection_error():
     async def main():
         with pytest.raises(ConnectionError):
-            await http_get("127.0.0.1", 1, "/metrics.json", timeout=1.0)
+            await http_get("127.0.0.1", 1, "/metrics.json")
         server = await TelemetryServer(dict, port=0).start()
         try:
             with pytest.raises(ConnectionError):  # 404 is a failure too
-                await http_get_json(
-                    "127.0.0.1", server.bound_port, "/nope", timeout=2.0
-                )
+                await http_get_json("127.0.0.1", server.bound_port, "/nope")
             body = await http_get_json(
-                "127.0.0.1", server.bound_port, "/metrics.json", timeout=2.0
+                "127.0.0.1", server.bound_port, "/metrics.json"
             )
             assert body["schema_version"] == 2
         finally:
@@ -255,7 +253,6 @@ def test_concurrent_scrapes_during_real_fleet_drain():
     async def main():
         fleet = await FleetManager(FleetSpec(
             workers=2, heartbeat_s=0.1, telemetry=True,
-            sample_interval_s=0.1,
         )).start()
         admin = await FleetAdminServer(fleet).start()
         agg = FleetAggregator(

@@ -6,7 +6,7 @@ import json
 
 from repro.obs.cli import EXIT_DIFFERS, EXIT_OK, EXIT_RETRIES
 from repro.obs.cli import main as obs_main
-from repro.obs.top import fmt_bytes, fmt_rate, render, sparkline
+from repro.obs.top import SPARK_WIDTH, fmt_bytes, fmt_rate, render, sparkline
 
 
 def _payload():
@@ -56,9 +56,10 @@ def test_formatting_helpers():
     assert fmt_bytes(5 * 1024 * 1024) == "5.0 MB"
     assert fmt_rate(1024.0) == "1.0 KB/s"
     assert sparkline([]) == " " * 40
-    line = sparkline([0, 1, 2, 4], width=8)
-    assert len(line) == 8
+    line = sparkline([0, 1, 2, 4])
+    assert len(line) == SPARK_WIDTH
     assert line.endswith("@")  # max maps to the densest glyph
+    assert sparkline(range(2 * SPARK_WIDTH)) == sparkline(range(SPARK_WIDTH, 2 * SPARK_WIDTH))
 
 
 def test_render_frame_shape():
