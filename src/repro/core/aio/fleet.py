@@ -529,6 +529,10 @@ class FleetManager:
                 await asyncio.sleep(0.05)
             if handle.proc.is_alive():
                 handle.proc.terminate()
+                handle.proc.join()
+            # Releases the process's two parent-side pipe fds now, not
+            # whenever the handle happens to be garbage-collected.
+            handle.proc.close()
             handle.view.state = WORKER_GONE
 
     # -- drain ------------------------------------------------------------

@@ -15,7 +15,7 @@ and steer a fleet from a shell::
 The admin server is the same dependency-free asyncio HTTP shape as the
 telemetry endpoint (PR 4), with three routes:
 
-* ``GET /fleet`` — the fleet snapshot (shared live/sim key schema)
+* ``GET /fleet`` — the fleet snapshot
   plus per-worker wiring (pid, private control port, telemetry port).
 * ``POST /drain?worker=<id>[&grace_s=<s>]`` — start a graceful drain;
   returns immediately, the drain completes in the background
@@ -203,38 +203,6 @@ async def _serve(args: argparse.Namespace) -> int:
     )
     await admin.start()
 
-    # Aggregated observability plane (--agg-port): a FleetAggregator
-    # pointed at our *own* admin port — the same discovery path a
-    # remote aggregator would use — serving merged Prometheus/JSON
-    # plus /alerts from an SLO engine clocked by the scrape rounds.
-    aggregator = None
-    agg_endpoint = None
-    if args.agg_port is not None:
-        from repro.obs.aggregate import FleetAggregator
-        from repro.obs.slo import SLOEngine, load_slo_spec
-
-        rules = load_slo_spec(args.slo) if args.slo else None
-        engine = SLOEngine(rules)
-        aggregator = FleetAggregator(
-            args.admin_host, admin.bound_port,
-            interval_s=args.agg_interval,
-            on_refresh=lambda _view, now: engine.evaluate_sampler(
-                aggregator.sampler, now
-            ),
-        )
-        agg_endpoint = aggregator.make_endpoint(
-            host=args.admin_host, port=args.agg_port,
-            extra_routes={"/alerts": engine.alerts_route},
-            window_s=args.slo_window,
-        )
-        await agg_endpoint.start()
-        aggregator.start()
-        log.info(
-            "aggregated telemetry http://%s:%d/metrics (/metrics.json, "
-            "/alerts; %d SLO rules)",
-            args.admin_host, agg_endpoint.bound_port, len(engine.rules),
-        )
-
     log.info(
         "fleet endpoint %s:%d (%d workers); admin http://%s:%d/fleet",
         manager.host, manager.port, spec.workers,
@@ -243,10 +211,6 @@ async def _serve(args: argparse.Namespace) -> int:
     try:
         await stop_event.wait()
     finally:
-        if aggregator is not None:
-            await aggregator.stop()
-        if agg_endpoint is not None:
-            await agg_endpoint.stop()
         await admin.stop()
         await manager.stop()
     return 0
@@ -307,24 +271,6 @@ def main(argv: "list[str] | None" = None) -> int:
     serve.add_argument(
         "--telemetry", action="store_true",
         help="per-worker /metrics endpoints (ports in GET /fleet wiring)",
-    )
-    serve.add_argument(
-        "--agg-port", type=int, default=None, metavar="PORT",
-        help="serve an aggregated fleet endpoint (merged per-worker "
-        "Prometheus/JSON + /alerts) on this port (0 = pick one); "
-        "repro-obs top/alerts point here",
-    )
-    serve.add_argument(
-        "--agg-interval", type=float, default=0.5, metavar="SECONDS",
-        help="aggregator scrape period (default 0.5)",
-    )
-    serve.add_argument(
-        "--slo", default=None, metavar="SPEC",
-        help="JSON SLO spec file — default: the built-in fleet rules",
-    )
-    serve.add_argument(
-        "--slo-window", type=float, default=10.0, metavar="SECONDS",
-        help="sliding window SLO rules are evaluated over (default 10)",
     )
     serve.add_argument(
         "--trace-dir", default=None,

@@ -25,7 +25,7 @@ Policy pieces:
   the edge.
 
 :func:`fleet_snapshot` builds the fleet-wide counter snapshot the
-manager exposes to ``status``, telemetry and the aggregator.
+manager exposes to ``status`` and telemetry.
 """
 
 from __future__ import annotations
@@ -316,10 +316,8 @@ class AdmissionControl:
 def fleet_snapshot(
     workers: "Iterable[WorkerView]", stats: PlacementStats
 ) -> "dict[str, Any]":
-    """The fleet-wide counter snapshot (``mode`` is always ``"handoff"``:
-    the front door hands every accepted socket to a worker)."""
+    """The fleet-wide counter snapshot."""
     return {
-        "mode": "handoff",
         "workers": {
             view.worker_id: view.snapshot() for view in workers
         },

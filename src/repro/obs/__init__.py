@@ -19,16 +19,8 @@ from repro.obs.export import (
     write_artifacts,
 )
 from repro.obs.trace import TraceContext, span_args
-from repro.obs.timeseries import TimeSeriesSampler, hist_quantile
-from repro.obs.aggregate import FleetAggregator
-from repro.obs.slo import SLOEngine, load_slo_spec
 
 __all__ = [
-    "TimeSeriesSampler",
-    "hist_quantile",
-    "FleetAggregator",
-    "SLOEngine",
-    "load_slo_spec",
     "Counter",
     "Gauge",
     "LogHistogram",

@@ -10,18 +10,16 @@ daemons exposing the telemetry endpoint::
     repro-obs assemble driver.trace.json outer.trace.json inner.trace.json \\
         -o run.trace.json
     repro-obs tail 127.0.0.1:9464 --count 10
-    repro-obs top 127.0.0.1:9490 --once
-    repro-obs alerts 127.0.0.1:9490 --once
 
 Exit codes are uniform across subcommands so scripts and CI can branch
 on them: **0** success (or ``diff`` found no differences), **1** a
-semantic failure (summaries differ, trace fails the schema check, an
-SLO alert is firing), **2** an input that could not be read at all
+semantic failure (summaries differ, trace fails the schema check),
+**2** an input that could not be read at all
 (missing file, empty file, truncated/corrupt JSON, wrong format) —
 always with a one-line diagnostic naming the file and the reason —
 and **3** a live endpoint that stayed unreachable through the whole
-retry budget (the live subcommands reconnect with capped backoff when
-an endpoint restarts, e.g. a drained fleet worker).
+retry budget (``tail`` reconnects with capped backoff when an endpoint
+restarts, e.g. a drained fleet worker).
 """
 
 from __future__ import annotations
@@ -47,8 +45,7 @@ __all__ = ["main", "EXIT_OK", "EXIT_DIFFERS", "EXIT_UNREADABLE",
 
 #: ``diff`` clean / everything fine.
 EXIT_OK = 0
-#: Semantic failure: summaries differ, schema check failed, an SLO
-#: alert is firing.
+#: Semantic failure: summaries differ, schema check failed.
 EXIT_DIFFERS = 1
 #: Input unusable: missing, empty, truncated, or not an obs artifact.
 EXIT_UNREADABLE = 2
@@ -57,7 +54,7 @@ EXIT_UNREADABLE = 2
 #: daemon went away and never came back" from "bad input").
 EXIT_RETRIES = 3
 
-#: Cap (seconds) on the live subcommands' exponential retry backoff.
+#: Cap (seconds) on ``tail``'s exponential retry backoff.
 MAX_BACKOFF_S = 8.0
 
 
@@ -231,11 +228,11 @@ def _flatten(prefix: str, value: Any, out: "dict[str, Any]") -> None:
         out[prefix] = value
 
 
-def _endpoint_url(endpoint: str, path: str = "/metrics.json") -> str:
+def _endpoint_url(endpoint: str) -> str:
     target = endpoint
     if "://" not in target:
         target = f"http://{target}"
-    return target.rstrip("/") + path
+    return target.rstrip("/") + "/metrics.json"
 
 
 def _fetch_with_retry(url: str, timeout: float, retries: int) -> "dict[str, Any]":
@@ -299,87 +296,6 @@ def _cmd_tail(args: argparse.Namespace) -> int:
         time.sleep(args.interval)
 
 
-def _cmd_top(args: argparse.Namespace) -> int:
-    from repro.obs.top import render
-
-    metrics_url = _endpoint_url(args.endpoint)
-    alerts_url = _endpoint_url(args.endpoint, "/alerts")
-    rate_history: list[float] = []
-    frames = 0
-    while True:
-        try:
-            payload = _fetch_with_retry(metrics_url, args.timeout, args.retries)
-        except Unreadable as exc:
-            print(f"repro-obs: {exc} (retries exhausted)", file=sys.stderr)
-            return EXIT_RETRIES
-        try:
-            alerts = _fetch_snapshot(alerts_url, args.timeout)
-        except Unreadable:
-            alerts = None  # endpoint without an SLO engine mounted
-        rate = (
-            payload.get("rollup", {})
-            .get("scalars", {})
-            .get("derived.bytes_relayed_total", {})
-            .get("rate")
-        )
-        if isinstance(rate, (int, float)):
-            rate_history.append(float(rate))
-            del rate_history[:-120]
-        frame = render(payload, alerts, rate_history or None)
-        if args.once:
-            sys.stdout.write(frame)
-            return EXIT_OK
-        if sys.stdout.isatty():
-            # Clear + home; the only escape codes the dashboard emits,
-            # and only when a human terminal is attached.
-            sys.stdout.write("\x1b[2J\x1b[H")
-        sys.stdout.write(frame)
-        sys.stdout.flush()
-        frames += 1
-        if args.count is not None and frames >= args.count:
-            return EXIT_OK
-        time.sleep(args.interval)
-
-
-def _cmd_alerts(args: argparse.Namespace) -> int:
-    url = _endpoint_url(args.endpoint, "/alerts")
-    polls = 0
-    while True:
-        try:
-            status = _fetch_with_retry(url, args.timeout, args.retries)
-        except Unreadable as exc:
-            print(f"repro-obs: {exc} (retries exhausted)", file=sys.stderr)
-            return EXIT_RETRIES
-        polls += 1
-        if args.json:
-            print(dumps(status))
-        else:
-            stamp = time.strftime("%H:%M:%S")
-            active = status.get("active", {})
-            print(
-                f"[{stamp}] {len(status.get('rules', []))} rules, "
-                f"{len(active)} firing, "
-                f"{status.get('evaluations', 0)} evaluations"
-            )
-            for rule in status.get("rules", []):
-                value = rule.get("value")
-                shown = "-" if value is None else f"{value:g}"
-                print(
-                    f"  {rule.get('state', '?'):<8} {rule.get('name', '?'):<28}"
-                    f" value={shown}"
-                )
-            for a in status.get("history", []):
-                if a.get("state") == "resolved":
-                    dur = a.get("duration_s")
-                    dur_s = "-" if dur is None else f"{dur:.2f}s"
-                    flag = " BREACHED" if a.get("breached") else ""
-                    print(f"  episode  {a.get('rule', '?')} dur={dur_s}{flag}")
-        if args.once or (args.count is not None and polls >= args.count):
-            # Firing alerts are a semantic failure for scripts/CI.
-            return EXIT_DIFFERS if status.get("active") else EXIT_OK
-        time.sleep(args.interval)
-
-
 def main(argv: "list[str] | None" = None) -> int:
     parser = argparse.ArgumentParser(
         prog="repro-obs", description="Inspect repro observability artifacts."
@@ -412,50 +328,23 @@ def main(argv: "list[str] | None" = None) -> int:
                    help="display label per input (default: the file path)")
     p.set_defaults(func=_cmd_assemble)
 
-    def live_flags(p: argparse.ArgumentParser, interval: float) -> None:
-        p.add_argument("--interval", type=float, default=interval,
-                       help=f"seconds between polls (default {interval:g})")
-        p.add_argument("--count", type=int, default=None,
-                       help="stop after N polls (default: run until "
-                       "interrupted)")
-        p.add_argument("--timeout", type=float, default=5.0,
-                       help="per-request timeout in seconds")
-        p.add_argument("--retries", type=int, default=5,
-                       help="consecutive fetch failures to ride through "
-                       "with capped backoff before giving up "
-                       f"(exit {EXIT_RETRIES}; default 5)")
-
     p = sub.add_parser(
         "tail", help="stream registry changes from a live telemetry endpoint"
     )
     p.add_argument("endpoint", help="host:port or URL of a daemon's "
                    "--telemetry-port listener")
-    live_flags(p, 2.0)
+    p.add_argument("--interval", type=float, default=2.0,
+                   help="seconds between polls (default 2)")
+    p.add_argument("--count", type=int, default=None,
+                   help="stop after N polls (default: run until "
+                   "interrupted)")
+    p.add_argument("--timeout", type=float, default=5.0,
+                   help="per-request timeout in seconds")
+    p.add_argument("--retries", type=int, default=5,
+                   help="consecutive fetch failures to ride through "
+                   "with capped backoff before giving up "
+                   f"(exit {EXIT_RETRIES}; default 5)")
     p.set_defaults(func=_cmd_tail)
-
-    p = sub.add_parser(
-        "top", help="live fleet dashboard over an aggregated endpoint"
-    )
-    p.add_argument("endpoint", help="host:port or URL of the fleet's "
-                   "aggregated telemetry endpoint (repro-fleet --agg-port)")
-    p.add_argument("--once", action="store_true",
-                   help="render one frame, no escape codes, and exit "
-                   "(pipe/CI safe)")
-    live_flags(p, 1.0)
-    p.set_defaults(func=_cmd_top)
-
-    p = sub.add_parser(
-        "alerts", help="show SLO rule states and alert episodes"
-    )
-    p.add_argument("endpoint", help="host:port or URL of the aggregated "
-                   "endpoint (serves /alerts)")
-    p.add_argument("--once", action="store_true",
-                   help="one evaluation snapshot; exit 1 if anything is "
-                   "firing")
-    p.add_argument("--json", action="store_true",
-                   help="emit the raw status document")
-    live_flags(p, 2.0)
-    p.set_defaults(func=_cmd_alerts)
 
     args = parser.parse_args(argv)
     if args.command == "assemble" and args.labels and \

@@ -38,8 +38,7 @@ TELEMETRY_FORMAT_TAG = "repro-obs-telemetry-v1"
 
 #: Payload shape version.  v2 added ``schema_version`` itself plus the
 #: emit-time ``git_sha``/``dirty`` provenance pair, so artifacts
-#: assembled from a mixed-version fleet are detectable (the aggregator
-#: compares these across workers).
+#: collected from a mixed-version fleet are detectable.
 TELEMETRY_SCHEMA_VERSION = 2
 
 
@@ -120,11 +119,7 @@ class TelemetryServer:
     loop) and must return the registry snapshot dict.  ``extra`` is
     merged into the ``/metrics.json`` body — daemons put their identity
     (role, bound ports) there so ``repro-obs tail`` output is
-    self-describing.  ``extra_fn``, if given, is called per scrape and
-    its dict merged likewise (the fleet aggregator's merged view and
-    rollup).  ``routes`` maps extra GET paths to zero-arg callables
-    returning ``(content_type, body)`` — the SLO engine mounts
-    ``/alerts`` this way.
+    self-describing.
     """
 
     def __init__(
@@ -133,15 +128,11 @@ class TelemetryServer:
         host: str = "127.0.0.1",
         port: int = 0,
         extra: "Optional[dict[str, Any]]" = None,
-        extra_fn: "Optional[Callable[[], dict[str, Any]]]" = None,
-        routes: "Optional[dict[str, Callable[[], tuple[str, str]]]]" = None,
     ) -> None:
         self.snapshot_fn = snapshot_fn
         self.host = host
         self.port = port
         self.extra = dict(extra) if extra else {}
-        self.extra_fn = extra_fn
-        self.routes = dict(routes) if routes else {}
         self.scrapes = 0
         self._git_sha: Optional[str] = None
         self._git_dirty: Optional[bool] = None
@@ -190,12 +181,7 @@ class TelemetryServer:
                 return
             path = parts[1].split("?", 1)[0]
             self.scrapes += 1
-            # Mounted routes win over the builtins, so an aggregator
-            # can replace /metrics with a per-worker-labelled renderer.
-            if path in self.routes:
-                ctype, body = self.routes[path]()
-                await self._respond(writer, 200, ctype, body)
-            elif path == "/metrics":
+            if path == "/metrics":
                 body = render_prometheus(self.snapshot_fn())
                 await self._respond(
                     writer, 200, "text/plain; version=0.0.4", body
@@ -210,8 +196,6 @@ class TelemetryServer:
                     "registry": self.snapshot_fn(),
                 }
                 payload.update(self.extra)
-                if self.extra_fn is not None:
-                    payload.update(self.extra_fn())
                 await self._respond(
                     writer, 200, "application/json",
                     json.dumps(payload, sort_keys=True) + "\n",

@@ -470,29 +470,6 @@ class Simulator:
         """Start ``gen`` as a process immediately (at the current time)."""
         return Process(self, gen, name)
 
-    def every(
-        self, interval: float, fn: Callable[[float], Any], name: str = "periodic"
-    ) -> Process:
-        """Call ``fn(now)`` every ``interval`` simulated seconds.
-
-        The canonical sim-clock sampling hook: samplers (fleet
-        heartbeats, the time-series sampler) attach through this so
-        their wakeups are ordinary heap events — the perturbation is
-        identical under every kernel mode, which is what keeps
-        sim-domain series byte-stable.  The process never ends on its
-        own; its pending timeout simply stays on the heap when a
-        ``run(until=...)`` driver stops.
-        """
-        if interval <= 0:
-            raise SimError(f"every() needs a positive interval, got {interval!r}")
-
-        def loop() -> ProcGen:
-            while True:
-                yield self.timeout(interval)
-                fn(self.now)
-
-        return self.process(loop(), name=name)
-
     def any_of(self, events: Iterable[Event]) -> AnyOf:
         return AnyOf(self, events)
 

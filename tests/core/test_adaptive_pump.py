@@ -23,6 +23,18 @@ from repro.core.aio.pump import (
 )
 from repro.simnet import ConnectionReset
 
+from tests.core.conftest import leak_check
+
+
+def run(coro):
+    """Run one live test under the leak check: every socket and task
+    it started must be gone when it returns."""
+
+    async def checked():
+        async with leak_check():
+            return await coro
+
+    return asyncio.run(asyncio.wait_for(checked(), timeout=20))
 
 # -- live policy units -------------------------------------------------------
 
@@ -89,15 +101,18 @@ def test_live_pump_moves_bytes_and_half_closes():
         srv.close()
         await srv.wait_closed()
 
-    asyncio.run(asyncio.wait_for(main(), 20))
+    run(main())
 
 
 def test_writer_backpressured_without_flow_control_introspection():
     class NoIntrospection:
         transport = object()  # no get_write_buffer_limits
 
-    # Fallback must be conservative: claim backpressure → always drain.
-    assert writer_backpressured(NoIntrospection()) is True
+    async def main():
+        # Fallback must be conservative: claim backpressure → always drain.
+        assert writer_backpressured(NoIntrospection()) is True
+
+    run(main())
 
 
 # -- simulated ablation ------------------------------------------------------

@@ -168,7 +168,7 @@ def test_admission_quota_and_release():
 # -- snapshot schema --------------------------------------------------------
 
 FLEET_SNAPSHOT_KEYS = {
-    "mode", "workers", "placed_chains", "placed_least_loaded",
+    "workers", "placed_chains", "placed_least_loaded",
     "placed_hash_ring", "rejected_quota", "rejected_no_worker",
     "handoffs", "drains_started", "drains_completed",
 }
@@ -180,4 +180,3 @@ def test_fleet_snapshot_schema_and_override():
     v.state = WORKER_UP
     snap = fleet_snapshot([v], placer.stats)
     assert set(snap) == FLEET_SNAPSHOT_KEYS
-    assert snap["mode"] == "handoff"
