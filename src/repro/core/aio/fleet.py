@@ -60,6 +60,7 @@ from collections import deque
 from dataclasses import asdict, dataclass, field
 from typing import Any, Dict, Optional
 
+from repro.core.aio.protocol import encode_control, error_reply
 from repro.core.aio.pump import STREAM_LIMIT
 from repro.core.placement import (
     WORKER_DRAINING,
@@ -83,6 +84,10 @@ HELLO_TIMEOUT_S = 60.0
 #: How long :meth:`FleetManager.drain` waits for a worker's
 #: ``drained`` report before it stops waiting and reaps the process.
 DRAIN_TIMEOUT_S = 30.0
+#: How long one manager→worker control message may wait for a worker
+#: that stopped reading its control socket; that worker is then
+#: marked ``gone`` and its process terminated.
+CTL_SEND_TIMEOUT_S = 5.0
 
 
 @dataclass
@@ -141,9 +146,7 @@ class _WorkerRuntime:
         if self.sock is None:
             return
         try:
-            self.sock.sendall(
-                json.dumps(msg, separators=(",", ":")).encode() + b"\n"
-            )
+            self.sock.sendall(encode_control(msg))
         except OSError:
             pass
 
@@ -505,7 +508,10 @@ class FleetManager:
                 self._front_sock.close()
         for handle in self.handles.values():
             if handle.view.state != WORKER_GONE:
-                await self._ctl_send(handle, {"op": "stop"})
+                try:
+                    await self._ctl_send(handle, {"op": "stop"})
+                except OSError:
+                    self._reap(handle)
         await self._join_all(timeout=10.0)
         for handle in self.handles.values():
             if handle.ctl_sock is not None:
@@ -552,21 +558,22 @@ class FleetManager:
             raise KeyError(f"no such worker {worker_id!r}")
         if handle.view.state == WORKER_GONE:
             return
-        if handle.view.state != WORKER_DRAINING:
-            handle.view.state = WORKER_DRAINING
-            self.placer.stats.drains_started += 1
-            await self._ctl_send(
-                handle, {"op": "drain", "grace_s": grace_s}
-            )
-        with contextlib.suppress(asyncio.TimeoutError):
-            await asyncio.wait_for(handle.drained.wait(), DRAIN_TIMEOUT_S)
-        loop = asyncio.get_running_loop()
-        deadline = loop.time() + 5.0
-        while handle.proc.is_alive() and loop.time() < deadline:
-            await asyncio.sleep(0.05)
-        if handle.proc.is_alive():
-            handle.proc.terminate()
-        handle.view.state = WORKER_GONE
+        try:
+            if handle.view.state != WORKER_DRAINING:
+                handle.view.state = WORKER_DRAINING
+                self.placer.stats.drains_started += 1
+                await self._ctl_send(
+                    handle, {"op": "drain", "grace_s": grace_s}
+                )
+            with contextlib.suppress(asyncio.TimeoutError):
+                await asyncio.wait_for(handle.drained.wait(), DRAIN_TIMEOUT_S)
+            loop = asyncio.get_running_loop()
+            deadline = loop.time() + 5.0
+            while handle.proc.is_alive() and loop.time() < deadline:
+                await asyncio.sleep(0.05)
+        except OSError:
+            pass  # its control socket stopped draining: reaped below
+        self._reap(handle)
         self.placer.remove_worker(worker_id)
 
     # -- worker control channel ------------------------------------------
@@ -637,15 +644,16 @@ class FleetManager:
         never the asyncio writer — so SCM_RIGHTS sends can't interleave
         with buffered transport writes.  The socket is non-blocking
         (shared flags with the transport fd); tiny messages make EAGAIN
-        rare, and a short async retry absorbs it.
+        rare, and a short async retry absorbs it — for at most
+        :data:`CTL_SEND_TIMEOUT_S`, after which it raises ``OSError``.
         """
         sock = handle.ctl_sock
         if sock is None:
             raise OSError("worker control channel not established")
-        payload = memoryview(
-            json.dumps(msg, separators=(",", ":")).encode() + b"\n"
-        )
+        payload = memoryview(encode_control(msg))
         attach = list(fds) if fds else []
+        loop = asyncio.get_running_loop()
+        deadline = loop.time() + CTL_SEND_TIMEOUT_S
         while payload.nbytes:
             try:
                 if attach:
@@ -654,9 +662,22 @@ class FleetManager:
                 else:
                     sent = sock.send(payload)
             except (BlockingIOError, InterruptedError):
+                if loop.time() >= deadline:
+                    raise OSError(
+                        f"worker {handle.worker_id} stopped reading its "
+                        "control socket"
+                    ) from None
                 await asyncio.sleep(0.005)
                 continue
             payload = payload[sent:]
+
+    @staticmethod
+    def _reap(handle: _WorkerHandle) -> None:
+        """Mark a worker ``gone`` and terminate its process."""
+        handle.view.state = WORKER_GONE
+        with contextlib.suppress(ValueError):  # already closed by stop()
+            if handle.proc.is_alive():
+                handle.proc.terminate()
 
     # -- front door -------------------------------------------------------
 
@@ -671,11 +692,8 @@ class FleetManager:
 
     async def _reject(self, conn: socket.socket, reason: str) -> None:
         loop = asyncio.get_running_loop()
-        line = json.dumps(
-            {"ok": False, "error": reason}, separators=(",", ":")
-        ).encode() + b"\n"
         with contextlib.suppress(OSError):
-            await loop.sock_sendall(conn, line)
+            await loop.sock_sendall(conn, encode_control(error_reply(reason)))
         with contextlib.suppress(OSError):
             conn.close()
 
@@ -706,7 +724,7 @@ class FleetManager:
             await self._ctl_send(handle, msg, fds=[conn.fileno()])
         except OSError:
             self.admission.release(client)
-            handle.view.state = WORKER_GONE
+            self._reap(handle)
             await self._reject(conn, "relay worker unavailable")
             return
         stats.handoffs += 1

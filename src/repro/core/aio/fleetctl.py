@@ -12,8 +12,8 @@ and steer a fleet from a shell::
     repro-fleet drain w2 --admin-port 7900 --grace 5
     repro-fleet stop --admin-port 7900
 
-The admin server is the same dependency-free asyncio HTTP shape as the
-telemetry endpoint (PR 4), with three routes:
+The admin server is an :class:`~repro.obs.telemetry.HttpEndpoint`,
+like the telemetry endpoint, with three routes:
 
 * ``GET /fleet`` — the fleet snapshot
   plus per-worker wiring (pid, private control port, telemetry port).
@@ -38,16 +38,15 @@ from typing import Any, Optional
 from urllib.parse import parse_qs, urlsplit
 
 from repro.core.aio.fleet import FleetManager, FleetSpec
+from repro.obs.telemetry import HttpEndpoint
 
 __all__ = ["FleetAdminServer", "main"]
 
 log = logging.getLogger("repro.fleet")
 
-_MAX_REQUEST = 16 * 1024
 
-
-class FleetAdminServer:
-    """Minimal asyncio HTTP endpoint steering one fleet manager."""
+class FleetAdminServer(HttpEndpoint):
+    """The HTTP endpoint steering one fleet manager."""
 
     def __init__(
         self,
@@ -56,75 +55,16 @@ class FleetAdminServer:
         port: int = 0,
         on_stop: "Optional[asyncio.Event]" = None,
     ) -> None:
+        super().__init__(host, port)
         self.manager = manager
-        self.host = host
-        self.port = port
         #: Set when a ``/stop`` request lands — ``serve`` exits on it.
         self.on_stop = on_stop
-        self._server: Optional[asyncio.AbstractServer] = None
 
-    @property
-    def bound_port(self) -> int:
-        if self._server is None:
-            raise RuntimeError("admin server not started")
-        return self._server.sockets[0].getsockname()[1]
+    def route(self, method: str, target: str) -> "tuple[int, str, str]":
+        status, body = self._route(method, target)
+        return status, "application/json", json.dumps(body, indent=2)
 
-    async def start(self) -> "FleetAdminServer":
-        self._server = await asyncio.start_server(
-            self._handle, self.host, self.port
-        )
-        self.port = self.bound_port
-        return self
-
-    async def stop(self) -> None:
-        if self._server is not None:
-            self._server.close()
-            with contextlib.suppress(Exception):
-                await self._server.wait_closed()
-            self._server = None
-
-    # -- request handling -------------------------------------------------
-
-    async def _handle(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        try:
-            request = await asyncio.wait_for(
-                reader.readline(), timeout=5.0
-            )
-        except (asyncio.TimeoutError, ConnectionError, OSError):
-            writer.close()
-            return
-        try:
-            parts = request.decode("latin-1").split()
-            method, target = parts[0], parts[1]
-        except (UnicodeDecodeError, IndexError, ValueError):
-            writer.close()
-            return
-        # Drain (and ignore) the header block.
-        drained = 0
-        while drained < _MAX_REQUEST:
-            try:
-                line = await asyncio.wait_for(reader.readline(), timeout=5.0)
-            except (asyncio.TimeoutError, ConnectionError, OSError):
-                break
-            drained += len(line)
-            if line in (b"\r\n", b"\n", b""):
-                break
-        status, body = await self._route(method, target)
-        payload = json.dumps(body, indent=2).encode()
-        head = (
-            f"HTTP/1.0 {status} {'OK' if status == 200 else 'ERR'}\r\n"
-            f"Content-Type: application/json\r\n"
-            f"Content-Length: {len(payload)}\r\n"
-            f"Connection: close\r\n\r\n"
-        ).encode("latin-1")
-        with contextlib.suppress(ConnectionError, OSError):
-            writer.write(head + payload)
-            await writer.drain()
-        writer.close()
-
-    async def _route(
+    def _route(
         self, method: str, target: str
     ) -> "tuple[int, dict[str, Any]]":
         url = urlsplit(target)

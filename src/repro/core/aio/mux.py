@@ -43,8 +43,8 @@ from repro.core.aio.protocol import (
     FrameDecoder,
     FrameType,
     MuxError,
+    adopt,
     require_port,
-    steal_reader_buffer,
 )
 from repro.core.aio.pump import (
     COALESCE_BUDGET,
@@ -295,11 +295,10 @@ class MuxChain(asyncio.BufferedProtocol):
         t0 = rec.wall_ts() if rec is not None else 0.0
         self._done = asyncio.get_running_loop().create_future()
         try:
-            leftover = steal_reader_buffer(reader)
-            if self._reset is None and not writer.transport.is_closing():
+            leftover = adopt(reader, writer, self) if self._reset is None else None
+            if leftover is not None:
                 self.transport = writer.transport
                 self.fd = transport_fd(self.transport)
-                self.transport.set_protocol(self)
                 self._backlog = memoryview(leftover)
                 self._local_eof = reader.at_eof()
                 inbox, self._inbox = self._inbox, []
@@ -351,12 +350,10 @@ class _MuxSession(asyncio.BufferedProtocol):
         self.rview = memoryview(bytearray(MAX_CHUNK))
         self.closed: "asyncio.Future[BaseException]" = (
             asyncio.get_running_loop().create_future())
-        leftover = steal_reader_buffer(reader)
-        if reader.at_eof() or writer.transport.is_closing():
+        leftover = adopt(reader, writer, self)
+        if leftover is None or reader.at_eof():
             self.shutdown(MuxError("mux link closed before it was adopted"))
             return
-        writer.transport.set_protocol(self)
-        writer.transport.resume_reading()
         self._feed(leftover)
 
     def _on_flush(self, nbytes: int, nsegments: int) -> None:

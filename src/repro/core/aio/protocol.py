@@ -48,10 +48,11 @@ __all__ = [
     "ProtocolError",
     "parse_control_line",
     "read_control",
+    "encode_control",
     "write_control",
     "ok_reply",
     "error_reply",
-    "steal_reader_buffer",
+    "adopt",
     "MUX_MAGIC",
     "FrameType",
     "FrameDecoder",
@@ -97,9 +98,15 @@ async def read_control(reader: asyncio.StreamReader) -> dict[str, Any]:
     return parse_control_line(line)
 
 
+def encode_control(msg: dict[str, Any]) -> bytes:
+    """One newline-terminated compact JSON line: the encoding of every
+    control message, stripe hello and fleet control message."""
+    return json.dumps(msg, separators=(",", ":")).encode() + b"\n"
+
+
 def write_control(writer: asyncio.StreamWriter, msg: dict[str, Any]) -> None:
     """Queue one JSON control message (caller drains)."""
-    data = json.dumps(msg, separators=(",", ":")).encode() + b"\n"
+    data = encode_control(msg)
     if len(data) > MAX_CONTROL_LINE:
         raise ProtocolError(f"control message too long ({len(data)} bytes)")
     writer.write(data)
@@ -140,23 +147,33 @@ def require_host(value: Any) -> str:
     raise ProtocolError(f"invalid host: {value!r:.80}")
 
 
-def steal_reader_buffer(reader: asyncio.StreamReader) -> "bytes | None":
-    """Detach bytes the stream layer read past the control handshake.
+def adopt(
+    reader: asyncio.StreamReader,
+    writer: asyncio.StreamWriter,
+    protocol: asyncio.BaseProtocol,
+) -> "bytes | None":
+    """Hand an established stream's transport over to ``protocol``.
 
-    When a connection switches from line-oriented control traffic to
-    the zero-copy byte plane, any payload the peer sent back-to-back
+    When a connection switches from line-oriented control traffic to a
+    protocol-driven byte plane, any payload the peer sent back-to-back
     with its control line is already sitting in the StreamReader's
-    internal buffer — it must be forwarded before the transport's
-    protocol is swapped, or it is silently lost.  Returns the buffered
-    bytes (possibly ``b""``) and empties the reader, or ``None`` when
-    the reader's internals are not the expected shape (the caller then
-    stays on the stream pump instead of swapping protocols).
+    buffer: it is detached and returned (possibly ``b""``) for the
+    caller to deliver before anything the new protocol reads.  Reading
+    is resumed, in case the stream layer had paused it against its
+    limit.  An EOF the stream already saw is not replayed: the caller
+    checks ``reader.at_eof()``.
+
+    Returns ``None`` and changes nothing when the stream has failed or
+    its transport is closing.
     """
-    buf = getattr(reader, "_buffer", None)
-    if not isinstance(buf, bytearray):
+    transport = writer.transport
+    if transport.is_closing() or reader.exception() is not None:
         return None
+    buf = reader._buffer
     data = bytes(buf)
     buf.clear()
+    transport.set_protocol(protocol)
+    transport.resume_reading()
     return data
 
 

@@ -14,9 +14,9 @@ dominates user-level relay throughput, so the live pump:
   transport's write-buffer limits, so latency-sensitive control
   round-trips never ride Nagle defaults.
 
-``pump()`` is the single shared copy loop for stream-based legs; on
-top of it this module provides the *zero-copy* primitives the hot
-bulk path runs on:
+``pump()`` is a stream-to-stream copy loop that no relay path runs
+any more (every leg is protocol-swapped; the contract benchmark's
+probes still time it).  The relay runs on the *zero-copy* primitives:
 
 * :func:`send_segments` — scatter-gather writes: when the transport's
   buffer is empty the segment list goes straight to the kernel with
@@ -46,7 +46,7 @@ import socket as _socket
 import threading
 from typing import Callable, List, Optional, Sequence, Union
 
-from repro.core.aio.protocol import steal_reader_buffer
+from repro.core.aio.protocol import adopt
 from repro.obs import spans as _obs
 
 __all__ = [
@@ -527,18 +527,6 @@ class _RelayEnd(asyncio.BufferedProtocol):
             self._done.set_result(self.moved)
 
 
-def _zero_copy_supported(transport: asyncio.BaseTransport) -> bool:
-    """Protocol swapping needs a raw socket and a selector-style
-    transport; anything else stays on the stream pump."""
-    return (
-        transport is not None
-        and not transport.is_closing()
-        and transport.get_extra_info("socket") is not None
-        and hasattr(transport, "set_protocol")
-        and hasattr(transport, "pause_reading")
-    )
-
-
 async def relay_sockets_zero_copy(
     a_reader: asyncio.StreamReader,
     a_writer: asyncio.StreamWriter,
@@ -546,7 +534,7 @@ async def relay_sockets_zero_copy(
     b_writer: asyncio.StreamWriter,
     *,
     on_chunk: Optional[Callable[[int], None]] = None,
-) -> "Optional[tuple[int, int]]":
+) -> "tuple[int, int]":
     """Bidirectional zero-copy relay between two established streams.
 
     Swaps both connections' protocols to :class:`_RelayEnd` buffered
@@ -558,18 +546,9 @@ async def relay_sockets_zero_copy(
     are forwarded first.
 
     Returns ``(a_to_b_bytes, b_to_a_bytes)`` after both directions
-    complete, or ``None`` without side effects when either transport
-    cannot be swapped (the caller falls back to the stream pump).
+    complete; ``(0, 0)`` at once, both transports closed, when either
+    stream had already failed or was closing.
     """
-    ta = a_writer.transport
-    tb = b_writer.transport
-    if not (_zero_copy_supported(ta) and _zero_copy_supported(tb)):
-        return None
-    leftover_a = steal_reader_buffer(a_reader)
-    leftover_b = steal_reader_buffer(b_reader)
-    if leftover_a is None or leftover_b is None:
-        return None
-
     loop = asyncio.get_running_loop()
     done_a: "asyncio.Future[int]" = loop.create_future()
     done_b: "asyncio.Future[int]" = loop.create_future()
@@ -577,15 +556,17 @@ async def relay_sockets_zero_copy(
     end_b = _RelayEnd(done_b, on_chunk)
     end_a.peer = end_b
     end_b.peer = end_a
+    ta = a_writer.transport
+    tb = b_writer.transport
     end_a.attach(ta)
     end_b.attach(tb)
 
-    ta.set_protocol(end_a)
-    tb.set_protocol(end_b)
-    # The stream layer may have paused reading against its limit.
-    for t in (ta, tb):
-        with contextlib.suppress(RuntimeError):
-            t.resume_reading()
+    leftover_a = adopt(a_reader, a_writer, end_a)
+    leftover_b = adopt(b_reader, b_writer, end_b) if leftover_a is not None else None
+    if leftover_b is None:
+        ta.close()
+        tb.close()
+        return 0, 0
 
     # Replay what the stream layer already consumed from each socket.
     for leftover, end, peer_t in (

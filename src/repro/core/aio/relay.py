@@ -10,10 +10,9 @@ inner server answers the nxport.  There is one data plane:
   (:mod:`repro.core.aio.mux`) — the paper's one-pinhole firewall
   story, with exactly one outer→inner TCP connection.
 * **active chains** (Fig. 3): the two sockets are protocol-swapped
-  onto the zero-copy relay ends of :mod:`repro.core.aio.pump`; the
-  stream ``pump()`` (adaptive 4 KB → 256 KB reads, ``drain()`` only
-  past the high-water mark) carries a chain only when a transport
-  cannot be swapped.
+  onto the zero-copy relay ends of :mod:`repro.core.aio.pump`
+  (:func:`~repro.core.aio.protocol.adopt`); a stream that failed
+  before the swap ends the chain.
 
 Every relay socket runs with ``TCP_NODELAY``.
 """
@@ -22,6 +21,7 @@ from __future__ import annotations
 
 import asyncio
 import contextlib
+import functools
 import logging
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
@@ -45,7 +45,6 @@ from repro.core.aio.protocol import (
 )
 from repro.core.aio.pump import (
     STREAM_LIMIT,
-    pump,
     relay_sockets_zero_copy,
     tune_stream,
 )
@@ -157,35 +156,14 @@ def graceful_handler(fn):
     return wrapper
 
 
-async def _relay_pair(
-    a_reader: asyncio.StreamReader,
-    a_writer: asyncio.StreamWriter,
-    b_reader: asyncio.StreamReader,
-    b_writer: asyncio.StreamWriter,
-    stats: AioRelayStats,
-) -> None:
-    """Bidirectional relay; returns when both directions finish.
-
-    The pair is first handed to the zero-copy buffered-protocol relay
-    (``recv_into`` one read buffer per event-loop thread, shared by
-    every chain; direct socket forwarding); transports
-    that cannot be protocol-swapped fall back to the stream pumps.
-    """
-    try:
-        moved = await relay_sockets_zero_copy(
-            a_reader, a_writer, b_reader, b_writer,
-            on_chunk=stats.on_chunk,
-        )
-        if moved is not None:
-            return
-        await asyncio.gather(
-            pump(a_reader, b_writer, on_chunk=stats.on_chunk),
-            pump(b_reader, a_writer, on_chunk=stats.on_chunk),
-        )
-    finally:
-        for w in (a_writer, b_writer):
-            with contextlib.suppress(Exception):
-                w.close()
+def _span(name: str, track: str, ctx: "_trace.TraceContext | None", **args):
+    """The ``relay`` wall span of one chain, or a null context when
+    tracing is off."""
+    rec = _obs.RECORDER
+    if rec is None:
+        return contextlib.nullcontext()
+    return rec.wall_span("relay", name, track=track, **args,
+                         **_trace.span_args(ctx))
 
 
 class _Server:
@@ -205,6 +183,19 @@ class _Server:
 
     def disown(self, writer: asyncio.StreamWriter) -> None:
         self._conns.discard(writer)
+
+    async def _reply(self, writer: asyncio.StreamWriter, msg: dict) -> bool:
+        """Send a request's success reply.  A client already gone (a
+        reset while the request was being served) makes it a failed
+        request: ``False``, and the caller releases what it made."""
+        try:
+            write_control(writer, msg)
+            await writer.drain()
+        except OSError:
+            self.stats.failed_requests += 1
+            writer.close()
+            return False
+        return True
 
     async def _refuse(self, writer: asyncio.StreamWriter, reason: str) -> None:
         """Count a failed request, send one typed error reply, close."""
@@ -337,23 +328,21 @@ class AioOuterServer(_Server):
             return
         tune_stream(onward_w)
         self.adopt(onward_w)
-        self.stats.active_connects += 1
-        write_control(writer, ok_reply())
-        await writer.drain()
-        ctx = _trace.accept(msg.get("tctx"))
         try:
-            rec = _obs.RECORDER
-            if rec is not None:
-                with rec.wall_span("relay", "active_chain", track=f"outer:{self.host}",
-                                   dest=f"{host}:{port}",
-                                   **_trace.span_args(ctx)):
-                    await _relay_pair(
-                        reader, writer, onward_r, onward_w, self.stats
-                    )
+            if not await self._reply(writer, ok_reply()):
                 return
-            await _relay_pair(reader, writer, onward_r, onward_w, self.stats)
+            self.stats.active_connects += 1
+            ctx = _trace.accept(msg.get("tctx"))
+            with _span("active_chain", f"outer:{self.host}", ctx,
+                       dest=f"{host}:{port}"):
+                await relay_sockets_zero_copy(
+                    reader, writer, onward_r, onward_w,
+                    on_chunk=self.stats.on_chunk,
+                )
         finally:
             self.disown(onward_w)
+            onward_w.close()
+            writer.close()
 
     async def _handle_bind(self, msg, reader, writer) -> None:
         try:
@@ -377,34 +366,18 @@ class AioOuterServer(_Server):
                     **_trace.span_args(bind_ctx),
                 )
 
-        async def on_peer(pr: asyncio.StreamReader, pw: asyncio.StreamWriter) -> None:
-            self.adopt(pw)
-            try:
-                await _chain_peer(pr, pw)
-            except asyncio.CancelledError:
-                with contextlib.suppress(Exception):
-                    pw.close()
-            finally:
-                self.disown(pw)
-
-        async def _chain_peer(pr: asyncio.StreamReader, pw: asyncio.StreamWriter) -> None:
+        @graceful_handler
+        async def on_peer(self, pr: asyncio.StreamReader, pw: asyncio.StreamWriter) -> None:
             """One logical chain over the shared nxport link."""
             tune_stream(pw)
             link = self.mux_link(inner_host, inner_port)
             chain_ctx = _trace.child(bind_ctx)
             wire = chain_ctx.to_wire() if chain_ctx is not None else None
-            rec = _obs.RECORDER
             try:
-                if rec is not None:
-                    with rec.wall_span("relay", "passive_chain",
-                                       track=f"outer:{self.host}",
-                                       client=f"{client_host}:{client_port}",
-                                       **_trace.span_args(chain_ctx)):
-                        await link.relay_chain(client_host, client_port, pr, pw,
-                                               tctx=wire)
-                    return
-                await link.relay_chain(client_host, client_port, pr, pw,
-                                       tctx=wire)
+                with _span("passive_chain", f"outer:{self.host}", chain_ctx,
+                           client=f"{client_host}:{client_port}"):
+                    await link.relay_chain(client_host, client_port, pr, pw,
+                                           tctx=wire)
             except (ChainReset, ConnectionError, OSError, asyncio.TimeoutError) as exc:
                 self.stats.failed_requests += 1
                 log.warning("mux passive chain failed: %s", exc)
@@ -412,21 +385,25 @@ class AioOuterServer(_Server):
                     pw.close()
 
         public = await asyncio.start_server(
-            on_peer, self.host, 0, limit=STREAM_LIMIT
+            functools.partial(on_peer, self), self.host, 0, limit=STREAM_LIMIT
         )
         self._public_servers.add(public)
         public_port = public.sockets[0].getsockname()[1]
-        self.stats.passive_binds += 1
-        write_control(writer, ok_reply(proxy_host=self.host, proxy_port=public_port))
-        await writer.drain()
-        log.info(
-            "bound public port %d for %s:%d (via inner %s:%d)",
-            public_port, client_host, client_port, inner_host, inner_port,
-        )
-        # The control connection's lifetime scopes the bind.
         try:
-            while await reader.read(1024):
-                pass
+            if not await self._reply(
+                writer, ok_reply(proxy_host=self.host, proxy_port=public_port)
+            ):
+                return
+            self.stats.passive_binds += 1
+            log.info(
+                "bound public port %d for %s:%d (via inner %s:%d)",
+                public_port, client_host, client_port, inner_host, inner_port,
+            )
+            # The control connection's lifetime scopes the bind; a reset
+            # ends it like an EOF.
+            with contextlib.suppress(ConnectionError):
+                while await reader.read(1024):
+                    pass
         finally:
             public.close()
             with contextlib.suppress(Exception):

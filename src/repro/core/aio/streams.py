@@ -50,13 +50,17 @@ task runs per stream — only dials and the sink's accept loop.
 from __future__ import annotations
 
 import asyncio
-import json
 import struct
 import uuid
 from collections import deque
 from typing import Any, Awaitable, Callable, Dict, List, Optional, Set, Tuple
 
-from repro.core.aio.protocol import ProtocolError, parse_control_line, steal_reader_buffer
+from repro.core.aio.protocol import (
+    ProtocolError,
+    adopt,
+    encode_control,
+    parse_control_line,
+)
 from repro.core.aio.pump import send_segments, tune_stream
 from repro.obs import spans as _obs
 
@@ -107,14 +111,8 @@ class StripeError(ConnectionError):
 
 
 def _hello_line(xfer: str, stream: int, streams: int, total: int, block: int) -> bytes:
-    return (
-        json.dumps(
-            {"stripe": 1, "xfer": xfer, "stream": stream, "streams": streams,
-             "total": total, "block": block},
-            separators=(",", ":"),
-        ).encode()
-        + b"\n"
-    )
+    return encode_control({"stripe": 1, "xfer": xfer, "stream": stream,
+                           "streams": streams, "total": total, "block": block})
 
 
 def _parse_hello(line: bytes) -> Dict[str, Any]:
@@ -400,11 +398,11 @@ class _Send:
         tune_stream(writer)
         writer.write(_hello_line(self.xfer, idx, self.streams, self.tx.total, self.tx.block))
         stream = _SendStream(self, idx, writer)
-        writer.transport.set_protocol(stream)
+        leftover = adopt(reader, writer, stream)
         self.live[idx] = stream
         self.tx.stream_up(idx)
-        stream.data_received(steal_reader_buffer(reader) or b"")
-        if reader.at_eof() or reader.exception() is not None:
+        stream.data_received(leftover or b"")
+        if leftover is None or reader.at_eof():
             # It ended before the swap: tell the new protocol.
             writer.transport.abort()
             stream.connection_lost(None)
@@ -702,12 +700,11 @@ class StripeSink:
 
     def _adopt(self, reader: asyncio.StreamReader, writer: Any, rx: StripeReceiver) -> None:
         stream = _SinkStream(self, rx, writer)
-        writer.transport.set_protocol(stream)
-        writer.transport.resume_reading()
+        leftover = adopt(reader, writer, stream)
         self._streams.add(stream)
         writer.write(_FRAME.pack(_MARK, rx.join(), 0))
-        stream.buffer_updated(0, steal_reader_buffer(reader) or b"")
-        if reader.at_eof() or reader.exception() is not None:
+        stream.buffer_updated(0, leftover or b"")
+        if leftover is None or reader.at_eof():
             # It ended before the swap: tell the new protocol.
             writer.transport.abort()
             stream.connection_lost(None)

@@ -14,7 +14,7 @@ and then pumps chunks both ways, completing the
 
 from __future__ import annotations
 
-from typing import Iterator, Optional
+from typing import Iterator
 
 from repro.core.config import DEFAULT_RELAY_CONFIG, RelayConfig
 from repro.core.outer import RelayStats
@@ -23,37 +23,22 @@ from repro.obs import spans as _obs
 from repro.obs import trace as _trace
 from repro.core.protocol import REPLY_MSG_BYTES, Reply, RelayTo
 from repro.simnet.host import Host
-from repro.simnet.kernel import Event, Process
-from repro.simnet.socket import (
-    Address,
-    Connection,
-    ConnectionReset,
-    ListenSocket,
-    SocketError,
-)
+from repro.simnet.kernel import Event
+from repro.simnet.service import Service
+from repro.simnet.socket import Connection, ConnectionReset, SocketError
 
 __all__ = ["InnerServer"]
 
 
-class InnerServer:
-    """The relay daemon running inside the firewall."""
+class InnerServer(Service):
+    """The relay daemon running inside the firewall; it listens on the
+    nxport."""
 
     def __init__(self, host: Host, config: RelayConfig = DEFAULT_RELAY_CONFIG) -> None:
         config.validate()
-        self.host = host
-        self.sim = host.sim
+        super().__init__(host, config.nxport, config.backlog)
         self.config = config
         self.stats = RelayStats()
-        self._sock: Optional[ListenSocket] = None
-        self._accept_proc: Optional[Process] = None
-
-    @property
-    def addr(self) -> Address:
-        return Address(self.host.name, self.config.nxport)
-
-    @property
-    def running(self) -> bool:
-        return self._sock is not None and not self._sock.closed
 
     def open_firewall_pinhole(self, outer_host_name: str) -> None:
         """Configure this site's firewall with the single nxport hole,
@@ -68,33 +53,7 @@ class InnerServer:
             comment="nxport: outer server -> inner server",
         )
 
-    # -- lifecycle ------------------------------------------------------------
-
-    def start(self) -> "InnerServer":
-        if self.running:
-            raise SocketError(f"inner server on {self.host.name} already running")
-        self._sock = self.host.listen(self.config.nxport, backlog=self.config.backlog)
-        self._accept_proc = self.sim.process(
-            self._accept_loop(), name=f"inner-accept@{self.host.name}"
-        )
-        return self
-
-    def stop(self) -> None:
-        if self._sock is not None:
-            self._sock.close()
-
     # -- relay chains -------------------------------------------------------------
-
-    def _accept_loop(self) -> Iterator[Event]:
-        assert self._sock is not None
-        while True:
-            try:
-                conn = yield self._sock.accept()
-            except SocketError:
-                return
-            self.sim.process(
-                self._session(conn), name=f"inner-session@{self.host.name}"
-            )
 
     def _session(self, conn: Connection) -> Iterator[Event]:
         t0 = self.sim.now

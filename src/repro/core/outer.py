@@ -38,7 +38,7 @@ from repro.core.protocol import (
     RelayTo,
 )
 from repro.simnet.host import Host
-from repro.simnet.kernel import Event, Process
+from repro.simnet.kernel import Event
 from repro.simnet.socket import (
     Address,
     Connection,
@@ -46,6 +46,7 @@ from repro.simnet.socket import (
     ListenSocket,
     SocketError,
 )
+from repro.simnet.service import Service
 
 __all__ = ["OuterServer", "RelayStats"]
 
@@ -138,60 +139,28 @@ class _BindRegistration:
         self.tctx = tctx
 
 
-class OuterServer:
-    """The relay daemon running outside the firewall."""
+class OuterServer(Service):
+    """The relay daemon running outside the firewall; it listens on
+    the control port."""
 
     def __init__(self, host: Host, config: RelayConfig = DEFAULT_RELAY_CONFIG) -> None:
         config.validate()
-        self.host = host
-        self.sim = host.sim
+        super().__init__(host, config.control_port, config.backlog)
         self.config = config
         self.stats = RelayStats()
-        self._control_sock: Optional[ListenSocket] = None
         self._next_public_port = config.public_port_base
-        self._accept_proc: Optional[Process] = None
         self.bind_registrations: list[_BindRegistration] = []
 
     @property
     def control_addr(self) -> Address:
-        return Address(self.host.name, self.config.control_port)
-
-    @property
-    def running(self) -> bool:
-        return self._control_sock is not None and not self._control_sock.closed
-
-    # -- lifecycle ----------------------------------------------------------
-
-    def start(self) -> "OuterServer":
-        """Bind the control port and begin accepting; returns self."""
-        if self.running:
-            raise SocketError(f"outer server on {self.host.name} already running")
-        self._control_sock = self.host.listen(
-            self.config.control_port, backlog=self.config.backlog
-        )
-        self._accept_proc = self.sim.process(
-            self._accept_loop(), name=f"outer-accept@{self.host.name}"
-        )
-        return self
+        return self.addr
 
     def stop(self) -> None:
-        if self._control_sock is not None:
-            self._control_sock.close()
+        super().stop()
         for reg in self.bind_registrations:
             reg.public_sock.close()
 
     # -- control plane ----------------------------------------------------------
-
-    def _accept_loop(self) -> Iterator[Event]:
-        assert self._control_sock is not None
-        while True:
-            try:
-                conn = yield self._control_sock.accept()
-            except SocketError:
-                return  # stopped
-            self.sim.process(
-                self._session(conn), name=f"outer-session@{self.host.name}"
-            )
 
     def _session(self, conn: Connection) -> Iterator[Event]:
         try:

@@ -34,7 +34,7 @@ def publish_rmf_resources(
     """Register the deployment's gatekeeper and resources; returns the
     distinguished names written (direct/in-process registration — the
     daemons cohabit the service host in a real deployment too)."""
-    gk_host, gk_port = rmf.gatekeeper.addr
+    gk_host, gk_port = rmf.gatekeeper.addr.host, rmf.gatekeeper.addr.port
     dns: list[str] = []
 
     dn = f"gk={gk_host}:{gk_port}"

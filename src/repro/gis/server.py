@@ -16,7 +16,8 @@ from typing import Any, Iterator, Mapping, Optional
 from repro.gis.records import Filter, GISError, Record, parse_filter
 from repro.simnet.host import Host
 from repro.simnet.kernel import Event
-from repro.simnet.socket import Connection, ConnectionReset, ListenSocket, SocketError
+from repro.simnet.service import Service
+from repro.simnet.socket import Connection, ConnectionReset
 
 __all__ = ["GISServer", "DEFAULT_GIS_PORT", "RegisterMsg", "QueryMsg", "GISReply"]
 
@@ -48,36 +49,16 @@ class GISReply:
     error: Optional[str] = None
 
 
-class GISServer:
+class GISServer(Service):
     """The grid information directory."""
 
+    error = GISError
+
     def __init__(self, host: Host, port: int = DEFAULT_GIS_PORT) -> None:
-        self.host = host
-        self.sim = host.sim
-        self.port = port
+        super().__init__(host, port)
         self._records: dict[str, Record] = {}
-        self._sock: Optional[ListenSocket] = None
         self.queries_served = 0
         self.registrations = 0
-
-    @property
-    def addr(self) -> tuple[str, int]:
-        return (self.host.name, self.port)
-
-    @property
-    def running(self) -> bool:
-        return self._sock is not None and not self._sock.closed
-
-    def start(self) -> "GISServer":
-        if self.running:
-            raise GISError(f"GIS on {self.host.name} already running")
-        self._sock = self.host.listen(self.port)
-        self.sim.process(self._accept_loop(), name=f"gis@{self.host.name}")
-        return self
-
-    def stop(self) -> None:
-        if self._sock is not None:
-            self._sock.close()
 
     # -- direct (in-process) API: usable without the network ------------
 
@@ -112,15 +93,6 @@ class GISServer:
         return len(self._records)
 
     # -- wire protocol ----------------------------------------------------
-
-    def _accept_loop(self) -> Iterator[Event]:
-        assert self._sock is not None
-        while True:
-            try:
-                conn = yield self._sock.accept()
-            except SocketError:
-                return
-            self.sim.process(self._session(conn), name=f"gis-session@{self.host.name}")
 
     def _session(self, conn: Connection) -> Iterator[Event]:
         while True:

@@ -92,18 +92,7 @@ class Communicator:
             env = delivery.payload
             if not isinstance(env, Envelope):
                 raise MPIError(f"rank {self.rank}: non-envelope message {env!r}")
-            self.messages_received += 1
-            self.bytes_received += env.nbytes
-            rec = _obs.RECORDER
-            if rec is not None:
-                rec.count_pair("mpi.messages_recv", f"{env.source}->{self.rank}")
-            for i, (source, tag, ev) in enumerate(self._waiters):
-                if env.matches(source, tag):
-                    del self._waiters[i]
-                    ev.succeed(env)
-                    break
-            else:
-                self._pending.append(env)
+            self._deliver_local(env)
 
     # -- point-to-point --------------------------------------------------------
 

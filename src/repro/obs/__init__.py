@@ -13,7 +13,7 @@ from repro.obs.spans import (
 )
 from repro.obs.export import (
     diff_summaries,
-    summary,
+    summarize,
     to_chrome,
     validate_chrome_trace,
     write_artifacts,
@@ -33,7 +33,7 @@ __all__ = [
     "recorder",
     "observe",
     "to_chrome",
-    "summary",
+    "summarize",
     "diff_summaries",
     "validate_chrome_trace",
     "write_artifacts",

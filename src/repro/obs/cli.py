@@ -35,8 +35,10 @@ from typing import Any
 from repro.obs.assemble import assemble
 from repro.obs.export import (
     CHROME_FORMAT_TAG,
+    _flatten,
     diff_summaries,
     dumps,
+    summarize,
     validate_chrome_trace,
 )
 
@@ -79,49 +81,9 @@ def _load(path: str) -> Any:
         )
 
 
-def _summarize_trace(obj: "dict[str, Any]") -> "dict[str, Any]":
-    """Aggregate a Chrome trace file back into summary-shaped data
-    (so `summarize` works on either artifact)."""
-    cats: dict[str, dict[str, Any]] = {}
-    pid_domain = {1: "sim", 2: "wall"}
-    total = 0
-    for ev in obj.get("traceEvents", []):
-        ph = ev.get("ph")
-        if ph == "M":
-            continue
-        total += 1
-        # Assembled traces remap pids to stride*file + original; the
-        # low digit still encodes the clock domain.
-        pid = ev.get("pid")
-        domain = pid_domain.get(pid if pid in pid_domain else (pid or 0) % 10, "?")
-        key = f"{domain}:{ev.get('cat', '?')}"
-        agg = cats.setdefault(
-            key,
-            {"events": 0, "spans": 0, "instants": 0, "counters": 0,
-             "span_total_s": 0.0, "span_max_s": 0.0},
-        )
-        agg["events"] += 1
-        if ph == "X":
-            agg["spans"] += 1
-            dur_s = ev.get("dur", 0) / 1e6
-            agg["span_total_s"] += dur_s
-            if dur_s > agg["span_max_s"]:
-                agg["span_max_s"] = dur_s
-        elif ph == "i":
-            agg["instants"] += 1
-        elif ph == "C":
-            agg["counters"] += 1
-    return {
-        "format": "repro-obs-summary-v1",
-        "total_events": total,
-        "categories": dict(sorted(cats.items())),
-        "registry": obj.get("otherData", {}).get("registry", {}),
-    }
-
-
 def _as_summary(obj: Any, path: str) -> "dict[str, Any]":
     if isinstance(obj, dict) and "traceEvents" in obj:
-        return _summarize_trace(obj)
+        return summarize(obj)
     if isinstance(obj, dict) and str(obj.get("format", "")).startswith(
         "repro-obs-summary"
     ):
@@ -218,14 +180,6 @@ def _fetch_snapshot(url: str, timeout: float) -> "dict[str, Any]":
             return json.loads(resp.read().decode())
     except (OSError, ValueError) as exc:
         raise Unreadable(f"{url}: {exc}")
-
-
-def _flatten(prefix: str, value: Any, out: "dict[str, Any]") -> None:
-    if isinstance(value, dict):
-        for k in sorted(value):
-            _flatten(f"{prefix}.{k}" if prefix else str(k), value[k], out)
-    else:
-        out[prefix] = value
 
 
 def _endpoint_url(endpoint: str) -> str:

@@ -30,13 +30,12 @@ from repro.obs.spans import (
     SIM,
     WALL,
     ObsRecorder,
-    SpanEvent,
 )
 
 __all__ = [
     "CHROME_FORMAT_TAG",
     "to_chrome",
-    "summary",
+    "summarize",
     "diff_summaries",
     "validate_chrome_trace",
     "dumps",
@@ -51,6 +50,7 @@ CHROME_FORMAT_TAG = "repro-obs-chrome-trace-v1"
 #: overlaying sim microseconds on wall microseconds.
 _DOMAIN_PID = {SIM: 1, WALL: 2}
 _DOMAIN_LABEL = {SIM: "sim time", WALL: "wall clock"}
+_PID_DOMAIN = {pid: domain for domain, pid in _DOMAIN_PID.items()}
 
 
 def dumps(obj: Any) -> str:
@@ -130,44 +130,47 @@ def to_chrome(rec: ObsRecorder, extra_meta: "Optional[dict[str, Any]]" = None) -
     }
 
 
-def summary(rec: ObsRecorder, extra_meta: "Optional[dict[str, Any]]" = None) -> "dict[str, Any]":
-    """Aggregate view: per-(domain, category) event counts and span
-    duration totals, plus the full registry snapshot."""
+def summarize(chrome: "dict[str, Any]") -> "dict[str, Any]":
+    """Aggregate view of a Chrome trace (one :func:`to_chrome` wrote,
+    or one ``repro-obs assemble`` merged): per-(domain, category) event
+    counts and span duration totals, plus the registry snapshot the
+    trace carries."""
     cats: dict[str, dict[str, Any]] = {}
-    for ev in rec.events:
-        key = f"{ev.domain}:{ev.cat}"
-        agg = cats.get(key)
-        if agg is None:
-            agg = cats[key] = {
-                "events": 0,
-                "spans": 0,
-                "instants": 0,
-                "counters": 0,
-                "span_total_s": 0.0,
-                "span_max_s": 0.0,
-            }
+    total = 0
+    for ev in chrome.get("traceEvents", []):
+        ph = ev.get("ph")
+        if ph == "M":
+            continue
+        total += 1
+        # Assembled traces remap pids to stride*file + original; the
+        # low digit still encodes the clock domain.
+        pid = ev.get("pid")
+        domain = _PID_DOMAIN.get(pid if pid in _PID_DOMAIN else (pid or 0) % 10, "?")
+        agg = cats.setdefault(
+            f"{domain}:{ev.get('cat', '?')}",
+            {"events": 0, "spans": 0, "instants": 0, "counters": 0,
+             "span_total_s": 0.0, "span_max_s": 0.0},
+        )
         agg["events"] += 1
-        if ev.ph == PH_SPAN:
+        if ph == PH_SPAN:
             agg["spans"] += 1
-            agg["span_total_s"] += ev.dur
-            if ev.dur > agg["span_max_s"]:
-                agg["span_max_s"] = ev.dur
-        elif ev.ph == PH_INSTANT:
+            dur_s = ev.get("dur", 0) / 1e6
+            agg["span_total_s"] += dur_s
+            if dur_s > agg["span_max_s"]:
+                agg["span_max_s"] = dur_s
+        elif ph == PH_INSTANT:
             agg["instants"] += 1
-        elif ev.ph == PH_COUNTER:
+        elif ph == PH_COUNTER:
             agg["counters"] += 1
     for agg in cats.values():
         agg["span_total_s"] = round(agg["span_total_s"], 9)
         agg["span_max_s"] = round(agg["span_max_s"], 9)
-    out: dict[str, Any] = {
+    return {
         "format": "repro-obs-summary-v1",
-        "total_events": len(rec.events),
+        "total_events": total,
         "categories": dict(sorted(cats.items())),
-        "registry": rec.registry.snapshot(),
+        "registry": chrome.get("otherData", {}).get("registry", {}),
     }
-    if extra_meta:
-        out["meta"] = extra_meta
-    return out
 
 
 def _flatten(prefix: str, value: Any, out: "dict[str, Any]") -> None:
@@ -258,10 +261,14 @@ def write_artifacts(
     the two paths."""
     trace_path = f"{base}.trace.json"
     summary_path = f"{base}.summary.json"
+    chrome = to_chrome(rec, extra_meta)
+    summ = summarize(chrome)
+    if extra_meta:
+        summ["meta"] = extra_meta
     with open(trace_path, "w") as fh:
-        fh.write(dumps(to_chrome(rec, extra_meta)))
+        fh.write(dumps(chrome))
         fh.write("\n")
     with open(summary_path, "w") as fh:
-        fh.write(dumps(summary(rec, extra_meta)))
+        fh.write(dumps(summ))
         fh.write("\n")
     return trace_path, summary_path

@@ -25,6 +25,7 @@ __all__ = [
     "Gauge",
     "LogHistogram",
     "MetricsRegistry",
+    "hist_buckets",
 ]
 
 
@@ -67,6 +68,23 @@ class Gauge:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Gauge {self.name}={self.value}>"
+
+
+def hist_buckets(value: "dict[str, Any]") -> "Optional[list[tuple[int, int]]]":
+    """The ``(upper bound, count)`` pairs of a ``{"<=N": count}``
+    histogram snapshot (malformed buckets skipped), or ``None`` when
+    ``value`` is some other dict."""
+    if not value or not all(
+        isinstance(k, str) and k.startswith("<=") for k in value
+    ):
+        return None
+    out = []
+    for bound, count in value.items():
+        try:
+            out.append((int(bound[2:]), int(count)))
+        except (ValueError, TypeError):
+            continue
+    return out
 
 
 class LogHistogram:
@@ -174,12 +192,6 @@ class MetricsRegistry:
 
     # -- merging ----------------------------------------------------------
 
-    @staticmethod
-    def _is_hist_dict(value: "dict[str, Any]") -> bool:
-        return bool(value) and all(
-            isinstance(k, str) and k.startswith("<=") for k in value
-        )
-
     def absorb(self, snapshot: "dict[str, Any]", prefix: str = "") -> None:
         """Deep-merge a plain ``snapshot()`` dict into this registry's
         native metrics — the parent-side half of cross-process metric
@@ -203,14 +215,10 @@ class MetricsRegistry:
             elif isinstance(value, float):
                 self.gauge(name).add(value)
             elif isinstance(value, dict):
-                if self._is_hist_dict(value):
+                buckets = hist_buckets(value)
+                if buckets is not None:
                     hist = self.histogram(name)
-                    for bound, count in value.items():
-                        try:
-                            upper = int(bound[2:])
-                            n = int(count)
-                        except (ValueError, TypeError):
-                            continue
+                    for upper, n in buckets:
                         idx = min(upper.bit_length(), LogHistogram.NBUCKETS - 1)
                         hist.counts[idx] += n
                 elif value and all(

@@ -10,9 +10,12 @@ while the daemon runs, instead of only at exit:
   snapshot's plain-data shapes: ints become counters, floats gauges,
   str→int dicts labelled counter families, and ``{"<=N": n}`` dicts
   cumulative ``_bucket{le=...}`` series.
-* :class:`TelemetryServer` — a dependency-free asyncio HTTP listener
-  serving ``GET /metrics`` (text exposition) and ``GET /metrics.json``
-  (the raw snapshot, which ``repro-obs tail`` streams).
+* :class:`HttpEndpoint` — a dependency-free asyncio HTTP/1.0
+  listener (one request per connection); the fleet admin endpoint is
+  one too.
+* :class:`TelemetryServer` — the endpoint serving ``GET /metrics``
+  (text exposition) and ``GET /metrics.json`` (the raw snapshot, which
+  ``repro-obs tail`` streams).
 
 The server reads the registry only inside the event loop the daemon
 already runs on, so no locking is needed and scrapes can never tear a
@@ -26,10 +29,13 @@ import contextlib
 import json
 from typing import Any, Callable, Optional
 
+from repro.obs.metrics import hist_buckets
+
 __all__ = [
     "TELEMETRY_FORMAT_TAG",
     "TELEMETRY_SCHEMA_VERSION",
     "render_prometheus",
+    "HttpEndpoint",
     "TelemetryServer",
 ]
 
@@ -40,6 +46,13 @@ TELEMETRY_FORMAT_TAG = "repro-obs-telemetry-v1"
 #: emit-time ``git_sha``/``dirty`` provenance pair, so artifacts
 #: collected from a mixed-version fleet are detectable.
 TELEMETRY_SCHEMA_VERSION = 2
+
+#: Deadline (seconds) for each line of an HTTP request.
+REQUEST_LINE_TIMEOUT_S = 5.0
+#: Most header bytes an endpoint reads before it answers anyway.
+MAX_HEADER_BYTES = 16 * 1024
+_REASONS = {200: "OK", 400: "Bad Request", 404: "Not Found",
+            405: "Method Not Allowed"}
 
 
 def _sanitize(name: str) -> str:
@@ -54,12 +67,6 @@ def _escape_label(value: str) -> str:
     return value.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
 
 
-def _is_hist_dict(value: "dict[str, Any]") -> bool:
-    return bool(value) and all(
-        isinstance(k, str) and k.startswith("<=") for k in value
-    )
-
-
 def _render_one(name: str, value: Any, lines: "list[str]") -> None:
     if isinstance(value, bool):
         lines.append(f"# TYPE {name} gauge")
@@ -71,18 +78,12 @@ def _render_one(name: str, value: Any, lines: "list[str]") -> None:
         lines.append(f"# TYPE {name} gauge")
         lines.append(f"{name} {value}")
     elif isinstance(value, dict):
-        if _is_hist_dict(value):
+        buckets = hist_buckets(value)
+        if buckets is not None:
             # Log2-bucketed histogram → cumulative le-labelled buckets.
             lines.append(f"# TYPE {name} histogram")
-            bounds: list[tuple[int, int]] = []
-            for k, v in value.items():
-                try:
-                    bounds.append((int(k[2:]), int(v)))
-                except (ValueError, TypeError):
-                    continue
-            bounds.sort()
             cum = 0
-            for upper, count in bounds:
+            for upper, count in sorted(buckets):
                 cum += count
                 lines.append(f'{name}_bucket{{le="{upper}"}} {cum}')
             lines.append(f'{name}_bucket{{le="+Inf"}} {cum}')
@@ -112,8 +113,78 @@ def render_prometheus(
     return "\n".join(lines) + "\n"
 
 
-class TelemetryServer:
-    """Minimal asyncio HTTP/1.0 endpoint over a live registry.
+class HttpEndpoint:
+    """Minimal asyncio HTTP/1.0 endpoint: one request per connection.
+
+    The request line and header block are read (each line within
+    :data:`REQUEST_LINE_TIMEOUT_S`, at most :data:`MAX_HEADER_BYTES`
+    of headers, which are ignored), :meth:`route` answers, and the
+    connection closes after the framed response.
+    """
+
+    def __init__(self, host: str, port: int) -> None:
+        self.host = host
+        self.port = port
+        self._server: Optional[asyncio.base_events.Server] = None
+
+    @property
+    def bound_port(self) -> int:
+        if self._server is None:
+            raise RuntimeError(f"{type(self).__name__} not started")
+        return self._server.sockets[0].getsockname()[1]
+
+    async def start(self):
+        self._server = await asyncio.start_server(
+            self._handle, self.host, self.port
+        )
+        self.port = self.bound_port
+        return self
+
+    async def stop(self) -> None:
+        if self._server is not None:
+            self._server.close()
+            with contextlib.suppress(Exception):
+                await self._server.wait_closed()
+            self._server = None
+
+    def route(self, method: str, target: str) -> "tuple[int, str, str]":
+        """``(status, content type, body)`` for one request."""
+        raise NotImplementedError
+
+    async def _handle(
+        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
+    ) -> None:
+        try:
+            request = await asyncio.wait_for(
+                reader.readline(), REQUEST_LINE_TIMEOUT_S
+            )
+            drained = 0
+            while drained < MAX_HEADER_BYTES:
+                line = await asyncio.wait_for(
+                    reader.readline(), REQUEST_LINE_TIMEOUT_S
+                )
+                drained += len(line)
+                if line in (b"\r\n", b"\n", b""):
+                    break
+            method, target = (request.decode("latin-1").split() + ["", ""])[:2]
+            status, ctype, body = self.route(method, target)
+            data = body.encode()
+            head = (
+                f"HTTP/1.0 {status} {_REASONS.get(status, 'Error')}\r\n"
+                f"Content-Type: {ctype}\r\n"
+                f"Content-Length: {len(data)}\r\n"
+                f"Connection: close\r\n\r\n"
+            )
+            writer.write(head.encode("latin-1") + data)
+            await writer.drain()
+        except (asyncio.TimeoutError, ValueError, OSError):
+            pass
+        finally:
+            writer.close()
+
+
+class TelemetryServer(HttpEndpoint):
+    """The telemetry endpoint over a live registry.
 
     ``snapshot_fn`` is called per scrape (on the daemon's own event
     loop) and must return the registry snapshot dict.  ``extra`` is
@@ -129,20 +200,12 @@ class TelemetryServer:
         port: int = 0,
         extra: "Optional[dict[str, Any]]" = None,
     ) -> None:
+        super().__init__(host, port)
         self.snapshot_fn = snapshot_fn
-        self.host = host
-        self.port = port
         self.extra = dict(extra) if extra else {}
         self.scrapes = 0
         self._git_sha: Optional[str] = None
         self._git_dirty: Optional[bool] = None
-        self._server: Optional[asyncio.base_events.Server] = None
-
-    @property
-    def bound_port(self) -> int:
-        if self._server is None:
-            raise RuntimeError("telemetry server not started")
-        return self._server.sockets[0].getsockname()[1]
 
     async def start(self) -> "TelemetryServer":
         # Resolve provenance once at bind time (it forks git): the
@@ -152,76 +215,26 @@ class TelemetryServer:
 
         self._git_sha = git_revision()
         self._git_dirty = git_dirty()
-        self._server = await asyncio.start_server(
-            self._handle, self.host, self.port
-        )
-        self.port = self.bound_port
-        return self
+        return await super().start()
 
-    async def stop(self) -> None:
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
-
-    async def _handle(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        try:
-            request = await asyncio.wait_for(reader.readline(), timeout=5.0)
-            parts = request.decode("latin-1").split()
-            # Drain headers; HTTP/1.0 semantics, one request per connection.
-            while True:
-                line = await asyncio.wait_for(reader.readline(), timeout=5.0)
-                if line in (b"\r\n", b"\n", b""):
-                    break
-            if len(parts) < 2 or parts[0] != "GET":
-                await self._respond(writer, 405, "text/plain",
-                                    "only GET is supported\n")
-                return
-            path = parts[1].split("?", 1)[0]
-            self.scrapes += 1
-            if path == "/metrics":
-                body = render_prometheus(self.snapshot_fn())
-                await self._respond(
-                    writer, 200, "text/plain; version=0.0.4", body
-                )
-            elif path == "/metrics.json":
-                payload: dict[str, Any] = {
-                    "format": TELEMETRY_FORMAT_TAG,
-                    "schema_version": TELEMETRY_SCHEMA_VERSION,
-                    "git_sha": self._git_sha,
-                    "dirty": self._git_dirty,
-                    "scrapes": self.scrapes,
-                    "registry": self.snapshot_fn(),
-                }
-                payload.update(self.extra)
-                await self._respond(
-                    writer, 200, "application/json",
-                    json.dumps(payload, sort_keys=True) + "\n",
-                )
-            else:
-                await self._respond(writer, 404, "text/plain",
-                                    "try /metrics or /metrics.json\n")
-        except (asyncio.TimeoutError, ConnectionError, OSError):
-            pass
-        finally:
-            with contextlib.suppress(Exception):
-                writer.close()
-
-    @staticmethod
-    async def _respond(
-        writer: asyncio.StreamWriter, status: int, ctype: str, body: str
-    ) -> None:
-        reason = {200: "OK", 404: "Not Found", 405: "Method Not Allowed"}.get(
-            status, "Error"
-        )
-        data = body.encode()
-        head = (
-            f"HTTP/1.0 {status} {reason}\r\n"
-            f"Content-Type: {ctype}\r\n"
-            f"Content-Length: {len(data)}\r\n"
-            f"Connection: close\r\n\r\n"
-        )
-        writer.write(head.encode("latin-1") + data)
-        await writer.drain()
+    def route(self, method: str, target: str) -> "tuple[int, str, str]":
+        if method != "GET":
+            return 405, "text/plain", "only GET is supported\n"
+        path = target.split("?", 1)[0]
+        self.scrapes += 1
+        if path == "/metrics":
+            return (200, "text/plain; version=0.0.4",
+                    render_prometheus(self.snapshot_fn()))
+        if path == "/metrics.json":
+            payload: dict[str, Any] = {
+                "format": TELEMETRY_FORMAT_TAG,
+                "schema_version": TELEMETRY_SCHEMA_VERSION,
+                "git_sha": self._git_sha,
+                "dirty": self._git_dirty,
+                "scrapes": self.scrapes,
+                "registry": self.snapshot_fn(),
+            }
+            payload.update(self.extra)
+            return (200, "application/json",
+                    json.dumps(payload, sort_keys=True) + "\n")
+        return 404, "text/plain", "try /metrics or /metrics.json\n"

@@ -20,7 +20,8 @@ from typing import Iterator, Optional
 from repro.rmf.jobs import JobSpec, RMFError
 from repro.simnet.host import Host
 from repro.simnet.kernel import Event
-from repro.simnet.socket import Connection, ConnectionReset, ListenSocket, SocketError
+from repro.simnet.service import Service
+from repro.simnet.socket import Connection, ConnectionReset
 
 __all__ = [
     "ResourceInfo",
@@ -98,8 +99,10 @@ class AllocReply:
     error: Optional[str] = None
 
 
-class ResourceAllocator:
+class ResourceAllocator(Service):
     """The placement daemon."""
+
+    error = RMFError
 
     def __init__(
         self,
@@ -107,38 +110,19 @@ class ResourceAllocator:
         port: int = DEFAULT_ALLOCATOR_PORT,
         liveness_timeout: Optional[float] = None,
     ) -> None:
-        self.host = host
-        self.sim = host.sim
-        self.port = port
+        super().__init__(host, port)
         #: Resources silent for longer than this are not placed on
         #: (None disables liveness filtering — static deployments).
         self.liveness_timeout = liveness_timeout
         self.resources: dict[str, ResourceInfo] = {}
         self._order = 0
-        self._sock: Optional[ListenSocket] = None
         self._sessions: list[Connection] = []
         self.requests_served = 0
-
-    @property
-    def addr(self) -> tuple[str, int]:
-        return (self.host.name, self.port)
-
-    @property
-    def running(self) -> bool:
-        return self._sock is not None and not self._sock.closed
-
-    def start(self) -> "ResourceAllocator":
-        if self.running:
-            raise RMFError(f"allocator on {self.host.name} already running")
-        self._sock = self.host.listen(self.port)
-        self.sim.process(self._accept_loop(), name=f"allocator@{self.host.name}")
-        return self
 
     def stop(self) -> None:
         """Shut down: close the listener and every active session (so
         heartbeating Q servers observe the outage and reconnect)."""
-        if self._sock is not None:
-            self._sock.close()
+        super().stop()
         for conn in self._sessions:
             if not conn.closed:
                 conn.close()
@@ -203,19 +187,8 @@ class ResourceAllocator:
 
     # -- wire protocol ---------------------------------------------------------
 
-    def _accept_loop(self) -> Iterator[Event]:
-        assert self._sock is not None
-        while True:
-            try:
-                conn = yield self._sock.accept()
-            except SocketError:
-                return
-            self._sessions.append(conn)
-            self.sim.process(
-                self._session(conn), name=f"allocator-session@{self.host.name}"
-            )
-
     def _session(self, conn: Connection) -> Iterator[Event]:
+        self._sessions.append(conn)
         while True:
             try:
                 msg = yield conn.recv()

@@ -36,13 +36,8 @@ from repro.rmf.jobs import RMFError
 from repro.simnet.host import Host
 from repro.simnet.kernel import AllOf, Event
 from repro.simnet.primitives import Channel
-from repro.simnet.socket import (
-    Address,
-    Connection,
-    ConnectionReset,
-    ListenSocket,
-    SocketError,
-)
+from repro.simnet.service import Service
+from repro.simnet.socket import Address, Connection, ConnectionReset
 
 __all__ = [
     "RendezvousServer",
@@ -81,44 +76,15 @@ class _Barrier:
         self.sim = sim
 
 
-class RendezvousServer:
+class RendezvousServer(Service):
     """The co-allocation barrier + bootstrap address exchange."""
 
+    error = RMFError
+
     def __init__(self, host: Host, port: int = DEFAULT_RENDEZVOUS_PORT) -> None:
-        self.host = host
-        self.sim = host.sim
-        self.port = port
-        self._sock: Optional[ListenSocket] = None
+        super().__init__(host, port)
         self._barriers: dict[str, _Barrier] = {}
         self.jobs_completed = 0
-
-    @property
-    def addr(self) -> tuple[str, int]:
-        return (self.host.name, self.port)
-
-    @property
-    def running(self) -> bool:
-        return self._sock is not None and not self._sock.closed
-
-    def start(self) -> "RendezvousServer":
-        if self.running:
-            raise RMFError(f"rendezvous on {self.host.name} already running")
-        self._sock = self.host.listen(self.port)
-        self.sim.process(self._accept_loop(), name=f"duroc@{self.host.name}")
-        return self
-
-    def stop(self) -> None:
-        if self._sock is not None:
-            self._sock.close()
-
-    def _accept_loop(self) -> Iterator[Event]:
-        assert self._sock is not None
-        while True:
-            try:
-                conn = yield self._sock.accept()
-            except SocketError:
-                return
-            self.sim.process(self._session(conn), name="duroc-session")
 
     def _session(self, conn: Connection) -> Iterator[Event]:
         try:

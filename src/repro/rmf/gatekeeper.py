@@ -41,7 +41,8 @@ from repro.obs import spans as _obs
 from repro.obs import trace as _trace
 from repro.simnet.host import Host
 from repro.simnet.kernel import AllOf, Event
-from repro.simnet.socket import Connection, ConnectionReset, ListenSocket, SocketError
+from repro.simnet.service import Service
+from repro.simnet.socket import Connection, ConnectionReset
 
 __all__ = [
     "GramRequest",
@@ -81,8 +82,12 @@ class GramReply:
         return self.ok and all(r.ok for r in self.results)
 
 
-class Gatekeeper:
-    """The GRAM entry point for an RMF deployment."""
+class Gatekeeper(Service):
+    """The GRAM entry point for an RMF deployment.  Each request is
+    served by its own session ("the job manager invoked by the
+    gatekeeper" — one forked process per request)."""
+
+    error = RMFError
 
     def __init__(
         self,
@@ -92,9 +97,7 @@ class Gatekeeper:
         gridmap: Optional[dict[str, str]] = None,
         staging: Optional[FileStore] = None,
     ) -> None:
-        self.host = host
-        self.sim = host.sim
-        self.port = port
+        super().__init__(host, port)
         self.allocator_addr = allocator_addr
         #: Credential subject → local user.  Empty map = open access
         #: (convenient for tests; real sites always populate it).
@@ -102,28 +105,8 @@ class Gatekeeper:
         #: GASS cache on the gatekeeper host; stage-in files are read
         #: from here and stage-out files land here.
         self.staging = staging if staging is not None else FileStore(host.name)
-        self._sock: Optional[ListenSocket] = None
         self.requests_handled = 0
         self.auth_failures = 0
-
-    @property
-    def addr(self) -> tuple[str, int]:
-        return (self.host.name, self.port)
-
-    @property
-    def running(self) -> bool:
-        return self._sock is not None and not self._sock.closed
-
-    def start(self) -> "Gatekeeper":
-        if self.running:
-            raise RMFError(f"gatekeeper on {self.host.name} already running")
-        self._sock = self.host.listen(self.port)
-        self.sim.process(self._accept_loop(), name=f"gatekeeper@{self.host.name}")
-        return self
-
-    def stop(self) -> None:
-        if self._sock is not None:
-            self._sock.close()
 
     def authenticate(self, subject: str) -> bool:
         if self.gridmap is None:
@@ -132,20 +115,7 @@ class Gatekeeper:
 
     # -- request handling ------------------------------------------------------
 
-    def _accept_loop(self) -> Iterator[Event]:
-        assert self._sock is not None
-        while True:
-            try:
-                conn = yield self._sock.accept()
-            except SocketError:
-                return
-            # "The job manager invoked by the gatekeeper" — one forked
-            # process per request.
-            self.sim.process(
-                self._job_manager(conn), name=f"job-manager@{self.host.name}"
-            )
-
-    def _job_manager(self, conn: Connection) -> Iterator[Event]:
+    def _session(self, conn: Connection) -> Iterator[Event]:
         try:
             msg = yield conn.recv()
         except ConnectionReset:

@@ -27,7 +27,8 @@ from repro.rmf.jobs import JobRecord, JobResult, JobSpec, JobState, RMFError, ne
 from repro.simnet.host import Host
 from repro.simnet.kernel import Event, Interrupt, Process
 from repro.simnet.primitives import Channel
-from repro.simnet.socket import Connection, ConnectionReset, ListenSocket, SocketError
+from repro.simnet.service import Service
+from repro.simnet.socket import Connection, ConnectionReset, SocketError
 
 __all__ = [
     "JobHandle",
@@ -82,13 +83,15 @@ class QFinished:
     out_files: dict[str, bytes] = field(default_factory=dict)
 
 
-class QServer:
+class QServer(Service):
     """The queuing daemon on one computing resource.
 
     Jobs queue FIFO and run with up to ``slots`` concurrent jobs
     (default: one job at a time — the resource is space-shared at job
     granularity, like the testbed's clusters).
     """
+
+    error = RMFError
 
     def __init__(
         self,
@@ -103,16 +106,13 @@ class QServer:
     ) -> None:
         if slots < 1:
             raise RMFError(f"slots must be >= 1, got {slots}")
-        self.host = host
-        self.sim = host.sim
+        super().__init__(host, port)
         self.resource_name = resource_name or host.name
-        self.port = port
         self.registry = registry if registry is not None else default_registry()
         self.slots = slots
         #: Processors this resource advertises to the allocator.
         self.cpus = cpus if cpus is not None else host.cores
         self.files = FileStore(host.name)
-        self._sock: Optional[ListenSocket] = None
         self._queue: Channel[tuple[JobRecord, QSubmit, Connection]] = Channel(self.sim)
         self.records: dict[int, JobRecord] = {}
         self._running_procs: dict[int, Process] = {}
@@ -128,15 +128,8 @@ class QServer:
         self.heartbeat_interval = heartbeat_interval
         self.heartbeats_sent = 0
 
-    @property
-    def running(self) -> bool:
-        return self._sock is not None and not self._sock.closed
-
     def start(self) -> "QServer":
-        if self.running:
-            raise RMFError(f"Q server on {self.host.name} already running")
-        self._sock = self.host.listen(self.port)
-        self.sim.process(self._accept_loop(), name=f"qserver-accept@{self.host.name}")
+        super().start()
         for i in range(self.slots):
             self.sim.process(self._runner(), name=f"qserver-run{i}@{self.host.name}")
         if self.allocator_addr is not None:
@@ -180,8 +173,7 @@ class QServer:
             yield self.sim.timeout(self.heartbeat_interval)
 
     def stop(self) -> None:
-        if self._sock is not None:
-            self._sock.close()
+        super().stop()
         self._queue.close()
 
     @property
@@ -189,17 +181,6 @@ class QServer:
         return len(self._queue)
 
     # -- intake -------------------------------------------------------------
-
-    def _accept_loop(self) -> Iterator[Event]:
-        assert self._sock is not None
-        while True:
-            try:
-                conn = yield self._sock.accept()
-            except SocketError:
-                return
-            self.sim.process(
-                self._session(conn), name=f"qserver-session@{self.host.name}"
-            )
 
     def _session(self, conn: Connection) -> Iterator[Event]:
         try:

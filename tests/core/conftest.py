@@ -1,4 +1,4 @@
-"""Shared fixtures: a leak check for live-plane tests, and a miniature
+"""Shared fixtures: leak checks for live-plane tests, and a miniature
 firewalled deployment.
 
 Topology (a reduced Fig. 5)::
@@ -16,6 +16,8 @@ connects fail fast instead of burning simulated timeout.
 import asyncio
 import contextlib
 import os
+import time
+from multiprocessing import resource_tracker
 
 import pytest
 
@@ -23,20 +25,41 @@ from repro.core import InnerServer, NexusProxyClient, OuterServer, RelayConfig
 from repro.simnet import Firewall, Network
 
 
+def _fds() -> "set[str]":
+    return set(os.listdir("/proc/self/fd"))
+
+
 @contextlib.asynccontextmanager
 async def leak_check():
     """Everything started inside is gone on exit: no task but the
     caller's, no file descriptor that was not open before."""
     tasks0 = asyncio.all_tasks()
-    fds0 = set(os.listdir("/proc/self/fd"))
+    fds0 = _fds()
     yield
     for _ in range(200):
         tasks = asyncio.all_tasks() - tasks0
-        fds = set(os.listdir("/proc/self/fd")) - fds0
+        fds = _fds() - fds0
         if not tasks and not fds:
             return
         await asyncio.sleep(0.01)
     raise AssertionError(f"leaked tasks {tasks} / fds {sorted(fds)}")
+
+
+@pytest.fixture(autouse=True)
+def no_fd_leak():
+    """The fd half of :func:`leak_check` around every test here, so a
+    live test cannot opt out of it."""
+    # The first spawned fleet worker starts multiprocessing's resource
+    # tracker, whose pipe stays open for the life of the process.
+    resource_tracker.ensure_running()
+    fds0 = _fds()
+    yield
+    for _ in range(200):
+        fds = _fds() - fds0
+        if not fds:
+            return
+        time.sleep(0.01)
+    raise AssertionError(f"leaked fds {sorted(fds)}")
 
 
 class Deployment:

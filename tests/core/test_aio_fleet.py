@@ -8,12 +8,15 @@ heavyweight drain integration is marked ``slow``.
 import asyncio
 import contextlib
 import json
+import socket
 from multiprocessing import resource_tracker
 
 import pytest
 
 from repro.core.aio import AioProxyClient
-from repro.core.aio.fleet import FleetManager, FleetSpec
+from repro.core.aio import fleet as fleet_mod
+from repro.core.aio.fleet import FleetManager, FleetSpec, _WorkerHandle
+from repro.core.placement import WorkerView
 from repro.core.aio.streams import StripeSink, recv_striped, send_striped
 
 from tests.core.conftest import leak_check
@@ -371,3 +374,47 @@ def test_striped_transfer_with_more_streams_than_workers():
             await fleet.stop()
 
     run(main())
+
+
+def test_ctl_send_gives_up_on_a_worker_that_stopped_reading(monkeypatch):
+    """A worker whose control socket stopped draining: the send raises
+    at its deadline instead of retrying forever, and a handoff to that
+    worker marks it gone, terminates it and rejects the client."""
+    monkeypatch.setattr(fleet_mod, "CTL_SEND_TIMEOUT_S", 0.2)
+
+    class Proc:
+        terminated = False
+
+        def is_alive(self):
+            return not self.terminated
+
+        def terminate(self):
+            self.terminated = True
+
+    async def main():
+        loop = asyncio.get_running_loop()
+        ours, worker_end = socket.socketpair()
+        client, conn = socket.socketpair()
+        ours.setblocking(False)
+        conn.setblocking(False)
+        with contextlib.suppress(BlockingIOError):
+            while True:  # the worker never reads: fill the send buffer
+                ours.send(b"x" * 65536)
+        manager = FleetManager(FleetSpec(workers=1))
+        handle = _WorkerHandle("w0", 0, Proc(), WorkerView("w0"), ctl_sock=ours)
+        manager.handles["w0"] = handle
+        manager.placer.add_worker(handle.view)
+        try:
+            t0 = loop.time()
+            with pytest.raises(OSError, match="stopped reading"):
+                await asyncio.wait_for(manager._ctl_send(handle, {"op": "stop"}), 5)
+            assert loop.time() - t0 < 2
+            await asyncio.wait_for(manager._admit(conn, ("127.0.0.1", 1)), 5)
+            assert handle.view.state == "gone" and handle.proc.terminated
+            assert client.recv(4096) == (
+                b'{"ok":false,"error":"relay worker unavailable"}\n')
+        finally:
+            for sock in (ours, worker_end, client, conn):
+                sock.close()
+
+    run(main(), timeout=30)

@@ -8,6 +8,7 @@ import asyncio
 import contextlib
 import json
 import socket
+import struct
 import time
 
 import pytest
@@ -269,6 +270,96 @@ def test_bind_released_on_listener_close():
         finally:
             await outer.stop()
             await inner.stop()
+
+    run(main())
+
+
+async def _reset_mid_request(outer, request, stage: asyncio.Event,
+                             proceed: asyncio.Event) -> None:
+    """Send ``request`` to the outer's control port, then reset the
+    connection (``SO_LINGER`` 0) while the outer is held at ``stage``,
+    and let it go on once it has seen the reset."""
+    sock = socket.create_connection(("127.0.0.1", outer.control_port))
+    sock.sendall(json.dumps(request).encode() + b"\n")
+    await asyncio.wait_for(stage.wait(), 5)
+    sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+    sock.close()
+    await asyncio.sleep(0.1)
+    proceed.set()
+
+
+def test_client_reset_before_connect_reply_closes_onward_socket(monkeypatch):
+    """A client that resets while the outer dials for it: the onward
+    socket is closed (the destination sees EOF) and the request counts
+    as failed."""
+
+    async def main():
+        outer = await AioOuterServer().start()
+        accepted = asyncio.get_running_loop().create_future()
+        dest = await asyncio.start_server(
+            lambda r, w: accepted.set_result((r, w)), "127.0.0.1", 0)
+        dialing, proceed = asyncio.Event(), asyncio.Event()
+        real_open = asyncio.open_connection
+
+        async def held_open(*args, **kwargs):
+            dialing.set()
+            await proceed.wait()
+            return await real_open(*args, **kwargs)
+
+        monkeypatch.setattr(relay.asyncio, "open_connection", held_open)
+        try:
+            await _reset_mid_request(
+                outer, {"op": "connect", "host": "127.0.0.1",
+                        "port": dest.sockets[0].getsockname()[1]},
+                dialing, proceed)
+            dr, dw = await asyncio.wait_for(accepted, 5)
+            assert await asyncio.wait_for(dr.read(), 3) == b""
+            dw.close()
+            assert outer.stats.failed_requests == 1
+            assert outer.stats.active_connects == 0
+        finally:
+            dest.close()
+            await dest.wait_closed()
+            await outer.stop()
+
+    run(main())
+
+
+def test_client_reset_before_bind_reply_releases_public_port(monkeypatch):
+    """A client that resets while the outer opens its public port: the
+    port is released (a dial to it is refused) and the request counts
+    as failed."""
+
+    async def main():
+        outer = await AioOuterServer().start()
+        bound, proceed = asyncio.Event(), asyncio.Event()
+        public_ports = []
+        real_start = asyncio.start_server
+
+        async def held_start(*args, **kwargs):
+            server = await real_start(*args, **kwargs)
+            public_ports.append(server.sockets[0].getsockname()[1])
+            bound.set()
+            await proceed.wait()
+            return server
+
+        monkeypatch.setattr(relay.asyncio, "start_server", held_start)
+        try:
+            await _reset_mid_request(
+                outer, {"op": "bind", "client_host": "127.0.0.1",
+                        "client_port": 1, "inner_host": "127.0.0.1",
+                        "inner_port": 1},
+                bound, proceed)
+            for _ in range(100):
+                if outer.stats.failed_requests and not outer._public_servers:
+                    break
+                await asyncio.sleep(0.01)
+            with pytest.raises(ConnectionRefusedError):
+                await asyncio.open_connection("127.0.0.1", public_ports[0])
+            assert outer.stats.failed_requests == 1
+            assert outer.stats.passive_binds == 0
+        finally:
+            await outer.stop()
 
     run(main())
 

@@ -6,6 +6,7 @@ and the BufferedProtocol relay ends.
 import asyncio
 import hashlib
 import socket
+import struct
 import tracemalloc
 
 from repro.core.aio import AioOuterServer, AioProxyClient, pump
@@ -284,6 +285,35 @@ def test_zero_copy_relay_bidirectional_with_leftover():
         assert b_to_a == len(payload_b)
         for w in (a_cw, b_cw):
             w.close()
+        for srv in (server_a, server_b):
+            srv.close()
+            await srv.wait_closed()
+
+    run(main())
+
+
+def test_zero_copy_relay_refuses_a_failed_stream():
+    """A stream that failed before the swap is not adopted: the relay
+    returns ``(0, 0)`` at once and closes both transports, so the
+    healthy side's peer sees EOF."""
+
+    async def main():
+        server_a, (a_cr, a_cw), (a_sr, a_sw) = await _pipe()
+        server_b, (b_cr, b_cw), (b_sr, b_sw) = await _pipe()
+        # A's client resets: A's accepted stream fails.
+        a_cw.get_extra_info("socket").setsockopt(
+            socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+        a_cw.transport.abort()
+        for _ in range(200):
+            if a_sr.exception() is not None:
+                break
+            await asyncio.sleep(0.01)
+        assert isinstance(a_sr.exception(), ConnectionResetError)
+
+        assert await relay_sockets_zero_copy(a_sr, a_sw, b_sr, b_sw) == (0, 0)
+        assert a_sw.transport.is_closing() and b_sw.transport.is_closing()
+        assert await asyncio.wait_for(b_cr.read(), 3) == b""
+        b_cw.close()
         for srv in (server_a, server_b):
             srv.close()
             await srv.wait_closed()

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from repro.gis import GISClient, GISError, GISServer, Record, publish_rmf_resources
 from repro.gis.records import parse_filter
-from repro.simnet import Network
+from repro.simnet import Address, Network
 
 
 # -- records & filters ------------------------------------------------------
@@ -209,4 +209,4 @@ def test_publish_rmf_resources():
     assert {r.get("resource") for r in computes} == {"RWCP-Sun", "COMPaS-0"}
     # Discovery gives a client everything needed to submit.
     gk = gatekeepers[0]
-    assert (gk.get("gatekeeper_host"), gk.get("gatekeeper_port")) == rmf.gatekeeper.addr
+    assert Address(gk.get("gatekeeper_host"), gk.get("gatekeeper_port")) == rmf.gatekeeper.addr

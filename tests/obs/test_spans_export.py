@@ -11,7 +11,7 @@ from repro.obs.export import (
     CHROME_FORMAT_TAG,
     diff_summaries,
     dumps,
-    summary,
+    summarize,
     to_chrome,
     validate_chrome_trace,
     write_artifacts,
@@ -94,14 +94,14 @@ def test_validator_rejects_malformed():
 
 def test_summary_aggregates_and_diff():
     rec = small_recorder()
-    summ = summary(rec)
+    summ = summarize(to_chrome(rec))
     assert summ["total_events"] == 4
     steal = summ["categories"]["sim:steal"]
     assert steal["spans"] == 1 and steal["span_total_s"] == 1.5
     assert summ["categories"]["wall:relay"]["spans"] == 1
     assert diff_summaries(summ, summ)["changed"] == {}
     rec.count("chains", 1)
-    diff = diff_summaries(summ, summary(rec))
+    diff = diff_summaries(summ, summarize(to_chrome(rec)))
     assert diff["changed"]["registry.chains"]["delta"] == 1
 
 

@@ -7,6 +7,7 @@ from repro.obs.metrics import LogHistogram, MetricsRegistry
 from repro.obs.telemetry import (
     TELEMETRY_FORMAT_TAG,
     TELEMETRY_SCHEMA_VERSION,
+    MAX_HEADER_BYTES,
     TelemetryServer,
     render_prometheus,
 )
@@ -87,6 +88,28 @@ def test_telemetry_server_serves_both_endpoints():
             assert payload["scrapes"] == 2
             status, _ = await _http_get(server.bound_port, "/nope")
             assert status == 404
+        finally:
+            await server.stop()
+
+    asyncio.run(asyncio.wait_for(main(), timeout=15))
+
+
+def test_endless_header_block_is_answered_at_the_bound():
+    """A client that never ends its header block is answered once
+    ``MAX_HEADER_BYTES`` of headers are read, not read from forever."""
+    reg = MetricsRegistry()
+    line = b"X-Pad: " + b"y" * 991 + b"\r\n"  # 1000 bytes
+    count = MAX_HEADER_BYTES // len(line) + 1
+
+    async def main():
+        server = await TelemetryServer(reg.snapshot, port=0).start()
+        try:
+            reader, writer = await asyncio.open_connection(
+                "127.0.0.1", server.bound_port)
+            writer.write(b"GET /metrics HTTP/1.0\r\n" + line * count)
+            raw = await asyncio.wait_for(reader.read(-1), 3)
+            writer.close()
+            assert raw.startswith(b"HTTP/1.0 200 OK\r\n")
         finally:
             await server.stop()
 
