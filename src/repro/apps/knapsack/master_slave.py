@@ -107,7 +107,7 @@ class SchedulingParams:
     #: just its own.  An extension beyond the paper (its runs pruned
     #: nothing); ablated in ``tests/knapsack/test_shared_bounds.py``.
     share_bounds: bool = False
-    #: Search-engine implementation: ``"fast"`` (vc-encoded chunked
+    #: Search-engine implementation: ``"fast"`` (table-driven packed
     #: kernel + fused slave batches), ``"seed"`` (the original
     #: tuple-stack loop with one simulator yield per batch), or
     #: ``"auto"`` (defer to ``REPRO_SEARCH_ENGINE``, default fast).
@@ -307,10 +307,12 @@ def _slave(
     # A slave's only observable interactions between communication
     # points are its compute charges, so with the fast engine its
     # batches are *fused*: branch_fused runs whole batches in one
-    # Python frame until exhaustion or a due send-back, and the
-    # accumulated cost is charged in a single compute yield.  The
-    # master cannot be fused the same way — its per-batch iprobe drain
-    # is what bounds steal-request latency.
+    # Python frame until exhaustion or a due send-back — consuming
+    # every subtree no send-back check can observe in one lookup, and
+    # adding each crossed batch's cost in order — and the accumulated
+    # cost is charged in a single compute yield.  The master cannot be
+    # fused the same way: its per-batch iprobe drain is what bounds
+    # steal-request latency, and its events are part of the result.
     fused = state.engine == "fast"
 
     while True:

@@ -9,23 +9,26 @@ is what work-stealing ships between ranks and what the tests assert
 on.  Internally :class:`SearchState` has two engines:
 
 * ``engine="seed"`` — the original tuple-stack loop, kept verbatim as
-  the reference implementation the tests compare ``"fast"`` against
-  (whose speed the contract benchmark reports as
-  ``apps.knapsack.search.nodes_per_s``);
-* ``engine="fast"`` (default) — the chunked kernel.  Nodes live on the
-  stack as single packed ints, ``node = (value << shift | capacity)
-  << ibits | index``, so no tuples are built or torn apart at all: the
-  exclude-child is literally ``node + 1`` and the include-child is one
-  add of the precomputed per-item delta ``((profit << shift) - weight)
-  << ibits) + 1``.  A *dead-chain skip* consumes
-  subtrees in which no remaining item fits — provably a single-child
-  chain of ``n - index + 1`` nodes with constant value and no net
-  stack effect — in O(1) instead of one loop iteration per node (on
-  the Table 4 instance family that is ~60 % of all branch operations).
-  The skip is exact: node counts, stack contents at every batch
-  boundary, and the best value observable at any batch boundary are
-  identical to the seed engine (guarded by
-  ``tests/knapsack/test_engine_equivalence.py``).
+  the reference implementation the tests compare ``"fast"`` against;
+  it walks every node;
+* ``engine="fast"`` (default) — the table-driven kernel.  Nodes live
+  on the stack as single packed ints, ``node = (value << shift |
+  capacity) << ibits | index``, so the exclude-child is ``node + 1``
+  and the include-child one add of a per-item delta.  Three exact
+  tables keyed by a node's low bits ``capacity << ibits | index`` —
+  built once per instance (:func:`_subtree_tables`) — give, for the
+  subtree below any node, its size, its best gain and the most stack
+  entries it ever holds.  On a LIFO stack, popping a node and running
+  until the stack drops below its slot explores exactly its subtree,
+  so the kernel *consumes* every subtree that no observable batch
+  boundary falls inside in one lookup, and expands node by node only
+  along the path to a boundary.  Node counts, the stack at every
+  batch boundary, the best value and the per-batch compute charges
+  are identical to the seed engine (guarded by
+  ``tests/knapsack/test_engine_equivalence.py``); the pruned path
+  walks every node on the packed stack.  Running it to exhaustion is
+  one lookup at the root, so the contract benchmark's
+  ``apps.knapsack.search.nodes_per_s`` times a lookup, not a walk.
 
 The engine default can be forced globally with
 ``REPRO_SEARCH_ENGINE=seed|fast``; per-run selection goes through
@@ -41,6 +44,7 @@ The branch operation (verbatim from the paper):
 
 from __future__ import annotations
 
+import functools
 import os
 from typing import Optional
 
@@ -55,6 +59,57 @@ Node = tuple[int, int, int]
 def root_node(instance: KnapsackInstance) -> Node:
     """index=0 (no item fixed), value=0, full capacity."""
     return (0, 0, instance.capacity)
+
+
+def _layout(instance: KnapsackInstance) -> "tuple[int, int]":
+    """``(shift, ibits)`` of the packed encoding: index in the low
+    ``ibits`` bits, capacity in the next ``shift`` bits (one bit of
+    headroom so carries from the value field never reach it), value
+    above."""
+    return instance.capacity.bit_length() + 1, (instance.n + 1).bit_length()
+
+
+@functools.lru_cache(maxsize=8)
+def _subtree_tables(instance: KnapsackInstance) -> "tuple[tuple, tuple, tuple]":
+    """``(size, gain, pend)`` of the unpruned subtree below every node,
+    indexed by the node's low bits ``capacity << ibits | index``.
+
+    With T/G/P at index n all 1/0/0 and ``fit = w_i <= c``:
+
+    * ``size`` T_i(c) = 1 + T_{i+1}(c) + [fit] T_{i+1}(c - w_i), the
+      subtree's branch operations;
+    * ``gain`` G_i(c) = max(G_{i+1}(c), [fit] (p_i + G_{i+1}(c - w_i))),
+      pre-shifted to the value field so ``node + gain[k]`` is the best
+      packed node in the subtree;
+    * ``pend`` P_i(c) = max(2, 1 + P_{i+1}(c - w_i), P_{i+1}(c)) if fit,
+      else max(1, P_{i+1}(c)): the most stack entries the subtree
+      holds after any of its operations.
+
+    Every rank of a run shares one (immutable) copy; index slots past
+    n stay 0.
+    """
+    shift, ibits = _layout(instance)
+    vshift = shift + ibits
+    n = instance.n
+    length = (instance.capacity + 1) << ibits
+    size, gain, pend = [0] * length, [0] * length, [0] * length
+    for k in range(n, length, 1 << ibits):
+        size[k] = 1
+    for i in range(n - 1, -1, -1):
+        w, p = instance.weights[i], instance.profits[i] << vshift
+        for c in range(instance.capacity + 1):
+            k = c << ibits | i
+            e = k + 1
+            if w <= c:
+                t = e - (w << ibits)
+                size[k] = 1 + size[e] + size[t]
+                gain[k] = max(gain[e], p + gain[t])
+                pend[k] = max(2, 1 + pend[t], pend[e])
+            else:
+                size[k] = 1 + size[e]
+                gain[k] = gain[e]
+                pend[k] = max(1, pend[e])
+    return tuple(size), tuple(gain), tuple(pend)
 
 
 def resolve_engine(engine: Optional[str] = None) -> str:
@@ -95,7 +150,9 @@ class SearchState:
         "_ibits",
         "_imask",
         "_d2",
-        "_wmin",
+        "_size",
+        "_gain",
+        "_pend",
     )
 
     def __init__(
@@ -125,15 +182,11 @@ class SearchState:
         else:
             self._wprefix = self._pprefix = None  # type: ignore[assignment]
         if self.engine == "fast":
-            # Packed encoding: index in the low ``ibits`` bits, capacity
-            # in the next ``shift`` bits (one bit of headroom so carries
-            # from the value field never reach it), value above.  The
-            # exclude-child of a node is then ``node + 1`` (index += 1,
+            # The exclude-child of a node is ``node + 1`` (index += 1,
             # value/capacity untouched) and the include-child is
             # ``node + _d2[item]``; feasibility is
             # ``_weights[item] <= (node >> ibits) & _mask``.
-            shift = max(1, instance.capacity.bit_length() + 1)
-            ibits = (self._n + 1).bit_length()
+            shift, ibits = _layout(instance)
             self._shift = shift
             self._mask = (1 << shift) - 1
             self._ibits = ibits
@@ -142,16 +195,13 @@ class SearchState:
                 (((p << shift) - w) << ibits) + 1
                 for p, w in zip(self._profits, self._weights)
             ]
-            # _wmin[i] = min weight among items i..n-1 (sentinel past the
-            # end): wmin[i] > capacity  <=>  the subtree is a dead chain.
-            wmin = [1 << (shift + 1)] * (self._n + 1)
-            for i in range(self._n - 1, -1, -1):
-                w = self._weights[i]
-                wmin[i] = w if w < wmin[i + 1] else wmin[i + 1]
-            self._wmin = wmin
         else:
             self._shift = self._mask = self._ibits = self._imask = 0
-            self._d2 = self._wmin = None  # type: ignore[assignment]
+            self._d2 = None  # type: ignore[assignment]
+        if self.engine == "fast" and not prune:
+            self._size, self._gain, self._pend = _subtree_tables(instance)
+        else:
+            self._size = self._gain = self._pend = None  # type: ignore[assignment]
 
     # -- stack management (work stealing operates here) ------------------
 
@@ -162,6 +212,16 @@ class SearchState:
             self.stack.append(root_node(self.instance))
 
     def push_nodes(self, nodes: "list[Node]") -> None:
+        """Push ``(index, value, capacity)`` nodes (stolen or sent
+        back); a node outside the instance's tree is a ``ValueError``."""
+        n, cap = self._n, self.instance.capacity
+        for node in nodes:
+            i, v, c = node
+            if not (0 <= i <= n and v >= 0 and 0 <= c <= cap):
+                raise ValueError(
+                    f"node {node!r} is outside the search tree "
+                    f"(index 0..{n}, value >= 0, capacity 0..{cap})"
+                )
         if self.engine == "fast":
             shift = self._shift
             ibits = self._ibits
@@ -247,7 +307,7 @@ class SearchState:
         if self.engine == "fast":
             if self.prune:
                 return self._branch_fast_pruned(max_ops)
-            return self._branch_fast(max_ops)
+            return self._run(max_ops, 0.0, 0, 1, -1)[0] if max_ops > 0 else 0
         return self._branch_seed(max_ops)
 
     def _branch_seed(self, max_ops: int) -> int:
@@ -276,65 +336,12 @@ class SearchState:
         self.nodes_traversed += ops
         return ops
 
-    def _branch_fast(self, max_ops: int) -> int:
-        """Chunked unpruned loop on the packed-int stack.
-
-        The dead-chain skip: once ``min(weights[index:]) > capacity``
-        nothing further fits, so every node down to the leaf has
-        exactly one (exclude) child with the same value and capacity —
-        ``n - index + 1`` branch operations that only decrement the
-        budget.  A batch boundary falling inside the chain pushes the
-        exact resume node (``node + budget`` advances only the index
-        field), so batch-boundary state matches the seed loop node for
-        node.
-
-        ``best`` is tracked as the max *packed* node: packing is
-        monotonic in value (the top field), so it decodes to exactly
-        the seed loop's best value at every batch boundary.
-        """
-        stack = self.stack
-        weights = self._weights
-        d2 = self._d2
-        wmin = self._wmin
-        mask = self._mask
-        ibits = self._ibits
-        imask = self._imask
-        np1 = self._n + 1
-        best = self.best_value << (self._shift + ibits)
-        pop = stack.pop
-        append = stack.append
-        budget = max_ops
-        while budget and stack:
-            node = pop()
-            i = node & imask
-            c = (node >> ibits) & mask
-            if wmin[i] > c:
-                if node > best:
-                    best = node
-                length = np1 - i
-                if length <= budget:
-                    budget -= length
-                else:
-                    append(node + budget)
-                    budget = 0
-                continue
-            budget -= 1
-            if node > best:
-                best = node
-            append(node + 1)
-            if weights[i] <= c:
-                append(node + d2[i])
-        ops = max_ops - budget
-        self.best_value = best >> (self._shift + ibits)
-        self.nodes_traversed += ops
-        return ops
-
     def _branch_fast_pruned(self, max_ops: int) -> int:
         """Pruned loop on the packed-int stack, fractional bound inlined.
 
         Mirrors the seed loop operation for operation (same bound
-        floats, same prune decisions, same traversal) — the chain skip
-        does not apply because the bound may cut a chain short.
+        floats, same prune decisions, same traversal) — the subtree
+        tables do not apply because the bound may cut a subtree short.
         """
         stack = self.stack
         profits = self._profits
@@ -398,10 +405,10 @@ class SearchState:
         the per-batch slave loop does).  Returns ``(accumulated_cost,
         batches_since_back)``.
         """
-        if self.engine == "fast" and not self.prune:
-            return self._branch_fused_fast(
+        if self._size is not None:
+            return self._run(
                 interval, node_cost, batches_since_back, back_every, back_threshold
-            )
+            )[1:]
         cost = 0.0
         while True:
             ops = self.branch(interval)
@@ -417,64 +424,108 @@ class SearchState:
                 break
         return cost, batches_since_back
 
-    def _branch_fused_fast(
+    def _run(
         self,
         interval: int,
         node_cost: float,
-        batches_since_back: int,
+        batches: int,
         back_every: int,
         back_threshold: int,
-    ) -> "tuple[float, int]":
+    ) -> "tuple[int, float, int]":
+        """The unpruned kernel: :meth:`branch_fused`'s batches, returning
+        ``(ops, cost, batches)``.
+
+        ``budget`` counts the operations left in the current batch and
+        ``window`` those left before the first boundary whose send-back
+        check can fire (every boundary once ``batches >= back_every``;
+        none when ``back_threshold`` is 0).  A popped subtree is
+        consumed whole when it ends inside the window, or when its
+        ``pend`` on top of the stack below it stays within
+        ``back_threshold`` — then no check inside it can fire either.
+        The boundaries it crosses each add ``interval * node_cost``,
+        in order, so ``cost`` is bit-identical to the batch loop's.
+        Otherwise the node is expanded as one branch operation.
+        :meth:`branch` is the one-batch case whose boundary always
+        stops (``back_every=1``, ``back_threshold=-1``).
+
+        ``best`` is tracked as the max *packed* node: packing is
+        monotonic in value (the top field), so it decodes to exactly
+        the seed loop's best value.
+        """
         stack = self.stack
+        size, gain, pend = self._size, self._gain, self._pend
         weights = self._weights
         d2 = self._d2
-        wmin = self._wmin
-        mask = self._mask
         ibits = self._ibits
         imask = self._imask
-        np1 = self._n + 1
-        best = self.best_value << (self._shift + ibits)
+        vshift = self._shift + ibits
+        low = (1 << vshift) - 1
+        best = self.best_value << vshift
         pop = stack.pop
         append = stack.append
+        step = interval * node_cost
         cost = 0.0
-        total_ops = 0
-        while True:
-            budget = interval
-            while budget and stack:
-                node = pop()
-                i = node & imask
-                c = (node >> ibits) & mask
-                if wmin[i] > c:
-                    if node > best:
-                        best = node
-                    length = np1 - i
-                    if length <= budget:
-                        budget -= length
-                    else:
-                        append(node + budget)
-                        budget = 0
-                    continue
+        first = batches
+        budget = interval
+        window = float("inf")
+        if back_threshold:
+            window = interval * max(1, back_every - batches)
+        while stack:
+            node = pop()
+            k = node & low
+            t = size[k]
+            while t > window and len(stack) + pend[k] > back_threshold:
+                # One branch operation, then on down into the child the
+                # seed loop would pop next, without the push/pop.
+                window -= 1
                 budget -= 1
                 if node > best:
                     best = node
-                append(node + 1)
-                if weights[i] <= c:
-                    append(node + d2[i])
-            ops = interval - budget
-            total_ops += ops
-            cost += ops * node_cost
-            batches_since_back += 1
-            if not stack:
-                break
-            if (
+                i = k & imask
+                if weights[i] <= k >> ibits:
+                    append(node + 1)
+                    node += d2[i]
+                else:
+                    node += 1
+                if not budget:
+                    append(node)
+                    break
+                k = node & low
+                t = size[k]
+            else:
+                g = node + gain[k]
+                if g > best:
+                    best = g
+                window -= t
+                budget -= t
+                if budget > 0:
+                    continue
+                while budget < 0:  # a boundary inside the subtree
+                    cost += step
+                    batches += 1
+                    budget += interval
+                if budget:
+                    if window < budget:  # past a checked boundary
+                        window = budget
+                    continue
+            cost += step
+            batches += 1
+            if not stack or (
                 back_threshold
-                and batches_since_back >= back_every
+                and batches >= back_every
                 and len(stack) > back_threshold
             ):
                 break
-        self.best_value = best >> (self._shift + ibits)
-        self.nodes_traversed += total_ops
-        return cost, batches_since_back
+            budget = interval
+            if window <= 0:
+                window = interval
+        else:
+            cost += (interval - budget) * node_cost
+            batches += 1
+        ops = (batches - first) * interval - budget
+        self.best_value = best >> vshift
+        self.nodes_traversed += ops
+        return ops, cost, batches
 
     def run_to_exhaustion(self) -> None:
         """Branch until the stack empties (the sequential solver core)."""

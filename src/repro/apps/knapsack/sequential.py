@@ -62,10 +62,12 @@ def run_sequential_sim(
 ) -> Iterator[Event]:
     """Generator: the sequential solver as a simulated process.
 
-    Branch operations run for real (the tree is actually traversed) in
-    ``batch``-sized chunks, each charged to the host's clock — so the
-    simulated duration is ``nodes * node_cost / cpu_speed``, the
-    Table 4 baseline definition.
+    Branch operations run in ``batch``-sized chunks, each charged to
+    the host's clock — so the simulated duration is ``nodes *
+    node_cost / cpu_speed``, the Table 4 baseline definition.  The
+    fast engine counts the subtrees that fit in a chunk from exact
+    tables instead of walking them; the seed engine walks every node
+    and produces the same counts, stack and best value per chunk.
     """
     state = SearchState(instance, prune=prune, engine=engine)
     state.push_root()

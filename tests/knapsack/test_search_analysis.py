@@ -78,6 +78,16 @@ def test_everything_fits_tree_is_full_binary():
     assert solve(inst).best_value == 3
 
 
+def test_table4_instance_runs_to_exhaustion():
+    """The real 20 M-node Table 4 instance, run whole by the fast engine."""
+    from repro.bench.table4 import Table4Config
+
+    state = SearchState(Table4Config().instance(), engine="fast")
+    state.push_root()
+    state.run_to_exhaustion()
+    assert (state.nodes_traversed, state.best_value) == (19_939_939, 350)
+
+
 def test_branch_in_batches_equivalent_to_one_shot():
     inst = random_instance(14, seed=10)
     one = SearchState(inst)
