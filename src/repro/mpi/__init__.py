@@ -1,9 +1,10 @@
 """An MPICH-G-like message-passing layer over the Nexus library.
 
 Provides what the paper's knapsack application needed from MPICH-G:
-rank/size, tagged point-to-point ``send``/``recv``/``probe`` with
+rank/size, tagged blocking ``send``/``recv`` and ``iprobe`` with
 wildcards, basic collectives, and ``wtime`` — all transparently
 crossing firewalls when ranks are configured with the Nexus Proxy.
+There are no nonblocking requests and no blocking ``probe``.
 
 The API follows mpi4py's lowercase conventions, adapted to generator
 style::
@@ -23,7 +24,6 @@ style::
 from repro.mpi.collectives import allreduce, barrier, bcast, gather, reduce, scatter
 from repro.mpi.communicator import Communicator
 from repro.mpi.errors import MPIError
-from repro.mpi.requests import Request, waitall
 from repro.mpi.status import ANY_SOURCE, ANY_TAG, Envelope, Status
 from repro.mpi.world import MPIWorld, RankSpec
 
@@ -33,7 +33,6 @@ __all__ = [
     "Communicator",
     "Envelope",
     "MPIError",
-    "Request",
     "MPIWorld",
     "RankSpec",
     "Status",
@@ -43,5 +42,4 @@ __all__ = [
     "gather",
     "reduce",
     "scatter",
-    "waitall",
 ]

@@ -186,59 +186,6 @@ class Communicator:
                 return env
         return None
 
-    def irecv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG):
-        """Nonblocking receive; returns a
-        :class:`~repro.mpi.requests.Request` to ``wait()`` on."""
-        from repro.mpi.requests import Request
-
-        if source != ANY_SOURCE:
-            self._check_rank(source, "source")
-        self._start_pump()
-        ev = self.sim.event()
-        env = self._match_pending(source, tag)
-        if env is not None:
-            ev.succeed(env)
-        else:
-            self._waiters.append((source, tag, ev))
-        return Request(self, ev, "recv")
-
-    def isend(
-        self,
-        payload: Any,
-        dest: int,
-        tag: int = 0,
-        nbytes: Optional[int] = None,
-    ):
-        """Nonblocking send; the request completes when the sender-side
-        work finishes (matching this layer's eager send semantics)."""
-        from repro.mpi.requests import Request
-
-        self._check_rank(dest, "destination")
-        if tag < 0:
-            raise MPIError(f"application tags must be >= 0, got {tag}")
-        proc = self.sim.process(
-            self._send_internal(payload, dest, tag, nbytes),
-            name=f"isend[{self.rank}->{dest}]",
-        )
-        return Request(self, proc, "send")
-
-    def sendrecv(
-        self,
-        payload: Any,
-        dest: int,
-        source: int = ANY_SOURCE,
-        sendtag: int = 0,
-        recvtag: int = ANY_TAG,
-        nbytes: Optional[int] = None,
-    ) -> Iterator[Event]:
-        """Generator: simultaneous send and receive (deadlock-free for
-        exchange patterns like ring shifts)."""
-        sreq = self.isend(payload, dest, tag=sendtag, nbytes=nbytes)
-        rreq = self.irecv(source=source, tag=recvtag)
-        yield from sreq.wait()
-        result = yield from rreq.wait()
-        return result
-
     def iprobe(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> Optional[Status]:
         """Non-blocking probe: status of the first matching pending
         message, or ``None`` (does not consume it)."""
@@ -250,22 +197,6 @@ class Communicator:
             if env.matches(source, tag):
                 return Status(env.source, env.tag, env.nbytes, self.sim.now)
         return None
-
-    def probe(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> Iterator[Event]:
-        """Generator: block until a matching message is pending, then
-        return its :class:`Status` without consuming it."""
-        self._start_pump()
-        while True:
-            st = self.iprobe(source, tag)
-            if st is not None:
-                return st
-            # Wait for the next arrival, then re-check.
-            ev = self.sim.event()
-            self._waiters.append((source, tag, ev))
-            env = yield ev
-            # Put it back; probe must not consume.
-            self._pending.insert(0, env)
-            return Status(env.source, env.tag, env.nbytes, self.sim.now)
 
     # -- teardown --------------------------------------------------------------
 

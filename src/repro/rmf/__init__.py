@@ -13,7 +13,8 @@ gatekeeper) runs *outside* (§2, Fig. 2):
   request language.
 
 Use :class:`~repro.rmf.gatekeeper.RMFSystem` to wire a deployment in
-one go.
+one go.  A submitted job runs to completion: there is no cancellation
+and no multi-gatekeeper co-allocation.
 """
 
 from repro.rmf.allocator import (
@@ -24,12 +25,6 @@ from repro.rmf.allocator import (
     RegisterResource,
     ResourceAllocator,
     ResourceInfo,
-)
-from repro.rmf.duroc import (
-    RendezvousServer,
-    SubJob,
-    co_allocate,
-    make_mpi_executable,
 )
 from repro.rmf.executables import ExecutableRegistry, ExecutionContext, default_registry
 from repro.rmf.gass import FileStore, StagingError
@@ -65,14 +60,10 @@ __all__ = [
     "RMFSystem",
     "RSLError",
     "RegisterResource",
-    "RendezvousServer",
-    "SubJob",
     "ResourceAllocator",
     "ResourceInfo",
     "StagingError",
-    "co_allocate",
     "default_registry",
-    "make_mpi_executable",
     "parse_rsl",
     "submit_job",
     "unparse_rsl",

@@ -25,15 +25,13 @@ from repro.rmf.executables import ExecutableRegistry, ExecutionContext, default_
 from repro.rmf.gass import FileStore
 from repro.rmf.jobs import JobRecord, JobResult, JobSpec, JobState, RMFError, next_job_id
 from repro.simnet.host import Host
-from repro.simnet.kernel import Event, Interrupt, Process
+from repro.simnet.kernel import Event
 from repro.simnet.primitives import Channel
 from repro.simnet.service import Service
 from repro.simnet.socket import Connection, ConnectionReset, SocketError
 
 __all__ = [
-    "JobHandle",
     "QSubmit",
-    "QCancel",
     "QAccepted",
     "QStarted",
     "QFinished",
@@ -56,11 +54,6 @@ class QSubmit:
     nprocs: int = 1
     #: Optional causal trace context (wire form).
     tctx: Optional[str] = None
-
-
-@dataclass(frozen=True, slots=True)
-class QCancel:
-    """Client → server: abandon the job this connection submitted."""
 
 
 @dataclass(frozen=True, slots=True)
@@ -115,10 +108,8 @@ class QServer(Service):
         self.files = FileStore(host.name)
         self._queue: Channel[tuple[JobRecord, QSubmit, Connection]] = Channel(self.sim)
         self.records: dict[int, JobRecord] = {}
-        self._running_procs: dict[int, Process] = {}
         self.jobs_run = 0
         self.running_jobs = 0
-        self.jobs_cancelled = 0
         #: When set, the server registers itself with the allocator at
         #: startup and heartbeats load reports, enabling dynamic
         #: registration and liveness-based placement.
@@ -209,38 +200,6 @@ class QServer(Service):
         if not self._queue.try_put((record, submit, conn)):
             record.mark_failed(self.sim.now, "queue closed")
             conn.close()
-            return
-        yield from self._cancel_listener(record, conn)
-
-    def _cancel_listener(self, record: JobRecord, conn: Connection) -> Iterator[Event]:
-        """Watch the submission connection for a cancel request."""
-        while not record.state.terminal:
-            try:
-                msg = yield conn.recv()
-            except ConnectionReset:
-                return
-            if isinstance(msg.payload, QCancel):
-                yield from self._cancel(record, conn)
-                return
-
-    def _cancel(self, record: JobRecord, conn: Connection) -> Iterator[Event]:
-        if record.state.terminal:
-            return
-        self.jobs_cancelled += 1
-        if record.state is JobState.PENDING:
-            # Still queued: mark it dead; the runner will skip it.
-            record.mark_failed(self.sim.now, "cancelled by client")
-            yield conn.send(
-                QFinished(record.job_id, record.state, record.exit_code or 1,
-                          "", record.error),
-                nbytes=_CTRL_BYTES,
-            )
-            conn.close()
-            return
-        proc = self._running_procs.get(record.job_id)
-        if proc is not None:
-            # The job process observes an Interrupt; _run_job reports.
-            proc.interrupt("cancelled by client")
 
     # -- execution ---------------------------------------------------------------
 
@@ -250,8 +209,6 @@ class QServer(Service):
                 record, submit, conn = yield self._queue.get()
             except Exception:
                 return  # queue closed: server stopping
-            if record.state.terminal:
-                continue  # cancelled while queued; reply already sent
             yield from self._run_job(record, submit, conn)
 
     def _run_job(
@@ -271,18 +228,13 @@ class QServer(Service):
         )
         fn = self.registry.get(record.spec.executable)
         proc = self.sim.process(fn(ctx), name=f"job{record.job_id}:{record.spec.executable}")
-        self._running_procs[record.job_id] = proc
         failed_error: Optional[str] = None
         exit_code = 0
         try:
             rv = yield proc
             exit_code = int(rv) if rv is not None else 0
-        except Interrupt as stop:
-            failed_error = str(stop.cause or "cancelled")
         except Exception as exc:  # noqa: BLE001 - job crash is data here
             failed_error = f"{type(exc).__name__}: {exc}"
-        finally:
-            self._running_procs.pop(record.job_id, None)
         self.running_jobs -= 1
         self.jobs_run += 1
         if failed_error is not None:
@@ -333,15 +285,15 @@ class QClient:
         #: submitting side); defaults to an empty store.
         self.staging = staging if staging is not None else FileStore(host.name)
 
-    def submit_handle(
+    def submit(
         self,
         qserver_addr: "tuple[str, int]",
         spec: JobSpec,
         nprocs: int = 1,
         tctx: "Optional[_trace.TraceContext]" = None,
     ) -> Iterator[Event]:
-        """Generator: submit and return a :class:`JobHandle` that can
-        be waited on or cancelled."""
+        """Generator: run one sub-job on one Q server, return
+        :class:`JobResult` (step 5–6 of the Fig. 2 flow)."""
         t0 = self.sim.now
         files = self.staging.bundle(spec.stage_in, tctx=tctx)
         conn = yield from self.host.connect(qserver_addr)
@@ -361,85 +313,35 @@ class QClient:
                              track=f"qclient:{self.host.name}",
                              dest=f"{qserver_addr[0]}:{qserver_addr[1]}",
                              **_trace.span_args(tctx))
-        return JobHandle(self, conn, qserver_addr)
-
-    def submit(
-        self,
-        qserver_addr: "tuple[str, int]",
-        spec: JobSpec,
-        nprocs: int = 1,
-        tctx: "Optional[_trace.TraceContext]" = None,
-    ) -> Iterator[Event]:
-        """Generator: run one sub-job on one Q server, return
-        :class:`JobResult` (step 5–6 of the Fig. 2 flow)."""
-        handle = yield from self.submit_handle(qserver_addr, spec, nprocs,
-                                              tctx=tctx)
-        result = yield from handle.wait()
-        return result
-
-
-class JobHandle:
-    """A submitted job: wait for its result, or cancel it."""
-
-    def __init__(self, client: QClient, conn: Connection,
-                 qserver_addr: "tuple[str, int]") -> None:
-        self._client = client
-        self._conn = conn
-        self.qserver_addr = qserver_addr
-        self.sim = client.sim
-        self.job_id: Optional[int] = None
-        self._queued_at = self.sim.now
-        self._started_at = self.sim.now
-        self._result: Optional[JobResult] = None
-
-    @property
-    def done(self) -> bool:
-        return self._result is not None
-
-    def cancel(self) -> Iterator[Event]:
-        """Generator: ask the server to abandon the job.
-
-        Best-effort: a job that finished before the request arrives
-        completes normally; otherwise :meth:`wait` returns a FAILED
-        result with error ``"cancelled by client"``.
-        """
-        if self._result is None and not self._conn.closed:
-            yield self._conn.send(QCancel(), nbytes=_CTRL_BYTES)
-
-    def wait(self) -> Iterator[Event]:
-        """Generator: block until the job finishes; returns
-        :class:`JobResult`."""
-        if self._result is not None:
-            return self._result
-        conn = self._conn
+        queued_at = started_at = self.sim.now
+        job_id: Optional[int] = None
         try:
             while True:
                 msg = yield conn.recv()
                 reply = msg.payload
                 if isinstance(reply, QAccepted):
-                    self.job_id = reply.job_id
+                    job_id = reply.job_id
                 elif isinstance(reply, QStarted):
-                    self._started_at = self.sim.now
+                    started_at = self.sim.now
                 elif isinstance(reply, QFinished):
                     conn.close()
                     for name, content in reply.out_files.items():
-                        self._client.staging.put(name, content)
-                    self._result = JobResult(
+                        self.staging.put(name, content)
+                    return JobResult(
                         job_id=reply.job_id,
                         state=reply.state,
                         exit_code=reply.exit_code,
                         stdout=reply.stdout,
                         error=reply.error,
                         output_files=dict(reply.out_files),
-                        resource=self.qserver_addr[0],
-                        queued_time=self._started_at - self._queued_at,
-                        run_time=self.sim.now - self._started_at,
+                        resource=qserver_addr[0],
+                        queued_time=started_at - queued_at,
+                        run_time=self.sim.now - started_at,
                     )
-                    return self._result
                 else:
                     raise RMFError(f"unexpected Q reply: {reply!r}")
         except ConnectionReset:
             raise RMFError(
-                f"Q server {self.qserver_addr} dropped the connection "
-                f"(job_id={self.job_id})"
+                f"Q server {qserver_addr} dropped the connection "
+                f"(job_id={job_id})"
             )

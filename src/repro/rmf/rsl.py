@@ -144,7 +144,11 @@ def parse_rsl(text: str) -> JobSpec:
 def _quote(value: str) -> str:
     if value and not any(c.isspace() or c in "&()=\"'" for c in value):
         return value
-    return '"' + value + '"'
+    # The grammar has no escape: wrap in the quote the value lacks.
+    for quote in "\"'":
+        if quote not in value:
+            return quote + value + quote
+    raise RSLError(f"value contains both quote characters: {value!r}")
 
 
 def unparse_rsl(spec: JobSpec) -> str:
@@ -158,5 +162,5 @@ def unparse_rsl(spec: JobSpec) -> str:
         parts.append("(stage_in=" + " ".join(_quote(f) for f in spec.stage_in) + ")")
     if spec.stage_out:
         parts.append("(stage_out=" + " ".join(_quote(f) for f in spec.stage_out) + ")")
-    parts.append(f"(max_time={spec.max_time:g})")
+    parts.append(f"(max_time={spec.max_time!r})")
     return "&" + "".join(parts)

@@ -57,7 +57,6 @@ from repro.simnet.socket import (
     wire_size,
 )
 from repro.simnet.topology import Network, Site
-from repro.simnet.trace import TraceRecord, Tracer
 
 __all__ = [
     "Action",
@@ -91,7 +90,5 @@ __all__ = [
     "Site",
     "SocketError",
     "Timeout",
-    "TraceRecord",
-    "Tracer",
     "wire_size",
 ]

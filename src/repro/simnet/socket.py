@@ -294,18 +294,7 @@ class Connection:
         )
         peer.bytes_received += total_bytes
         peer.messages_received += 1
-        if not peer._rx.try_put(msg):
-            return  # closed in the recv-CPU window
-        tracer = self.network.tracer
-        if tracer.is_enabled("msg.deliver"):
-            tracer.emit(
-                sim.now,
-                "msg.deliver",
-                src=str(self.local_addr),
-                dst=str(self.remote_addr),
-                nbytes=total_bytes,
-                transit=sim.now - sent_at,
-            )
+        peer._rx.try_put(msg)  # dropped if closed in the recv-CPU window
 
     # -- receiving --------------------------------------------------------
 
@@ -510,7 +499,6 @@ def open_connection(
     """
     sim = network.sim
     cfg = network.config
-    tracer = network.tracer
     if timeout is None:
         timeout = cfg.connect_timeout
 
@@ -522,15 +510,6 @@ def open_connection(
     if verdict is not None:
         # Filtered. Reject-mode firewalls answer immediately (one RTT);
         # drop-mode firewalls say nothing and we time out.
-        if tracer.is_enabled("connect.blocked"):
-            tracer.emit(
-                sim.now,
-                "connect.blocked",
-                src=src.name,
-                dst=str(dst_addr),
-                firewall=verdict.name,
-                silent=not verdict.reject,
-            )
         if verdict.reject:
             yield sim.timeout(network.rtt_between(src, dst))
             raise FirewallBlocked(
@@ -592,8 +571,4 @@ def open_connection(
         client.closed = True
         server.closed = True
         raise ConnectionRefused(f"{dst_addr}: backlog full")
-    if tracer.is_enabled("connect"):
-        tracer.emit(
-            sim.now, "connect", src=str(client.local_addr), dst=str(dst_addr)
-        )
     return client

@@ -29,7 +29,6 @@ from repro.simnet.host import Host
 from repro.simnet.kernel import SimError, Simulator
 from repro.simnet.link import DuplexLink, Link
 from repro.simnet.socket import NetConfig
-from repro.simnet.trace import Tracer
 
 __all__ = ["Site", "Network"]
 
@@ -64,7 +63,6 @@ class Network:
         self.sim = sim if sim is not None else Simulator()
         self.config = config if config is not None else NetConfig()
         self.config.validate()
-        self.tracer = Tracer()
         self.sites: dict[str, Site] = {}
         self.hosts: dict[str, Host] = {}
         self._graph = nx.Graph()

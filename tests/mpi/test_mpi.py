@@ -139,24 +139,6 @@ def test_iprobe():
     assert results[1] == "x"
 
 
-def test_probe_blocks_until_message():
-    net, hosts = flat_network(2)
-
-    def main(comm):
-        if comm.rank == 0:
-            yield comm.sim.timeout(3.0)
-            yield from comm.send("late", dest=1, tag=2, nbytes=80)
-            return None
-        st = yield from comm.probe(source=0, tag=2)
-        assert comm.sim.now >= 3.0
-        assert st.nbytes == 80
-        payload, _ = yield from comm.recv(source=0, tag=2)
-        return payload
-
-    results = launch(net, hosts, main)
-    assert results[1] == "late"
-
-
 def test_invalid_ranks_and_tags():
     net, hosts = flat_network(2)
 

@@ -87,20 +87,32 @@ def test_unparse_roundtrip():
     assert parse_rsl(unparse_rsl(spec)) == spec
 
 
+def test_unparse_keeps_quotes_and_max_time_digits():
+    spec = JobSpec(executable="echo", arguments=('say "hi"', "it's"),
+                   max_time=1234567.0)
+    assert parse_rsl(unparse_rsl(spec)) == spec
+
+
+def test_unparse_rejects_value_with_both_quotes():
+    spec = JobSpec(executable="echo", arguments=("it's \"both\"",))
+    with pytest.raises(RSLError, match="both quote"):
+        unparse_rsl(spec)
+
+
+#: Values the grammar can carry: anything but a string holding both
+#: quote characters (there is no escape).
+_values = st.text(
+    alphabet=st.characters(blacklist_categories=("Cs", "Cc")), min_size=1
+).filter(lambda s: not ("'" in s and '"' in s))
+
+
 @given(
-    executable=st.text(
-        alphabet=st.characters(blacklist_characters="&()='\"", blacklist_categories=("Cs", "Cc")),
-        min_size=1,
-    ).filter(lambda s: s.strip() == s and s.strip() != ""),
+    executable=_values.filter(lambda s: s.strip() == s and s.strip() != ""),
     count=st.integers(min_value=1, max_value=4096),
-    args=st.lists(
-        st.text(
-            alphabet=st.characters(blacklist_characters="&()='\"", blacklist_categories=("Cs", "Cc")),
-            min_size=1,
-        ).filter(lambda s: s.strip() == s),
-        max_size=5,
-    ),
+    args=st.lists(_values.filter(lambda s: s.strip() == s), max_size=5),
+    max_time=st.floats(min_value=1e-9, allow_nan=False, allow_infinity=False),
 )
-def test_roundtrip_property(executable, count, args):
-    spec = JobSpec(executable=executable, count=count, arguments=tuple(args))
+def test_roundtrip_property(executable, count, args, max_time):
+    spec = JobSpec(executable=executable, count=count, arguments=tuple(args),
+                   max_time=max_time)
     assert parse_rsl(unparse_rsl(spec)) == spec
