@@ -67,8 +67,8 @@ def run_knapsack() -> None:
         t.add_row([system, run.nprocs, f"{run.execution_time:.1f}",
                    f"{sequential / run.execution_time:.2f}"])
     print(t.render())
-    print("\n(Real experiment: pytest benchmarks/ --benchmark-only, "
-          "or repro-bench all)")
+    print("\n(Real experiment: repro-bench all; paper vs measured, "
+          "claim by claim: repro-bench score)")
 
 
 def main() -> None:

@@ -81,8 +81,8 @@ class SchedulingParams:
     #: sibling per *two-child* branching, so depths stay near
     #: ``log2(subtree)`` — the threshold must sit well below the item
     #: count or send-back never fires and the endgame serializes on
-    #: whichever slave holds the last big subtree (the tuning sweep in
-    #: ``benchmarks/bench_tuning.py`` shows the cliff).
+    #: whichever slave holds the last big subtree (the scorecard row
+    #: ``abl.tuning.no-send-back`` shows the cliff).
     back_threshold: Optional[int] = None
     #: Batches between a slave's send-back checks.  Send-back is
     #: *periodic*: every ``back_every`` batches a slave with more than

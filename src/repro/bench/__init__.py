@@ -2,8 +2,9 @@
 
 One module per experiment, each exposing a ``run_*`` function that
 returns structured results plus a ``render_*`` function producing the
-paper-style text table.  The pytest-benchmark targets in
-``benchmarks/`` and the ``repro-bench`` CLI drive these.
+paper-style text table; :mod:`repro.bench.experiments` holds the
+figures and ablations.  :mod:`repro.bench.score` checks every claim
+of the paper against them, and the ``repro-bench`` CLI drives both.
 """
 
 from repro.bench.calibrate import table2_chain_models

@@ -8,7 +8,8 @@
     repro-bench tuning --points 9 --jobs 4      # grid points in parallel
     repro-bench table4 --profile                # cProfile the run
     repro-bench table4 --trace                  # Chrome trace + summary
-    repro-bench all --jobs 0                    # all tables, all cores
+    repro-bench score                           # paper vs measured, every claim
+    repro-bench all --jobs 0                    # all of the above, all cores
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import time
 
 __all__ = ["main"]
 
-TARGETS = ["table2", "table3", "table4", "table5", "table6", "tuning", "all"]
+TARGETS = ["table2", "table3", "table4", "table5", "table6", "tuning", "score", "all"]
 
 
 def _print_table3() -> None:
@@ -40,7 +41,8 @@ def main(argv: "list[str] | None" = None) -> int:
     parser.add_argument("targets", nargs="+", choices=TARGETS)
     parser.add_argument(
         "--target-nodes", type=int, default=20_000_000,
-        help="search-tree size for the knapsack runs (default 20M)",
+        help="search-tree size for the table4/5/6 runs (default 20M; "
+        "the scorecard always runs the committed configuration)",
     )
     parser.add_argument("--seed", type=int, default=5)
     parser.add_argument(
@@ -50,7 +52,7 @@ def main(argv: "list[str] | None" = None) -> int:
     parser.add_argument(
         "--jobs", type=int, default=1, metavar="N",
         help="worker processes for the table4/5/6 rows and the tuning "
-        "grid (0 = all cores; default 1 = serial; results are "
+        "grids (0 = all cores; default 1 = serial; results are "
         "identical either way)",
     )
     parser.add_argument(
@@ -77,6 +79,17 @@ def main(argv: "list[str] | None" = None) -> int:
         "'repro-obs assemble'",
     )
     args = parser.parse_args(argv)
+    from repro.apps.knapsack.master_slave import SchedulingParams
+    from repro.bench.table4 import Table4Config
+    from repro.bench.tuning import default_grid
+
+    grid_points = len(default_grid(SchedulingParams()))
+    if not 1 <= args.points <= grid_points:
+        parser.error(f"--points must be between 1 and {grid_points}")
+    if args.jobs < 0:
+        parser.error("--jobs must be >= 0 (0 = all cores)")
+    if args.target_nodes <= Table4Config.n_items:
+        parser.error(f"--target-nodes must be at least {Table4Config.n_items + 1}")
     targets = set(args.targets)
     if "all" in targets:
         targets = set(TARGETS) - {"all"}
@@ -123,7 +136,7 @@ def main(argv: "list[str] | None" = None) -> int:
 
     table4_results = None
     if targets & {"table4", "table5", "table6"}:
-        from repro.bench.table4 import Table4Config, render_table4, run_table4
+        from repro.bench.table4 import render_table4, run_table4
 
         config = Table4Config(target_nodes=args.target_nodes, seed=args.seed)
         t_phase = time.time()
@@ -163,8 +176,7 @@ def main(argv: "list[str] | None" = None) -> int:
         print()
     if "tuning" in targets:
         from repro.apps.knapsack.instance import scaled_instance
-        from repro.bench.tuning import default_grid, render_sweep, run_tuning_sweep
-        from repro.apps.knapsack.master_slave import SchedulingParams
+        from repro.bench.tuning import render_sweep, run_tuning_sweep
 
         instance = scaled_instance(n=40, target_nodes=2_000_000, seed=args.seed)
         grid = default_grid(SchedulingParams())[: args.points]
@@ -184,6 +196,16 @@ def main(argv: "list[str] | None" = None) -> int:
                 round(time.time() - t_phase, 6)
             )
         print(render_sweep(points))
+        print()
+    if "score" in targets:
+        from repro.bench import score
+
+        # The scorecard reads the committed configuration only; a Table
+        # 4 run made at it above is reused, not repeated.
+        committed = table4_results and table4_results.config == Table4Config()
+        measurements = score.Measurements(
+            args.jobs, table4_results if committed else None)
+        print(score.render(score.evaluate(measurements)))
         print()
 
     if profiler is not None:

@@ -17,7 +17,7 @@ through the outer and inner relay servers, exactly the Fig. 3/4 paths.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Iterator, Optional, Sequence
 
 from repro.cluster.testbed import Testbed
 from repro.core.api import NexusProxyClient
@@ -27,7 +27,8 @@ from repro.util.stats import median
 from repro.util.tables import Table
 from repro.util.units import MIB_MESSAGE, SMALL_MESSAGE, fmt_rate, fmt_time
 
-__all__ = ["Table2Row", "run_table2", "render_table2", "PAPER_TABLE2"]
+__all__ = ["PAPER_TABLE2", "Table2Row", "measure_paths", "render_table2",
+           "run_table2", "table2_rows"]
 
 #: Message size used for the latency measurement.
 LATENCY_PROBE_BYTES = 16
@@ -47,8 +48,8 @@ class Table2Row:
 
 
 #: The legible cells of the paper's Table 2 (None = lost to the
-#: scanned-PDF transcription).  Used by EXPERIMENTS.md and the bench
-#: assertions.
+#: scanned-PDF transcription), keyed by path in the paper's row order.
+#: The scorecard (:mod:`repro.bench.score`) checks every legible one.
 PAPER_TABLE2: dict[str, tuple[Optional[float], Optional[float], Optional[float]]] = {
     "RWCP-Sun <-> COMPaS (direct)": (0.41e-3, 3.29e6, 6.32e6),
     "RWCP-Sun <-> COMPaS (indirect)": (25.0e-3, 70.5e3, None),
@@ -75,7 +76,7 @@ def _echo_server(listener_or_sock, proxied: bool, chunk: int) -> Iterator[Event]
 def _pingpong_client(
     tb: Testbed,
     connect_gen,
-    sizes: list[int],
+    sizes: Sequence[int],
     out: dict[int, float],
 ) -> Iterator[Event]:
     framed = yield from connect_gen
@@ -94,23 +95,21 @@ def _pingpong_client(
     framed.close()
 
 
-def _measure(pair: str, indirect: bool) -> Table2Row:
+def _measure(label: str, sizes: Sequence[int]) -> dict[int, float]:
+    """One-way time per message size on one path (fresh testbed)."""
     tb = Testbed()
     chunk = tb.relay_config.chunk_bytes
-    if pair == "wan" and not indirect:
-        # "For the experiments, we have temporarily changed the
-        # configuration of the firewall to enable direct communication
-        # between RWCP-Sun and ETL-Sun." (§4.2 footnote)
-        tb.open_firewall_for_direct_runs()
-    if pair == "lan":
+    indirect = label.endswith("(indirect)")
+    if "COMPaS" in label:
         client_host, server_host = tb.rwcp_sun, tb.compas[0]
-        label = "RWCP-Sun <-> COMPaS"
     else:
         client_host, server_host = tb.etl_sun, tb.rwcp_sun
-        label = "RWCP-Sun <-> ETL-Sun"
-    label += " (indirect)" if indirect else " (direct)"
+        if not indirect:
+            # "For the experiments, we have temporarily changed the
+            # configuration of the firewall to enable direct communication
+            # between RWCP-Sun and ETL-Sun." (§4.2 footnote)
+            tb.open_firewall_for_direct_runs()
 
-    sizes = [LATENCY_PROBE_BYTES, SMALL_MESSAGE, MIB_MESSAGE]
     out: dict[int, float] = {}
 
     if indirect:
@@ -141,22 +140,37 @@ def _measure(pair: str, indirect: bool) -> Table2Row:
         driver = tb.sim.process(orchestrate(), name="table2")
 
     tb.sim.run(until=driver)
-    return Table2Row(
-        label=label,
-        latency=out[LATENCY_PROBE_BYTES],
-        bandwidth_4k=SMALL_MESSAGE / out[SMALL_MESSAGE],
-        bandwidth_1mb=MIB_MESSAGE / out[MIB_MESSAGE],
-    )
+    return out
+
+
+def measure_paths(sizes: Sequence[int]) -> dict[str, dict[int, float]]:
+    """One-way time per message size on every Table 2 path.
+
+    Each size is measured on the already-warm connection independently
+    of the others, so extra sizes (the bandwidth curve of §4.2) leave
+    the Table 2 sizes' times unchanged.
+    """
+    return {label: _measure(label, sizes) for label in PAPER_TABLE2}
+
+
+def table2_rows(one_way: dict[str, dict[int, float]]) -> list[Table2Row]:
+    """The Table 2 rows read off :func:`measure_paths`."""
+    return [
+        Table2Row(
+            label=label,
+            latency=t[LATENCY_PROBE_BYTES],
+            bandwidth_4k=SMALL_MESSAGE / t[SMALL_MESSAGE],
+            bandwidth_1mb=MIB_MESSAGE / t[MIB_MESSAGE],
+        )
+        for label, t in one_way.items()
+    ]
 
 
 def run_table2() -> list[Table2Row]:
     """Measure all four rows (fresh testbed per row)."""
-    return [
-        _measure("lan", indirect=False),
-        _measure("lan", indirect=True),
-        _measure("wan", indirect=False),
-        _measure("wan", indirect=True),
-    ]
+    return table2_rows(
+        measure_paths((LATENCY_PROBE_BYTES, SMALL_MESSAGE, MIB_MESSAGE))
+    )
 
 
 def render_table2(rows: list[Table2Row]) -> str:

@@ -3,10 +3,10 @@ backunit and took the best combination."
 
 :func:`run_tuning_sweep` evaluates a grid of
 :class:`~repro.apps.knapsack.master_slave.SchedulingParams` on one
-system and returns the points sorted by execution time.  Used by the
-``bench_tuning`` target (which asserts the knobs actually matter — the
-spread between best and worst combination is large) and by
-``examples/knapsack_tuning.py``.
+system and returns the points sorted by execution time.  Used by
+``repro-bench tuning``, by the scorecard's ``abl.tuning.*`` rows (which
+check the knobs actually matter — the spread between best and worst
+combination is large) and by ``examples/knapsack_tuning.py``.
 """
 
 from __future__ import annotations

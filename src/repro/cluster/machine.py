@@ -10,9 +10,8 @@ defined against it).  The values are era-plausible single-CPU ratios:
 * ETL-O2K — 195 MHz R10000 Origin 2000 → 0.90;
 * Outer — Sun Ultra 80 (newer, faster clock) → 1.30.
 
-These are *calibration constants*, surfaced here in one place so the
-sensitivity ablation (`benchmarks/bench_ablation_speeds.py`) can sweep
-them.
+These are *calibration constants*, surfaced here in one place;
+EXPERIMENTS.md's calibration summary says which paper figures pin them.
 """
 
 from __future__ import annotations

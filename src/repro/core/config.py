@@ -45,16 +45,6 @@ class RelayConfig:
     request_cpu: float = 2.0e-3
     #: Backlog for relay listen sockets.
     backlog: int = 256
-    #: Adaptive-chunk mode (the live data plane's fixed-vs-adaptive
-    #: ablation, on the simulator): the relay pump coalesces frames
-    #: already queued on the source socket into one read wake-up,
-    #: growing its read budget from ``chunk_bytes`` toward
-    #: ``max_chunk_bytes`` — paying ``per_chunk_cpu`` once per
-    #: *budget*, not once per frame.  ``per_byte_cpu`` is unaffected
-    #: (the bytes are still copied).
-    adaptive_chunking: bool = False
-    #: Read-budget ceiling for adaptive chunking.
-    max_chunk_bytes: int = 65536
     #: Optional shared secret for control requests.  When set, the
     #: outer server refuses connect/bind requests that do not carry
     #: it — hardening the publicly reachable control port (the paper
@@ -77,11 +67,6 @@ class RelayConfig:
     def validate(self) -> None:
         if self.chunk_bytes <= 0:
             raise ValueError("chunk_bytes must be positive")
-        if self.max_chunk_bytes < self.chunk_bytes:
-            raise ValueError(
-                f"max_chunk_bytes ({self.max_chunk_bytes}) must be >= "
-                f"chunk_bytes ({self.chunk_bytes})"
-            )
         if min(self.per_chunk_cpu, self.per_byte_cpu, self.request_cpu,
                self.per_chunk_delay) < 0:
             raise ValueError("CPU costs and delays must be non-negative")

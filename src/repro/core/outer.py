@@ -59,9 +59,9 @@ class RelayStats:
     same units — so the sim Table 2 path and the contract benchmark's
     ``core.aio.relay.*`` metrics read directly comparable counters.
     (The sim plane forwards *frames*; they land under the shared
-    ``chunks_relayed`` key.  The mux counters exist only so the schema
-    matches; the sim data plane has no mux link and leaves them at
-    zero.)
+    ``chunks_relayed`` key.  The mux and coalescing counters exist only
+    so the schema matches; the sim data plane has no mux link and
+    forwards one frame per wake-up, so they stay at zero.)
     """
 
     def __init__(self) -> None:
@@ -76,13 +76,7 @@ class RelayStats:
         self.mux_frames = 0
         self.mux_reconnects = 0
         self.mux_window_stalls = 0
-        #: Adaptive wake-ups that drained the receive queue as one
-        #: batch (the sim analogue of the live plane's coalesced
-        #: scatter-gather flushes).
-        self.coalesced_flushes = 0
-        #: Coalesced-batch sizes (log2 buckets of bytes per flush).
-        self.coalesce_bytes = LogHistogram()
-        #: Per-wake-up forwarded-batch sizes (log2 buckets of bytes).
+        #: Forwarded-frame sizes (log2 buckets of bytes).
         self.chunk_bytes = LogHistogram()
         #: Per-pump lifetime byte totals (log2 buckets of bytes).
         self.chain_bytes = LogHistogram()
@@ -102,8 +96,8 @@ class RelayStats:
             "mux_frames": self.mux_frames,
             "mux_reconnects": self.mux_reconnects,
             "mux_window_stalls": self.mux_window_stalls,
-            "coalesced_flushes": self.coalesced_flushes,
-            "coalesce_bytes_hist": self.coalesce_bytes.to_dict(),
+            "coalesced_flushes": 0,
+            "coalesce_bytes_hist": {},
             "chunk_bytes_hist": self.chunk_bytes.to_dict(),
             "chain_bytes_hist": self.chain_bytes.to_dict(),
             "chain_setup_us_hist": self.chain_setup_us.to_dict(),

@@ -12,16 +12,6 @@ already inside the forwarding delay are delivered before the
 destination is closed — otherwise a sender that writes-then-closes
 (the normal last-message pattern) would lose its tail through the
 relay.
-
-Adaptive chunking (``config.adaptive_chunking``) models the live data
-plane's growing read buffers: after a blocking receive, any frames
-*already queued* on the source socket are drained in the same wake-up
-(one ``per_chunk_cpu`` charge for the whole batch instead of one per
-frame), and the read budget doubles from ``chunk_bytes`` toward
-``max_chunk_bytes`` whenever a wake-up fills it.  Frames are still
-forwarded individually — framing and ordering are untouched; only the
-relay's wake-up/CPU granularity changes, which is exactly what a
-bigger ``read()`` buys a real user-level relay.
 """
 
 from __future__ import annotations
@@ -52,7 +42,6 @@ def relay_pump(
     sim = host.sim
     outstanding = 0
     drained: Optional[Event] = None
-    read_budget = config.chunk_bytes  # adaptive read size (grows)
     t_start = sim.now
     pump_frames = 0
     pump_bytes = 0
@@ -89,51 +78,29 @@ def relay_pump(
             dst.close()
             _finish()
             return
-        batch = [msg]
-        batch_bytes = msg.nbytes
-        if config.adaptive_chunking:
-            # One wake-up drains whatever already sits in the receive
-            # queue, up to the current read budget.
-            while batch_bytes < read_budget and src.rx_pending > 0:
-                extra = src.try_recv()
-                if extra is None:
-                    break
-                batch.append(extra)
-                batch_bytes += extra.nbytes
-            if batch_bytes >= read_budget:
-                read_budget = min(read_budget * 2, config.max_chunk_bytes)
-            if len(batch) > 1:
-                # This wake-up coalesced queued frames into one
-                # read+forward — the sim analogue of a scatter-gather
-                # flush on the live plane.
-                stats.coalesced_flushes += 1
-                stats.coalesce_bytes.record(batch_bytes)
-        # Occupying CPU: one read+copy+write wake-up for the batch.
+        # Occupying CPU: one read+copy+write wake-up for the frame.
         yield from host.execute(
-            config.per_chunk_cpu + config.per_byte_cpu * batch_bytes
+            config.per_chunk_cpu + config.per_byte_cpu * msg.nbytes
         )
-        stats.frames_relayed += len(batch)
-        stats.bytes_relayed += batch_bytes
-        stats.chunk_bytes.record(batch_bytes)
-        pump_frames += len(batch)
-        pump_bytes += batch_bytes
+        stats.frames_relayed += 1
+        stats.bytes_relayed += msg.nbytes
+        stats.chunk_bytes.record(msg.nbytes)
+        pump_frames += 1
+        pump_bytes += msg.nbytes
         if _trace.ENABLED:
             # Per-trace byte attribution: which job's traffic paid
             # this relay hop.  Tagged frames only exist when causal
             # tracing is on, so untagged runs never take this branch.
             rec = _obs.RECORDER
             if rec is not None:
-                for m in batch:
-                    wire = getattr(m.payload, "tctx", None)
-                    if wire is not None:
-                        rec.count_pair(
-                            "relay.trace_bytes",
-                            wire.split("/", 1)[0], m.nbytes,
-                        )
+                wire = getattr(msg.payload, "tctx", None)
+                if wire is not None:
+                    rec.count_pair(
+                        "relay.trace_bytes", wire.split("/", 1)[0], msg.nbytes,
+                    )
         if dst.closed:
             src.close()
             _finish()
             return
-        for m in batch:
-            outstanding += 1
-            sim.process(_forward(m.payload, m.nbytes), name=f"fwd@{host.name}")
+        outstanding += 1
+        sim.process(_forward(msg.payload, msg.nbytes), name=f"fwd@{host.name}")

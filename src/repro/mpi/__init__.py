@@ -21,7 +21,7 @@ style::
     results = yield from world.launch(main)
 """
 
-from repro.mpi.collectives import allreduce, barrier, bcast, gather, reduce, scatter
+from repro.mpi.collectives import allreduce, barrier, bcast, gather, reduce
 from repro.mpi.communicator import Communicator
 from repro.mpi.errors import MPIError
 from repro.mpi.status import ANY_SOURCE, ANY_TAG, Envelope, Status
@@ -41,5 +41,4 @@ __all__ = [
     "bcast",
     "gather",
     "reduce",
-    "scatter",
 ]

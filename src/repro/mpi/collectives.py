@@ -14,10 +14,9 @@ from __future__ import annotations
 from typing import Any, Callable, Iterator, Optional
 
 from repro.mpi.communicator import Communicator
-from repro.mpi.errors import MPIError
 from repro.simnet.kernel import Event
 
-__all__ = ["barrier", "bcast", "gather", "reduce", "allreduce", "scatter"]
+__all__ = ["barrier", "bcast", "gather", "reduce", "allreduce"]
 
 #: Tag space reserved for collectives (applications use small tags).
 _COLL_TAG_BASE = 1 << 20
@@ -117,28 +116,3 @@ def allreduce(
     total = yield from reduce(comm, value, op, root=0, nbytes=nbytes)
     result = yield from bcast(comm, total, root=0, nbytes=nbytes)
     return result
-
-
-def scatter(
-    comm: Communicator,
-    values: "Optional[list[Any]]" = None,
-    root: int = 0,
-    nbytes: Optional[int] = None,
-) -> Iterator[Event]:
-    """Generator: root hands ``values[i]`` to rank ``i``."""
-    comm._check_rank(root, "root")
-    if comm.rank == root and (values is None or len(values) != comm.size):
-        # Validate before consuming a collective tag, so a failed call
-        # leaves the sequence aligned across ranks.
-        raise MPIError(
-            f"scatter root needs exactly {comm.size} values, "
-            f"got {None if values is None else len(values)}"
-        )
-    tag = _next_tag(comm)
-    if comm.rank == root:
-        for dest in range(comm.size):
-            if dest != root:
-                yield from comm._send_internal(values[dest], dest, tag, nbytes)
-        return values[root]
-    payload, _ = yield from comm.recv(source=root, tag=tag)
-    return payload

@@ -357,15 +357,6 @@ class Connection:
         timer.callbacks.append(on_timer)
         return out
 
-    def try_recv(self) -> Optional[Message]:
-        """Non-blocking receive."""
-        ok, msg = self._rx.try_get()
-        return msg if ok else None
-
-    @property
-    def rx_pending(self) -> int:
-        return len(self._rx)
-
     # -- teardown -----------------------------------------------------------
 
     def close(self) -> None:

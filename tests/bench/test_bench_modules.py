@@ -110,6 +110,34 @@ def test_cli_smoke(capsys):
     assert "vendor provided mpi" in out
 
 
+@pytest.mark.parametrize("argv", [
+    ["tuning", "--points", "0"],
+    ["tuning", "--points", "-1"],
+    ["tuning", "--points", "99"],
+    ["table4", "--jobs", "-2"],
+    ["table4", "--target-nodes", "0"],
+])
+def test_cli_rejects_out_of_range_values(argv, capsys):
+    from repro.bench.cli import main
+
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "must be" in capsys.readouterr().err
+
+
+def test_cli_score_renders_rows(monkeypatch, capsys):
+    from repro.bench import score
+    from repro.bench.cli import main
+
+    table3 = [c for c in score.CLAIMS if c.source == "Table 3"]
+    monkeypatch.setattr(score, "CLAIMS", table3)
+    assert main(["score"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("| Key | Source |")
+    assert "| `t3.wide-area.procs` | Table 3 | Wide-area Cluster processors |" in out
+
+
 def test_cli_trace_writes_valid_artifacts(tmp_path, capsys):
     import json
 

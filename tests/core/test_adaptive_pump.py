@@ -1,19 +1,12 @@
-"""Adaptive chunking: live-pump policy units and the simulated
-fixed-vs-adaptive ablation.
+"""Adaptive chunking on the live pump, and relay-stats parity.
 
-The live side pins the AdaptiveChunker growth/shrink law and the
-drain-only-on-high-water discipline; the simulated side shows the
-Table 2 regeneration knob actually moves: the same transfer through
-the same relay finishes faster (less occupying relay CPU) with
-``adaptive_chunking=True``, without breaking ordering or the
-drain-aware close.
+Pins the AdaptiveChunker growth/shrink law and the
+drain-only-on-high-water discipline, and that the sim and live relay
+snapshots share one key schema.
 """
 
 import asyncio
 
-import pytest
-
-from repro.core import FramedConnection, RelayConfig
 from repro.core.aio.pump import (
     MAX_CHUNK,
     MIN_CHUNK,
@@ -21,7 +14,6 @@ from repro.core.aio.pump import (
     pump,
     writer_backpressured,
 )
-from repro.simnet import ConnectionReset
 
 from tests.core.conftest import leak_check
 
@@ -115,182 +107,7 @@ def test_writer_backpressured_without_flow_control_introspection():
     run(main())
 
 
-# -- simulated ablation ------------------------------------------------------
-
-
-def make_dep(config=None):
-    from tests.core.conftest import Deployment
-
-    return Deployment(config) if config is not None else Deployment()
-
-
-class _LanDeployment:
-    """A proxied all-LAN topology (the Table 2 'proxied LAN' shape):
-    every link fast, so the relay's per-chunk CPU is the bottleneck —
-    the regime adaptive chunking is for.  (The conftest Deployment's
-    1.5 Mbps WAN hides the relay entirely, which is the paper's own
-    point about WAN overhead being negligible.)"""
-
-    def __init__(self, config: RelayConfig) -> None:
-        from repro.core import InnerServer, NexusProxyClient, OuterServer
-        from repro.simnet import Firewall, Network
-
-        self.config = config
-        self.net = Network()
-        self.rwcp = self.net.add_site(
-            "rwcp", firewall=Firewall.typical(reject=True)
-        )
-        self.pa = self.net.add_host("pa", site=self.rwcp)
-        self.innerh = self.net.add_host("innerh", site=self.rwcp)
-        self.lan = self.net.add_router("lan", site=self.rwcp)
-        self.outerh = self.net.add_host("outerh", cores=2)
-        self.pb = self.net.add_host("pb")
-        for a, b in ((self.pa, self.lan), (self.innerh, self.lan),
-                     (self.lan, self.outerh), (self.outerh, self.pb)):
-            self.net.link(a, b, 0.1e-3, 12.5e6)  # 100 Mbit everywhere
-        self.outer = OuterServer(self.outerh, config)
-        self.inner = InnerServer(self.innerh, config)
-        self.inner.open_firewall_pinhole("outerh")
-        self.outer.start()
-        self.inner.start()
-        self._client_cls = NexusProxyClient
-
-    @property
-    def sim(self):
-        return self.net.sim
-
-    def client(self):
-        return self._client_cls(
-            self.pa,
-            outer_addr=self.outer.control_addr,
-            inner_addr=self.inner.addr,
-            config=self.config,
-        )
-
-
-def _one_way_transfer_time(config: RelayConfig, nbytes: int) -> float:
-    """Sim time for one client→server message through the relay."""
-    dep = _LanDeployment(config)
-    t = {}
-
-    def pb_server():
-        ls = dep.pb.listen(9000)
-        conn = yield ls.accept()
-        framed = FramedConnection(conn, dep.config.chunk_bytes)
-        yield from framed.recv()
-        t["done"] = dep.sim.now
-
-    def pa_client():
-        framed = yield from dep.client().connect(("pb", 9000))
-        yield framed.send("bulk", nbytes=nbytes)
-        framed.close()
-
-    dep.sim.process(pb_server())
-    dep.sim.process(pa_client())
-    dep.sim.run()
-    return t["done"]
-
-
-def test_adaptive_chunking_cuts_relay_cpu_time():
-    fixed = _one_way_transfer_time(RelayConfig(), 512 * 1024)
-    adaptive = _one_way_transfer_time(
-        RelayConfig(adaptive_chunking=True), 512 * 1024
-    )
-    # 512 KiB in 1 KiB chunks is 512 per-chunk CPU charges at 3 ms
-    # each; batching must reclaim most of them.
-    assert adaptive < fixed * 0.7, (fixed, adaptive)
-
-
-def test_adaptive_chunking_preserves_framing_and_order():
-    dep = make_dep(RelayConfig(adaptive_chunking=True))
-    out = {}
-
-    def pb_server():
-        ls = dep.pb.listen(9000)
-        conn = yield ls.accept()
-        framed = FramedConnection(conn, dep.config.chunk_bytes)
-        got = []
-        try:
-            while True:
-                payload, n = yield from framed.recv()
-                got.append((payload, n))
-        except ConnectionReset:
-            out["got"] = got
-
-    def pa_client():
-        framed = yield from dep.client().connect(("pb", 9000))
-        for i in range(8):
-            yield framed.send(i, nbytes=5000)
-        framed.close()
-
-    dep.sim.process(pb_server())
-    dep.sim.process(pa_client())
-    dep.sim.run()
-    assert out["got"] == [(i, 5000) for i in range(8)]
-
-
-def test_adaptive_chunking_keeps_drain_aware_close():
-    """The write-then-close tail must survive batching too."""
-    dep = make_dep(RelayConfig(adaptive_chunking=True, max_chunk_bytes=8192))
-    out = {}
-
-    def pb_server():
-        ls = dep.pb.listen(9000)
-        conn = yield ls.accept()
-        framed = FramedConnection(conn, dep.config.chunk_bytes)
-        got = []
-        try:
-            while True:
-                payload, n = yield from framed.recv()
-                got.append(payload)
-        except ConnectionReset:
-            out["got"] = got
-
-    def pa_client():
-        framed = yield from dep.client().connect(("pb", 9000))
-        for i in range(5):
-            yield framed.send(i, nbytes=3000)
-        framed.close()
-
-    dep.sim.process(pb_server())
-    dep.sim.process(pa_client())
-    dep.sim.run()
-    assert out["got"] == list(range(5))
-
-
-def test_config_validates_max_chunk_bytes():
-    with pytest.raises(ValueError, match="max_chunk_bytes"):
-        RelayConfig(chunk_bytes=4096, max_chunk_bytes=1024).validate()
-    RelayConfig(adaptive_chunking=True).validate()  # defaults consistent
-
-
-def test_adaptive_relay_accounts_coalesced_flushes():
-    """With adaptive chunking on, multi-frame wake-ups on a passive
-    chain land in the coalesce counters — the sim analogue of
-    scatter-gather flushes."""
-    dep = make_dep(RelayConfig(adaptive_chunking=True, max_chunk_bytes=65536))
-    out = {}
-
-    def listener_side():
-        listener = yield from dep.client(dep.pa).bind()
-
-        def sender_side():
-            client = dep.client(dep.innerh)
-            framed = yield from client.connect(listener.proxy_addr)
-            yield framed.send("bulk", nbytes=500_000)
-            framed.close()
-
-        dep.sim.process(sender_side())
-        framed = yield from listener.accept()
-        out["recv"] = yield from framed.recv()
-        listener.close()
-
-    dep.sim.process(listener_side())
-    dep.sim.run()
-    assert out["recv"] == ("bulk", 500_000)
-    snap = dep.outer.stats.snapshot()
-    assert snap["coalesced_flushes"] == 12
-    assert sum(snap["coalesce_bytes_hist"].values()) == snap["coalesced_flushes"]
+# -- plane parity ------------------------------------------------------------
 
 
 def test_relay_stats_schema_parity_between_planes():

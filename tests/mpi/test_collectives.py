@@ -2,9 +2,7 @@
 
 import operator
 
-import pytest
-
-from repro.mpi import MPIError, MPIWorld, allreduce, barrier, bcast, gather, reduce, scatter
+from repro.mpi import MPIWorld, allreduce, barrier, bcast, gather, reduce
 
 from .test_mpi import flat_network, launch  # noqa: F401  (helper reuse)
 
@@ -76,34 +74,6 @@ def test_allreduce_max():
         return (yield from allreduce(comm, comm.rank * 7, max))
 
     assert launch(net, hosts, main) == [21] * 4
-
-
-def test_scatter():
-    net, hosts = flat_network(3)
-
-    def main(comm):
-        values = ["a", "b", "c"] if comm.rank == 0 else None
-        return (yield from scatter(comm, values, root=0))
-
-    assert launch(net, hosts, main) == ["a", "b", "c"]
-
-
-def test_scatter_wrong_arity():
-    net, hosts = flat_network(2)
-
-    def main(comm):
-        yield comm.sim.timeout(0)
-        if comm.rank == 0:
-            with pytest.raises(MPIError, match="exactly 2 values"):
-                yield from scatter(comm, ["only-one"], root=0)
-            # Unblock rank 1 with a real scatter.
-            return (yield from scatter(comm, ["x", "y"], root=0))
-        return (yield from scatter(comm, None, root=0))
-
-    # Both scatter calls must use the same collective sequence; the
-    # failed attempt on rank 0 must not have consumed a tag.
-    results = launch(net, hosts, main)
-    assert results == ["x", "y"]
 
 
 def test_consecutive_collectives_do_not_cross_talk():
