@@ -108,8 +108,9 @@ class SchedulingParams:
     #: nothing); ablated in ``tests/knapsack/test_shared_bounds.py``.
     share_bounds: bool = False
     #: Search-engine implementation: ``"fast"`` (table-driven packed
-    #: kernel + fused slave batches), ``"seed"`` (the original
-    #: tuple-stack loop with one simulator yield per batch), or
+    #: kernel, fused slave batches, master batches walked only when
+    #: its stack is read), ``"seed"`` (the original tuple-stack loop
+    #: walking every batch, with one simulator yield per batch), or
     #: ``"auto"`` (defer to ``REPRO_SEARCH_ENGINE``, default fast).
     #: Purely an implementation knob: simulated results are identical
     #: (the determinism suite compares them); only host-CPU time
@@ -218,8 +219,6 @@ def _master(
     stats = RankStats(comm.rank, host.name, is_master=True)
     nslaves = comm.size - 1
     idle: list[int] = []
-    #: Nodes handed to slaves and not yet known-consumed.  Used only
-    #: for the termination argument's bookkeeping assertions.
     take = (
         state.take_from_top if p.steal_from == "top" else state.take_from_bottom
     )
@@ -310,9 +309,12 @@ def _slave(
     # Python frame until exhaustion or a due send-back — consuming
     # every subtree no send-back check can observe in one lookup, and
     # adding each crossed batch's cost in order — and the accumulated
-    # cost is charged in a single compute yield.  The master cannot be
-    # fused the same way: its per-batch iprobe drain is what bounds
-    # steal-request latency, and its events are part of the result.
+    # cost is charged in a single compute yield.  The master keeps
+    # one compute charge and one iprobe drain per batch — the drain
+    # bounds steal-request latency, and those events are part of the
+    # result — but on the fast engine its batches only debit the
+    # subtree tables: its stack is walked when a message or a parked
+    # slave next reads it.
     fused = state.engine == "fast"
 
     while True:

@@ -22,9 +22,19 @@ on.  Internally :class:`SearchState` has two engines:
   until the stack drops below its slot explores exactly its subtree,
   so the kernel *consumes* every subtree that no observable batch
   boundary falls inside in one lookup, and expands node by node only
-  along the path to a boundary.  Node counts, the stack at every
-  batch boundary, the best value and the per-batch compute charges
-  are identical to the seed engine (guarded by
+  along the path to a boundary.
+
+  Unpruned, :meth:`SearchState.branch` does not walk at all: it
+  debits ``min(max_ops, _left)`` from ``_left`` (the stacked nodes no
+  batch has been charged for) onto ``_owed`` (charged, not yet
+  walked), keeping ``_left + _owed == Σ size`` over the stack.  Every
+  reader or writer of the stack or best value first *settles*: one
+  walk of all ``_owed`` operations, exact because unpruned DFS reaches
+  the same stack and best value after k operations however the k are
+  split into batches.  So the master's per-batch loop walks its stack
+  only when a message or a parked slave reads it.  Node counts, the
+  stack wherever it is read, the best value and the per-batch compute
+  charges are identical to the seed engine (guarded by
   ``tests/knapsack/test_engine_equivalence.py``); the pruned path
   walks every node on the packed stack.  Running it to exhaustion is
   one lookup at the root, so the contract benchmark's
@@ -135,8 +145,6 @@ class SearchState:
 
     __slots__ = (
         "instance",
-        "stack",
-        "best_value",
         "nodes_traversed",
         "prune",
         "engine",
@@ -153,6 +161,10 @@ class SearchState:
         "_size",
         "_gain",
         "_pend",
+        "_stack",
+        "_best",
+        "_left",
+        "_owed",
     )
 
     def __init__(
@@ -162,8 +174,10 @@ class SearchState:
         engine: Optional[str] = None,
     ) -> None:
         self.instance = instance
-        self.stack: list = []
-        self.best_value = 0
+        self._stack: list = []
+        self._best = 0
+        self._left = 0
+        self._owed = 0
         self.nodes_traversed = 0
         self.prune = prune
         self.engine = resolve_engine(engine)
@@ -205,11 +219,36 @@ class SearchState:
 
     # -- stack management (work stealing operates here) ------------------
 
+    def _settle(self) -> None:
+        """Walk the operations :meth:`branch` charged but deferred.
+
+        Unpruned DFS on a LIFO stack reaches the same stack and best
+        value after k operations however the k are split into batches,
+        so one walk of all of them is exact.
+        """
+        if self._owed:
+            owed, self._owed = self._owed, 0
+            self._run(owed, 0.0, 0, 1, -1)
+
+    @property
+    def stack(self) -> list:
+        """The pending nodes (packed ints on the fast engine), with
+        every charged operation walked."""
+        self._settle()
+        return self._stack
+
+    @property
+    def best_value(self) -> int:
+        self._settle()
+        return self._best
+
+    @best_value.setter
+    def best_value(self, value: int) -> None:
+        self._settle()
+        self._best = value
+
     def push_root(self) -> None:
-        if self.engine == "fast":
-            self.stack.append(self.instance.capacity << self._ibits)
-        else:
-            self.stack.append(root_node(self.instance))
+        self.push_nodes([root_node(self.instance)])
 
     def push_nodes(self, nodes: "list[Node]") -> None:
         """Push ``(index, value, capacity)`` nodes (stolen or sent
@@ -222,14 +261,18 @@ class SearchState:
                     f"node {node!r} is outside the search tree "
                     f"(index 0..{n}, value >= 0, capacity 0..{cap})"
                 )
+        self._settle()
         if self.engine == "fast":
             shift = self._shift
             ibits = self._ibits
-            self.stack.extend(
+            if self._size is not None:
+                size = self._size
+                self._left += sum(size[c << ibits | i] for i, _, c in nodes)
+            self._stack.extend(
                 (((v << shift) | c) << ibits) | i for i, v, c in nodes
             )
         else:
-            self.stack.extend(nodes)
+            self._stack.extend(nodes)
 
     def _decode(self, packed: "list[int]") -> "list[Node]":
         shift = self._shift
@@ -251,9 +294,10 @@ class SearchState:
         """
         if count <= 0:
             return []
-        taken = self.stack[-count:]
-        del self.stack[-count:]
-        return self._decode(taken) if self.engine == "fast" else taken
+        stack = self.stack
+        taken = stack[-count:]
+        del stack[-count:]
+        return self._taken(taken)
 
     def take_from_bottom(self, count: int) -> "list[Node]":
         """Remove up to ``count`` nodes from the *bottom* of the stack.
@@ -266,9 +310,20 @@ class SearchState:
         """
         if count <= 0:
             return []
-        taken = self.stack[:count]
-        del self.stack[:count]
-        return self._decode(taken) if self.engine == "fast" else taken
+        stack = self.stack
+        taken = stack[:count]
+        del stack[:count]
+        return self._taken(taken)
+
+    def _taken(self, taken: list) -> "list[Node]":
+        """Debit nodes removed from the stack; return them as tuples."""
+        if self.engine != "fast":
+            return taken
+        if self._size is not None:
+            size = self._size
+            low = (1 << (self._shift + self._ibits)) - 1
+            self._left -= sum(size[node & low] for node in taken)
+        return self._decode(taken)
 
     @property
     def depth(self) -> int:
@@ -276,7 +331,9 @@ class SearchState:
 
     @property
     def exhausted(self) -> bool:
-        return not self.stack
+        if self._size is not None:
+            return not self._left
+        return not self._stack
 
     # -- the branch operation -----------------------------------------------
 
@@ -302,21 +359,29 @@ class SearchState:
         """Run up to ``max_ops`` branch operations ("the master repeats
         the branch operation *interval* times"); returns ops done.
 
-        Stops early when the stack empties.
+        Stops early when the stack empties.  The unpruned fast engine
+        only debits the operations against the subtree tables here and
+        walks them when something next reads or changes the stack.
         """
+        if self._size is not None:
+            ops = max_ops if max_ops < self._left else self._left
+            if ops <= 0:
+                return 0
+            self._left -= ops
+            self._owed += ops
+            self.nodes_traversed += ops
+            return ops
         if self.engine == "fast":
-            if self.prune:
-                return self._branch_fast_pruned(max_ops)
-            return self._run(max_ops, 0.0, 0, 1, -1)[0] if max_ops > 0 else 0
+            return self._branch_fast_pruned(max_ops)
         return self._branch_seed(max_ops)
 
     def _branch_seed(self, max_ops: int) -> int:
         """The original tuple-stack loop (reference implementation)."""
-        stack = self.stack
+        stack = self._stack
         profits = self._profits
         weights = self._weights
         n = self._n
-        best = self.best_value
+        best = self._best
         prune = self.prune
         ops = 0
         while stack and ops < max_ops:
@@ -332,7 +397,7 @@ class SearchState:
             w = weights[index]
             if w <= capacity:
                 stack.append((index + 1, value + profits[index], capacity - w))
-        self.best_value = best
+        self._best = best
         self.nodes_traversed += ops
         return ops
 
@@ -343,7 +408,7 @@ class SearchState:
         floats, same prune decisions, same traversal) — the subtree
         tables do not apply because the bound may cut a subtree short.
         """
-        stack = self.stack
+        stack = self._stack
         profits = self._profits
         weights = self._weights
         wp = self._wprefix
@@ -354,7 +419,7 @@ class SearchState:
         ibits = self._ibits
         imask = self._imask
         d2 = self._d2
-        best = self.best_value
+        best = self._best
         pop = stack.pop
         append = stack.append
         ops = 0
@@ -382,7 +447,7 @@ class SearchState:
             append(node + 1)
             if weights[i] <= c:
                 append(node + d2[i])
-        self.best_value = best
+        self._best = best
         self.nodes_traversed += ops
         return ops
 
@@ -406,20 +471,24 @@ class SearchState:
         batches_since_back)``.
         """
         if self._size is not None:
-            return self._run(
+            self._settle()
+            ops, cost, batches = self._run(
                 interval, node_cost, batches_since_back, back_every, back_threshold
-            )[1:]
+            )
+            self._left -= ops
+            self.nodes_traversed += ops
+            return cost, batches
         cost = 0.0
         while True:
             ops = self.branch(interval)
             cost += ops * node_cost
             batches_since_back += 1
-            if not self.stack:
+            if not self._stack:
                 break
             if (
                 back_threshold
                 and batches_since_back >= back_every
-                and len(self.stack) > back_threshold
+                and len(self._stack) > back_threshold
             ):
                 break
         return cost, batches_since_back
@@ -445,14 +514,15 @@ class SearchState:
         The boundaries it crosses each add ``interval * node_cost``,
         in order, so ``cost`` is bit-identical to the batch loop's.
         Otherwise the node is expanded as one branch operation.
-        :meth:`branch` is the one-batch case whose boundary always
-        stops (``back_every=1``, ``back_threshold=-1``).
+        Settling :meth:`branch`'s debit is the one-batch case whose
+        boundary always stops (``back_every=1``, ``back_threshold=-1``).
+        The caller accounts the ops (``_left``, ``nodes_traversed``).
 
         ``best`` is tracked as the max *packed* node: packing is
         monotonic in value (the top field), so it decodes to exactly
         the seed loop's best value.
         """
-        stack = self.stack
+        stack = self._stack
         size, gain, pend = self._size, self._gain, self._pend
         weights = self._weights
         d2 = self._d2
@@ -460,7 +530,7 @@ class SearchState:
         imask = self._imask
         vshift = self._shift + ibits
         low = (1 << vshift) - 1
-        best = self.best_value << vshift
+        best = self._best << vshift
         pop = stack.pop
         append = stack.append
         step = interval * node_cost
@@ -523,13 +593,12 @@ class SearchState:
             cost += (interval - budget) * node_cost
             batches += 1
         ops = (batches - first) * interval - budget
-        self.best_value = best >> vshift
-        self.nodes_traversed += ops
+        self._best = best >> vshift
         return ops, cost, batches
 
     def run_to_exhaustion(self) -> None:
         """Branch until the stack empties (the sequential solver core)."""
-        while self.stack:
+        while not self.exhausted:
             self.branch(1 << 30)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -65,9 +65,10 @@ def run_sequential_sim(
     Branch operations run in ``batch``-sized chunks, each charged to
     the host's clock — so the simulated duration is ``nodes *
     node_cost / cpu_speed``, the Table 4 baseline definition.  The
-    fast engine counts the subtrees that fit in a chunk from exact
-    tables instead of walking them; the seed engine walks every node
-    and produces the same counts, stack and best value per chunk.
+    fast engine only debits each chunk against exact subtree tables
+    and settles the whole search in one lookup when the result reads
+    the best value; the seed engine walks every node and produces the
+    same per-chunk counts and the same result.
     """
     state = SearchState(instance, prune=prune, engine=engine)
     state.push_root()

@@ -31,6 +31,7 @@ import asyncio
 import contextlib
 import json
 import logging
+import socket
 from typing import TYPE_CHECKING, Callable, Dict, Optional
 
 from repro.core.aio.protocol import (
@@ -71,6 +72,7 @@ __all__ = [
     "MuxError",
     "MuxChain",
     "MuxConnector",
+    "keep_link_alive",
     "serve_mux_session",
 ]
 
@@ -94,6 +96,33 @@ BACKOFF_MAX_S = 2.0
 #: Deadline for a chain's OPEN: waiting for the link (re)dial, then
 #: for the inner server's OPEN_OK/OPEN_ERR.
 OPEN_TIMEOUT_S = 10.0
+#: TCP keepalive on both ends of the link: the first probe after this
+#: many idle seconds, then one every interval; after the last
+#: unanswered probe the kernel resets the link, so a link whose peer
+#: vanished while idle dies in about a minute and the connector
+#: redials.
+KEEPALIVE_IDLE_S = 30
+KEEPALIVE_INTERVAL_S = 10
+KEEPALIVE_PROBES = 3
+
+
+def keep_link_alive(writer: asyncio.StreamWriter) -> None:
+    """Turn on TCP keepalive for a mux link socket, with the
+    :data:`KEEPALIVE_IDLE_S` / ``_INTERVAL_S`` / ``_PROBES`` timing
+    where the platform names those options.  Best-effort, like
+    :func:`tune_stream`: a transport without a raw socket is skipped."""
+    sock = writer.get_extra_info("socket")
+    if sock is None:
+        return
+    with contextlib.suppress(OSError):
+        sock.setsockopt(socket.SOL_SOCKET, socket.SO_KEEPALIVE, 1)
+        for name, value in (
+            ("TCP_KEEPIDLE", KEEPALIVE_IDLE_S),
+            ("TCP_KEEPINTVL", KEEPALIVE_INTERVAL_S),
+            ("TCP_KEEPCNT", KEEPALIVE_PROBES),
+        ):
+            if hasattr(socket, name):
+                sock.setsockopt(socket.IPPROTO_TCP, getattr(socket, name), value)
 
 
 class MuxChain(asyncio.BufferedProtocol):
@@ -487,6 +516,7 @@ class MuxConnector:
                 backoff = min(backoff * 2, BACKOFF_MAX_S)
                 continue
             tune_stream(writer)
+            keep_link_alive(writer)
             writer.write(MUX_MAGIC)
             session = self._session = _MuxSession(reader, writer, self.stats)
             self.connects += 1

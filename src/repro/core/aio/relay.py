@@ -31,6 +31,7 @@ from repro.core.aio.mux import (
     MUX_MAGIC,
     ChainReset,
     MuxConnector,
+    keep_link_alive,
     serve_mux_session,
 )
 from repro.core.aio.protocol import (
@@ -474,6 +475,7 @@ class AioInnerServer(_Server):
         if line != MUX_MAGIC:
             await self._refuse(writer, "nxport speaks NXMUX/1 only")
             return
+        keep_link_alive(writer)
         log.info("nxport connection switched to mux framing")
         await serve_mux_session(
             reader, writer, self.stats,

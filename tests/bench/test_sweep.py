@@ -10,6 +10,7 @@ import pytest
 
 from repro.apps.knapsack.instance import scaled_instance
 from repro.apps.knapsack.master_slave import SchedulingParams
+from repro.apps.knapsack.search import SearchState
 from repro.bench.sweep import fan_out, resolve_jobs
 from repro.bench.table4 import Table4Config, render_table4, run_table4
 from repro.bench.table56 import render_table5, render_table6
@@ -56,21 +57,57 @@ def test_table4_parallel_renders_identical_to_serial() -> None:
     assert render_table6(serial) == render_table6(parallel)
 
 
+_DEFERRED_BRANCH = SearchState.branch
+
+
+def _eager_branch(state: SearchState, max_ops: int) -> int:
+    """The fast engine's branch with every batch walked as soon as it
+    is charged."""
+    ops = _DEFERRED_BRANCH(state, max_ops)
+    state._settle()
+    return ops
+
+
 def test_table4_engine_paths_render_identical(monkeypatch) -> None:
     """Tables 4/5/6 byte-identical between the seed path (seed kernel +
-    seed branch engine) and the fast path."""
-    config = _small_config()
-    renders = {}
-    for mode in ("seed", "fast"):
-        monkeypatch.setenv("REPRO_SIM_KERNEL", mode)
-        monkeypatch.setenv("REPRO_SEARCH_ENGINE", mode)
-        results = run_table4(config)
+    seed branch engine) and the fast path, with the same nodes, steals
+    and optimum on every row.  The seed engine's slaves charge every
+    batch as its own compute event, so kernel events are compared
+    between the fast path and the fast path with the master's batches
+    walked eagerly: deferring them must not move one event."""
+    _assert_engine_paths_agree(monkeypatch, _small_config())
+
+
+@pytest.mark.slow
+def test_table4_engine_paths_agree_at_send_back_scale(monkeypatch) -> None:
+    """The same at 2 M nodes, where slaves' send-back checks fire."""
+    _assert_engine_paths_agree(monkeypatch, Table4Config(target_nodes=2_000_000))
+
+
+def _assert_engine_paths_agree(monkeypatch, config: Table4Config) -> None:
+    renders, counts = {}, {}
+    for mode in ("seed", "fast", "eager"):
+        engine = "fast" if mode == "eager" else mode
+        monkeypatch.setenv("REPRO_SIM_KERNEL", engine)
+        monkeypatch.setenv("REPRO_SEARCH_ENGINE", engine)
+        with monkeypatch.context() as patch:
+            if mode == "eager":
+                patch.setattr(SearchState, "branch", _eager_branch)
+            results = run_table4(config)
         renders[mode] = (
             render_table4(results),
             render_table5(results),
             render_table6(results),
         )
-    assert renders["seed"] == renders["fast"]
+        counts[mode] = {
+            label: (run.events, run.total_nodes, run.total_steals, run.best_value)
+            for label, run in results.runs.items()
+        }
+    assert renders["seed"] == renders["fast"] == renders["eager"]
+    assert counts["fast"] == counts["eager"]
+    assert {label: row[1:] for label, row in counts["seed"].items()} == {
+        label: row[1:] for label, row in counts["fast"].items()
+    }
 
 
 def test_run_result_perf_counters() -> None:

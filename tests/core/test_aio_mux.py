@@ -11,6 +11,7 @@ reconnect.
 import asyncio
 import contextlib
 import json
+import socket
 import struct
 
 import pytest
@@ -22,6 +23,9 @@ from repro.core.aio import (
 )
 from repro.core.aio.mux import (
     DEFAULT_WINDOW,
+    KEEPALIVE_IDLE_S,
+    KEEPALIVE_INTERVAL_S,
+    KEEPALIVE_PROBES,
     MUX_MAGIC,
     ChainReset,
     FrameType,
@@ -99,6 +103,23 @@ def test_concurrent_chains_share_one_nxport_connection():
             assert inner.stats.nxport_connections == 1
             assert inner.stats.passive_chains == 16
             assert outer.stats.passive_chains == 16
+            # Both ends of that connection probe an idle peer.
+            (link,) = outer._mux_links.values()
+            outer_sock = link._session.writer.get_extra_info("socket")
+            (inner_sock,) = [
+                sock for sock in (w.get_extra_info("socket") for w in inner._conns)
+                if sock.getpeername() == outer_sock.getsockname()
+            ]
+            for sock in (outer_sock, inner_sock):
+                assert sock.getsockopt(socket.SOL_SOCKET, socket.SO_KEEPALIVE)
+                for name, value in (
+                    ("TCP_KEEPIDLE", KEEPALIVE_IDLE_S),
+                    ("TCP_KEEPINTVL", KEEPALIVE_INTERVAL_S),
+                    ("TCP_KEEPCNT", KEEPALIVE_PROBES),
+                ):
+                    if hasattr(socket, name):
+                        opt = getattr(socket, name)
+                        assert sock.getsockopt(socket.IPPROTO_TCP, opt) == value
             echo_task.cancel()
             await listener.close()
         finally:

@@ -170,7 +170,10 @@ def small_trees(draw) -> KnapsackInstance:
 @given(small_trees(), st.data())
 def test_lockstep_property_seed_vs_fast(instance: KnapsackInstance, data) -> None:
     """Random interleavings of branch, branch_fused, steals and pushes
-    leave both engines in the same observable state at every return."""
+    leave both engines in the same observable state.  The stack and
+    best value are read only on drawn steps, so the fast engine's
+    deferred batches pile up across unobserved branch calls and are
+    settled at whatever point the next read falls."""
     seed = SearchState(instance, engine="seed")
     fast = SearchState(instance, engine="fast")
     seed.push_root()
@@ -202,15 +205,49 @@ def test_lockstep_property_seed_vs_fast(instance: KnapsackInstance, data) -> Non
             pushed = data.draw(st.lists(nodes, max_size=2))
             seed.push_nodes(pushed)
             fast.push_nodes(pushed)
-        assert seed.stack == fast._decode(fast.stack)
-        assert seed.best_value == fast.best_value
+        assert seed.exhausted == fast.exhausted
+        # The count is charged as it is done, so reading it settles nothing.
         assert seed.nodes_traversed == fast.nodes_traversed
+        if data.draw(st.booleans()):
+            assert seed.stack == fast._decode(fast.stack)
+            assert seed.best_value == fast.best_value
+    assert seed.stack == fast._decode(fast.stack)
+    assert seed.best_value == fast.best_value
     seed.run_to_exhaustion()
     fast.run_to_exhaustion()
     assert (seed.best_value, seed.nodes_traversed) == (
         fast.best_value,
         fast.nodes_traversed,
     )
+
+
+def test_master_batches_are_walked_only_when_read(monkeypatch) -> None:
+    """The master's loop, ``branch(25)`` after ``branch(25)`` with no
+    read of the stack, walks nothing; one ``depth`` read walks all of
+    the batches at once and agrees with the seed engine."""
+    instance = scaled_instance(n=20, target_nodes=30_000, seed=5)
+    fast = SearchState(instance, engine="fast")
+    seed = SearchState(instance, engine="seed")
+    fast.push_root()
+    seed.push_root()
+    walks = []
+    run = SearchState._run
+
+    def counted_run(state, *args):
+        walks.append(args)
+        return run(state, *args)
+
+    monkeypatch.setattr(SearchState, "_run", counted_run)
+    for _ in range(400):
+        assert fast.branch(25) == seed.branch(25) == 25
+        assert not fast.exhausted
+    assert fast.nodes_traversed == 10_000
+    assert walks == []
+    assert fast.depth == seed.depth
+    assert walks == [(10_000, 0.0, 0, 1, -1)]
+    assert fast._decode(fast.stack) == seed.stack
+    assert fast.best_value == seed.best_value
+    assert len(walks) == 1
 
 
 @settings(max_examples=60, deadline=None)
