@@ -32,7 +32,7 @@ import contextlib
 import json
 import logging
 import socket
-from typing import TYPE_CHECKING, Callable, Dict, Optional
+from typing import TYPE_CHECKING, Callable, Dict, Optional, Tuple
 
 from repro.core.aio.protocol import (
     FRAME_HEADER,
@@ -51,6 +51,7 @@ from repro.core.aio.pump import (
     COALESCE_BUDGET,
     MAX_CHUNK,
     STREAM_LIMIT,
+    WRITE_HIGH_WATER,
     SegmentBatcher,
     transport_fd,
     tune_stream,
@@ -127,18 +128,32 @@ def keep_link_alive(writer: asyncio.StreamWriter) -> None:
 
 class MuxChain(asyncio.BufferedProtocol):
     """One logical byte stream inside a mux session, and the protocol
-    of the local socket :meth:`run` bridges it to.
+    of its local socket from the moment that socket connects: a client
+    accepted on a bind's public port (outer), the onward dial (inner).
 
     Outbound, the event loop reads into the session's shared buffer,
     clipped to the send window, and ``buffer_updated`` frames the view;
     an exhausted window, a backpressured link or an unframed backlog
     is ``pause_reading()``.  Inbound, the session hands DATA spans to
     :meth:`deliver`, which writes them straight to the socket.
+
+    An outer chain (``link`` set) OPENs toward ``dest`` from
+    ``connection_made``; its causal context ``ctx``, if any, rides the
+    OPEN as an extra JSON key and its ``mux/chain`` span anchors it.
+    ``conns`` holds the owning daemon's live transports, for ``stop()``.
     """
 
-    def __init__(self, session: "_MuxSession", chain_id: int) -> None:
+    def __init__(self, session: "Optional[_MuxSession]", chain_id: int = 0, *,
+                 link: "Optional[MuxConnector]" = None,
+                 dest: "Tuple[str, int]" = ("", 0),
+                 ctx: "Optional[_trace.TraceContext]" = None,
+                 conns: "Optional[set[asyncio.BaseTransport]]" = None) -> None:
         self._session = session
         self.chain_id = chain_id
+        self._link = link
+        self._dest = dest
+        self._conns = conns if conns is not None else set()
+        self.stats = (session or link).stats
         self.transport: Optional[asyncio.Transport] = None
         self.fd: Optional[int] = None
         self._send_window = DEFAULT_WINDOW
@@ -147,28 +162,43 @@ class MuxChain(asyncio.BufferedProtocol):
         #: Consumed bytes not yet returned as credit (see ``consumed``).
         self._pending_credit = 0
         self._write_paused = False
-        #: Bytes the stream layer had read before :meth:`run` adopted
-        #: the socket (may exceed the window); framed under the window.
+        #: Bytes the stream layer had read before ``relay_chain``
+        #: adopted the socket (may exceed the window); framed under it.
         self._backlog = memoryview(b"")
+        #: The read buffer of a socket that reads before the link is up.
+        self._held = bytearray()
         #: DATA that arrived before the local socket was attached.
         self._inbox: "list[bytes]" = []
         self._stall_t0: Optional[float] = None
         self._reset: Optional[BaseException] = None
         self._local_eof = self._sent_eof = self._recv_eof = False
-        self._done: "Optional[asyncio.Future[None]]" = None
-        #: Set by the opening side while waiting for OPEN_OK/OPEN_ERR.
+        self._born = asyncio.get_running_loop().time()
+        #: The pending OPEN's timer; recorder time the socket connected.
+        self._deadline: Optional[asyncio.TimerHandle] = None
+        self._t0 = 0.0
+        #: ``relay_chain``'s end of chain, ``open_chain``'s OPEN reply.
+        self.done: "Optional[asyncio.Future[None]]" = None
         self.open_reply: Optional[asyncio.Future] = None
         #: Bytes sent + received over this chain (stats).
         self.bytes_moved = 0
+        self._ctx = ctx
         #: Causal trace context (wire form) when the OPEN carried one.
-        self.tctx: Optional[str] = None
+        self.tctx = ctx.to_wire() if ctx is not None else None
 
     # -- local socket → link --------------------------------------------------
 
     def get_buffer(self, sizehint: int) -> memoryview:
+        if self._session is None:  # the link is not up: one read, held
+            self._held = bytearray(DEFAULT_WINDOW)
+            return memoryview(self._held)
         return self._session.rview[:self._send_window]
 
     def buffer_updated(self, nbytes: int) -> None:
+        if self._session is None:  # framed by ``_open``, under the window
+            held, self._held = self._held, bytearray()
+            self._backlog = memoryview(bytes(self._backlog) + held[:nbytes])
+            self.transport.pause_reading()
+            return
         payload = self._session.rview[:nbytes]
         batcher = self._session.batcher
         if batcher.pending_bytes + FRAME_HEADER.size + nbytes < COALESCE_BUDGET:
@@ -181,7 +211,8 @@ class MuxChain(asyncio.BufferedProtocol):
 
     def eof_received(self) -> bool:
         self._local_eof = True
-        self._pump()
+        if self._session is not None:  # else ``_open`` sends the EOF
+            self._pump()
         return True  # keep the socket open: the peer may still send to us
 
     def _send(self, payload: "bytes | memoryview") -> None:
@@ -227,10 +258,12 @@ class MuxChain(asyncio.BufferedProtocol):
                               track=f"chain:{self.chain_id}",
                               **_trace.wire_args(self.tctx))
 
-    def send_rst(self) -> None:
-        with contextlib.suppress(Exception):
-            self._session.send_frame(self.chain_id, FrameType.RST)
-        self.abort(ChainReset(f"chain {self.chain_id} reset locally"))
+    def send_rst(self, exc: Optional[BaseException] = None) -> None:
+        if self._session is not None:  # None: still waiting for the link
+            self._session.chains.pop(self.chain_id, None)
+            with contextlib.suppress(Exception):
+                self._session.send_frame(self.chain_id, FrameType.RST)
+        self.abort(exc or ChainReset(f"chain {self.chain_id} reset locally"))
 
     def add_credit(self, nbytes: int) -> None:
         if self._send_window + nbytes > DEFAULT_WINDOW:
@@ -298,57 +331,101 @@ class MuxChain(asyncio.BufferedProtocol):
 
     # -- lifecycle ------------------------------------------------------------
 
+    def connection_made(self, transport: asyncio.BaseTransport) -> None:
+        self.transport = transport
+        self.fd = transport_fd(transport)
+        transport.set_write_buffer_limits(high=WRITE_HIGH_WATER)
+        self._conns.add(transport)
+        rec = _obs.RECORDER
+        self._t0 = rec.wall_ts() if rec is not None else 0.0
+        if self._reset is not None:  # inner: RST, link loss or deadline beat the dial
+            transport.close()
+        elif self._link is not None:
+            self._link.begin(self)
+        else:  # inner: the onward dial landed
+            self.stats.passive_chains += 1
+            self._session.send_frame(self.chain_id, FrameType.OPEN_OK)
+            inbox, self._inbox = self._inbox, []
+            for data in inbox:
+                self._write(data)
+            if self._recv_eof:
+                self.on_eof()
+            self._pump()
+
+    def _open(self, session: "_MuxSession") -> None:
+        """Send OPEN and frame what the socket sends right behind it:
+        the inner queues DATA that beats its dial, within the window."""
+        self._session = session
+        self.chain_id = self._link._next_chain_id
+        self._link._next_chain_id += 1
+        session.chains[self.chain_id] = self
+        host, port = self._dest
+        req = {"host": host, "port": port}
+        if self.tctx is not None:
+            req["tctx"] = self.tctx
+        session.send_frame(self.chain_id, FrameType.OPEN, json.dumps(req).encode())
+        self._pump()
+        session.batcher.flush()
+
+    def _settle(self, exc: Optional[BaseException]) -> None:
+        """The pending OPEN, if any, succeeded (``exc`` None) or failed."""
+        timer, self._deadline = self._deadline, None
+        if timer is None:
+            return
+        timer.cancel()
+        if exc is None:
+            self.stats.passive_chains += 1
+            self.stats.chain_setup_us.record(
+                int((asyncio.get_running_loop().time() - self._born) * 1e6))
+        else:
+            self._link._waiting.pop(self, None)
+            self.stats.failed_requests += 1
+            log.warning("mux passive chain failed: %s", exc)
+        reply = self.open_reply
+        if reply is not None and not reply.done():
+            if exc is None:
+                reply.set_result(None)
+            else:
+                reply.set_exception(exc)
+
+    def refuse(self, reason: str) -> None:
+        """Answer the OPEN that made this (inner) chain with OPEN_ERR."""
+        self.stats.failed_requests += 1
+        self._session.chains.pop(self.chain_id, None)
+        self.abort(ChainReset(reason))
+        with contextlib.suppress(Exception):
+            self._session.send_frame(self.chain_id, FrameType.OPEN_ERR,
+                                     reason.encode()[:MAX_CONTROL_PAYLOAD])
+
     def connection_lost(self, exc: Optional[BaseException]) -> None:
-        self.transport = self.fd = None
+        transport, self.transport, self.fd = self.transport, None, None
         self.abort(ChainReset(f"chain {self.chain_id}: local socket closed"))
-        if not self._done.done():
-            self._done.set_result(None)
+        session = self._session
+        if session is not None and session.alive and self.chain_id in session.chains:
+            self.send_rst()
+        self._conns.discard(transport)
+        self.stats.chain_bytes.record(self.bytes_moved)
+        rec = _obs.RECORDER
+        if rec is not None:
+            rec.wall_span_end(
+                "mux", "chain", self._t0, track=f"chain:{self.chain_id}",
+                dest="%s:%d" % self._dest, bytes=self.bytes_moved,
+                **(_trace.span_args(self._ctx) if self._ctx is not None
+                   else _trace.wire_args(self.tctx)),
+            )
+        if self.done is not None and not self.done.done():
+            self.done.set_result(None)
 
     def abort(self, exc: BaseException) -> None:
-        """Tear this chain down locally (RST received or link died)."""
+        """Tear this chain down locally (RST, link loss, OPEN failure)."""
         if self._reset is not None:
             return
         self._reset = exc
         self._end_stall()
         self._inbox.clear()
-        if self.open_reply is not None and not self.open_reply.done():
-            self.open_reply.set_exception(ChainReset(str(exc)))
+        self._settle(exc)
         if self.transport is not None:
             self.transport.close()
-
-    async def run(self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter) -> None:
-        """Bridge this established chain to its local TCP socket, both
-        directions, until it ends; then clean up."""
-        session = self._session
-        rec = _obs.RECORDER
-        t0 = rec.wall_ts() if rec is not None else 0.0
-        self._done = asyncio.get_running_loop().create_future()
-        try:
-            leftover = adopt(reader, writer, self) if self._reset is None else None
-            if leftover is not None:
-                self.transport = writer.transport
-                self.fd = transport_fd(self.transport)
-                self._backlog = memoryview(leftover)
-                self._local_eof = reader.at_eof()
-                inbox, self._inbox = self._inbox, []
-                for data in inbox:
-                    self._write(data)
-                if self._recv_eof:
-                    self.on_eof()
-                self._pump()
-                await self._done
-        finally:
-            session.stats.chain_bytes.record(self.bytes_moved)
-            # In ``finally`` so an aborted chain never leaks an open span.
-            if rec is not None:
-                rec.wall_span_end(
-                    "mux", "chain", t0, track=f"chain:{self.chain_id}",
-                    bytes=self.bytes_moved, **_trace.wire_args(self.tctx),
-                )
-            with contextlib.suppress(Exception):
-                writer.close()
-            if session.chains.pop(self.chain_id, None) is not None and session.alive:
-                self.send_rst()
 
 
 class _MuxSession(asyncio.BufferedProtocol):
@@ -455,12 +532,13 @@ class _MuxSession(asyncio.BufferedProtocol):
         elif ftype == FrameType.RST:
             del self.chains[chain_id]
             chain.abort(ChainReset(f"chain {chain_id} reset by peer"))
-        elif chain.open_reply is not None and not chain.open_reply.done():
-            if ftype == FrameType.OPEN_OK:
-                chain.open_reply.set_result(None)
-            elif ftype == FrameType.OPEN_ERR:
-                chain.open_reply.set_exception(
-                    ChainReset(payload.decode("utf-8", "replace") or "refused"))
+        elif chain._deadline is None:  # no OPEN of ours is pending
+            return
+        elif ftype == FrameType.OPEN_OK:
+            chain._settle(None)
+        elif ftype == FrameType.OPEN_ERR:
+            del self.chains[chain_id]
+            chain.abort(ChainReset(payload.decode("utf-8", "replace") or "refused"))
 
     def shutdown(self, exc: BaseException) -> None:
         """Link died: abort every chain (their TCP connections would
@@ -481,10 +559,10 @@ class _MuxSession(asyncio.BufferedProtocol):
 class MuxConnector:
     """The outer server's end of one outer↔inner mux link.
 
-    Lazily connects on first :meth:`open_chain`.  When the link drops,
-    every live chain is aborted and the connector re-dials with
-    exponential backoff (:data:`BACKOFF_BASE_S` doubling up to
-    :data:`BACKOFF_MAX_S`); chains requested meanwhile wait for the
+    Lazily connects on the first chain.  When the link drops, every
+    live chain is aborted and the connector re-dials with exponential
+    backoff (:data:`BACKOFF_BASE_S` doubling up to
+    :data:`BACKOFF_MAX_S`); chains that arrive meanwhile wait for the
     next successful dial (bounded by :data:`OPEN_TIMEOUT_S`).
     """
 
@@ -493,8 +571,9 @@ class MuxConnector:
         self.inner_port = inner_port
         self.stats = stats
         self._session: Optional[_MuxSession] = None
-        self._session_ready = asyncio.Event()
         self._run_task: Optional[asyncio.Task] = None
+        #: Chains waiting for the link to come up.
+        self._waiting: Dict[MuxChain, None] = {}
         self._next_chain_id = 1
         self._closed = False
         #: Successful link (re-)establishments; 1 after first connect.
@@ -522,35 +601,40 @@ class MuxConnector:
             self.connects += 1
             if self.connects > 1:
                 self.stats.mux_reconnects += 1
-            self._session_ready.set()
+            if session.alive:
+                waiting, self._waiting = self._waiting, {}
+                for chain in waiting:
+                    chain._open(session)
             backoff = BACKOFF_BASE_S
             log.info("mux link up to %s (connect #%d)", peer, self.connects)
             try:
                 exc = await session.closed
             finally:
-                self._session_ready.clear()
                 self._session = None
                 session.shutdown(ChainReset("mux connector stopped"))
             if not self._closed:
                 log.warning("mux link to %s dropped: %s", peer, exc)
 
-    async def _current_session(self) -> _MuxSession:
+    def begin(self, chain: MuxChain) -> None:
+        """OPEN ``chain`` now if the link is up, else (no task) once it is;
+        no OPEN_OK within :data:`OPEN_TIMEOUT_S` resets it.  A waiting
+        socket's first read is held and pauses it (see ``get_buffer``):
+        Python 3.10 and early 3.11 start reading a socket even when
+        ``connection_made`` paused it."""
         if self._run_task is None or self._run_task.done():
             self._run_task = asyncio.ensure_future(self._run())
-
-        async def wait_for_link() -> _MuxSession:
-            while True:
-                await self._session_ready.wait()
-                session = self._session
-                if session is not None and session.alive:
-                    return session
-                await asyncio.sleep(0.01)  # link flapped; wait for redial
-
-        # wait_for (not asyncio.timeout) — the latter is 3.11+.
-        return await asyncio.wait_for(wait_for_link(), OPEN_TIMEOUT_S)
+        chain._deadline = asyncio.get_running_loop().call_later(
+            OPEN_TIMEOUT_S, chain.send_rst, asyncio.TimeoutError("no OPEN_OK in time"))
+        session = self._session
+        if session is not None and session.alive:
+            chain._open(session)
+        else:
+            self._waiting[chain] = None
 
     async def stop(self) -> None:
         self._closed = True
+        for chain in list(self._waiting):
+            chain.abort(ChainReset("mux connector stopped"))
         if self._run_task is not None:
             self._run_task.cancel()
             with contextlib.suppress(asyncio.CancelledError):
@@ -568,43 +652,40 @@ class MuxConnector:
     async def open_chain(
         self, host: str, port: int, tctx: Optional[str] = None
     ) -> "tuple[MuxChain, _MuxSession]":
-        """OPEN a new chain toward the firewalled client at
-        ``host:port``; returns when the inner server confirmed.
-        ``tctx`` (wire form) rides the OPEN payload as an extra JSON
-        key, which seed-era inner servers ignore."""
-        loop = asyncio.get_running_loop()
-        t0 = loop.time()
-        session = await self._current_session()
-        chain_id = self._next_chain_id
-        self._next_chain_id += 1
-        chain = MuxChain(session, chain_id)
-        chain.tctx = tctx
-        chain.open_reply = loop.create_future()
-        session.chains[chain_id] = chain
-        open_req = {"host": host, "port": port}
-        if tctx is not None:
-            open_req["tctx"] = tctx
-        session.send_frame(chain_id, FrameType.OPEN, json.dumps(open_req).encode())
-        session.batcher.flush()
-        try:
-            await asyncio.wait_for(asyncio.shield(chain.open_reply), OPEN_TIMEOUT_S)
-        except (ChainReset, asyncio.TimeoutError):
-            session.chains.pop(chain_id, None)
-            raise
-        finally:
-            chain.open_reply = None
-        self.stats.chain_setup_us.record(int((loop.time() - t0) * 1e6))
-        return chain, session
+        """OPEN a chain with no local socket and wait for the reply:
+        :class:`ChainReset` on OPEN_ERR, else a timeout when none comes.
+        Counted in ``stats`` like a public-port chain: ``passive_chains``
+        and ``chain_setup_us`` on OPEN_OK, ``failed_requests`` on failure.
+        ``tctx`` (wire form) is the caller's context: the chain's is its
+        child, sent in the OPEN payload (seed-era inner servers ignore it)."""
+        chain = MuxChain(None, link=self, dest=(host, port),
+                         ctx=_trace.child(_trace.TraceContext.from_wire(tctx)))
+        chain.open_reply = asyncio.get_running_loop().create_future()
+        self.begin(chain)
+        await chain.open_reply
+        return chain, chain._session
 
     async def relay_chain(self, host: str, port: int,
                           sock_reader: asyncio.StreamReader,
                           sock_writer: asyncio.StreamWriter,
                           tctx: Optional[str] = None) -> None:
-        """Establish a chain and bridge it to an accepted peer socket
-        until both directions finish."""
-        chain, _session = await self.open_chain(host, port, tctx=tctx)
-        self.stats.passive_chains += 1
-        await chain.run(sock_reader, sock_writer)
+        """Bridge a chain to an accepted stream until both directions
+        finish: the chain adopts the stream's transport as if connected.
+        A failed OPEN closes the stream, then raises as :meth:`open_chain`
+        does; ``stats`` and ``tctx`` as :meth:`open_chain` says."""
+        chain = MuxChain(None, link=self, dest=(host, port),
+                         ctx=_trace.child(_trace.TraceContext.from_wire(tctx)))
+        leftover = adopt(sock_reader, sock_writer, chain)
+        if leftover is None:
+            sock_writer.close()
+            return
+        chain._backlog = memoryview(leftover)
+        chain._local_eof = sock_reader.at_eof()
+        loop = asyncio.get_running_loop()
+        chain.open_reply, chain.done = loop.create_future(), loop.create_future()
+        chain.connection_made(sock_writer.transport)
+        await chain.done
+        await chain.open_reply  # settled by then: OPEN_OK, or the failure
 
 
 async def serve_mux_session(
@@ -612,41 +693,41 @@ async def serve_mux_session(
     writer: asyncio.StreamWriter,
     stats: "AioRelayStats",
     *,
-    adopt=None,
-    disown=None,
+    conns: "Optional[set[asyncio.BaseTransport]]" = None,
 ) -> None:
     """Inner-server end of a mux link (the caller has consumed the
     ``MUX_MAGIC`` line).  Serves OPEN requests until the link closes.
-    ``adopt``/``disown`` register each chain's onward socket with the
-    owning daemon, so its shutdown aborts chains still mid-transfer."""
-    tasks: set[asyncio.Task] = set()
+    Each chain's onward socket joins ``conns``, the owning daemon's
+    live transports, so its shutdown aborts chains still mid-transfer."""
+    loop = asyncio.get_running_loop()
+    dials: set[asyncio.Task] = set()
 
-    async def handle_open(chain: MuxChain, payload: bytes) -> None:
-        chain_id = chain.chain_id
+    def dial_timed_out(chain: MuxChain, dial: asyncio.Task) -> None:
+        if chain.transport is None:  # a connected chain is past its dial
+            chain.refuse("connect timed out")
+            dial.cancel()
+
+    async def dial(chain: MuxChain, host: str, port: int) -> None:
+        # ``chain`` replies OPEN_OK from its ``connection_made``.
+        timer = loop.call_later(DIAL_TIMEOUT_S, dial_timed_out, chain,
+                                asyncio.current_task())
+        try:
+            await loop.create_connection(lambda: chain, host, port)
+        except (OSError, ValueError, TypeError) as exc:
+            chain.refuse(str(exc))
+        finally:
+            timer.cancel()
+
+    def on_open(chain: MuxChain, payload: bytes) -> None:
         try:
             req = json.loads(payload)
             host, port = req["host"], require_port(req["port"])
-            onward_r, onward_w = await asyncio.wait_for(
-                asyncio.open_connection(host, port, limit=STREAM_LIMIT),
-                DIAL_TIMEOUT_S,
-            )
-        except (OSError, ValueError, KeyError, TypeError,
-                asyncio.TimeoutError) as exc:
-            stats.failed_requests += 1
-            session.chains.pop(chain_id, None)
-            with contextlib.suppress(Exception):
-                reason = ("connect timed out"
-                          if isinstance(exc, asyncio.TimeoutError) else str(exc))
-                session.send_frame(chain_id, FrameType.OPEN_ERR,
-                                   reason.encode()[:MAX_CONTROL_PAYLOAD])
+        except (ValueError, KeyError, TypeError) as exc:
+            chain.refuse(str(exc))
             return
-        if chain._reset is not None:  # RST or link loss raced the dial
-            onward_w.close()
-            return
-        tune_stream(onward_w)
-        if adopt is not None:
-            adopt(onward_w)
-        stats.passive_chains += 1
+        chain._dest = (host, port)
+        if conns is not None:
+            chain._conns = conns
         # Optional causal trace tag; absent from seed-era peers.
         wire = req.get("tctx")
         if isinstance(wire, str):
@@ -654,28 +735,19 @@ async def serve_mux_session(
             ctx = _trace.accept(wire)
             rec = _obs.RECORDER
             if rec is not None and ctx is not None:
-                rec.wall_instant("mux", "chain_open", track=f"chain:{chain_id}",
+                rec.wall_instant("mux", "chain_open", track=f"chain:{chain.chain_id}",
                                  dest=f"{host}:{port}", **_trace.span_args(ctx))
-        try:
-            session.send_frame(chain_id, FrameType.OPEN_OK)
-            await chain.run(onward_r, onward_w)
-        finally:
-            if disown is not None:
-                disown(onward_w)
+        task = loop.create_task(dial(chain, host, port))
+        dials.add(task)
+        task.add_done_callback(dials.discard)
 
-    def on_open(chain: MuxChain, payload: bytes) -> None:
-        task = asyncio.ensure_future(handle_open(chain, payload))
-        tasks.add(task)
-        task.add_done_callback(tasks.discard)
-
-    # OPENs read behind the magic are dispatched in here; their
-    # handlers first run once ``session`` is bound.
+    # OPENs read behind the magic are dispatched in here.
     session = _MuxSession(reader, writer, stats, on_open)
     try:
         await session.closed
     finally:
         session.shutdown(ChainReset("mux link closed"))
-        for task in list(tasks):
+        for task in list(dials):
             task.cancel()
-        if tasks:
-            await asyncio.gather(*tasks, return_exceptions=True)
+        if dials:
+            await asyncio.gather(*dials, return_exceptions=True)

@@ -10,9 +10,8 @@ dominates user-level relay throughput, so the live pump:
   actually crossed its high-water mark (``drain()`` is a no-op wait
   below the mark, but the await itself costs a scheduling round-trip
   per chunk — the dominant per-chunk cost on loopback);
-* sets ``TCP_NODELAY`` on every relay socket and widens the
-  transport's write-buffer limits, so latency-sensitive control
-  round-trips never ride Nagle defaults.
+* widens the transport's write-buffer limits (``TCP_NODELAY``, so no
+  control round-trip rides Nagle, is asyncio's own default).
 
 ``pump()`` is a stream-to-stream copy loop that no relay path runs
 any more (every leg is protocol-swapped; the contract benchmark's
@@ -42,7 +41,6 @@ from __future__ import annotations
 import asyncio
 import contextlib
 import os
-import socket as _socket
 import threading
 from typing import Callable, List, Optional, Sequence, Union
 
@@ -109,16 +107,9 @@ class AdaptiveChunker:
 
 
 def tune_stream(writer: asyncio.StreamWriter) -> None:
-    """Apply relay socket tuning to a connected stream: ``TCP_NODELAY``
-    and the :data:`WRITE_HIGH_WATER` write-buffer mark.
-
-    Best-effort: transports without a raw socket (tests, TLS wrappers)
-    are left alone rather than failed.
-    """
-    sock = writer.get_extra_info("socket")
-    if sock is not None:
-        with contextlib.suppress(OSError):
-            sock.setsockopt(_socket.IPPROTO_TCP, _socket.TCP_NODELAY, 1)
+    """Give a connected stream the :data:`WRITE_HIGH_WATER` mark, where
+    its transport has one.  ``TCP_NODELAY`` needs no call: asyncio's
+    transport sets it on every TCP socket, one rebuilt from an fd too."""
     with contextlib.suppress(Exception):
         writer.transport.set_write_buffer_limits(high=WRITE_HIGH_WATER)
 

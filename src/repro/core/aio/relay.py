@@ -14,14 +14,13 @@ inner server answers the nxport.  There is one data plane:
   (:func:`~repro.core.aio.protocol.adopt`); a stream that failed
   before the swap ends the chain.
 
-Every relay socket runs with ``TCP_NODELAY``.
+Every relay socket runs with ``TCP_NODELAY`` (asyncio's default).
 """
 
 from __future__ import annotations
 
 import asyncio
 import contextlib
-import functools
 import logging
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
@@ -29,7 +28,7 @@ from typing import Dict, Optional, Tuple
 from repro.core.aio.mux import (
     DIAL_TIMEOUT_S,
     MUX_MAGIC,
-    ChainReset,
+    MuxChain,
     MuxConnector,
     keep_link_alive,
     serve_mux_session,
@@ -145,14 +144,14 @@ def graceful_handler(fn):
         # Satellite fix (ISSUE 6): every accepted connection is
         # registered for the daemon's lifetime so ``stop()`` can abort
         # sockets still mid-transfer, not just close the listeners.
-        self.adopt(writer)
+        self._conns.add(writer.transport)
         try:
             await fn(self, reader, writer)
         except asyncio.CancelledError:
             with contextlib.suppress(Exception):
                 writer.close()
         finally:
-            self.disown(writer)
+            self._conns.discard(writer.transport)
 
     return wrapper
 
@@ -174,16 +173,8 @@ class _Server:
         self.host = host
         self.stats = AioRelayStats()
         self._server: Optional[asyncio.base_events.Server] = None
-        #: Live per-connection writers (accepted *and* onward/per-stream
-        #: sockets registered mid-transfer) — aborted by ``stop()``.
-        self._conns: "set[asyncio.StreamWriter]" = set()
-
-    def adopt(self, writer: asyncio.StreamWriter) -> None:
-        """Track a connection so daemon shutdown can abort it."""
-        self._conns.add(writer)
-
-    def disown(self, writer: asyncio.StreamWriter) -> None:
-        self._conns.discard(writer)
+        #: Live transports, accepted and onward — aborted by ``stop()``.
+        self._conns: "set[asyncio.BaseTransport]" = set()
 
     async def _reply(self, writer: asyncio.StreamWriter, msg: dict) -> bool:
         """Send a request's success reply.  A client already gone (a
@@ -221,11 +212,13 @@ class _Server:
     async def stop(self) -> None:
         # Abort sockets still registered mid-transfer: closing only the
         # listeners would leave established relay/stream connections —
-        # and their pump tasks — alive past daemon shutdown.
-        conns, self._conns = list(self._conns), set()
-        for w in conns:
+        # and their pump tasks — alive past daemon shutdown.  Emptied,
+        # not replaced: mux chains hold this very set.
+        conns = list(self._conns)
+        self._conns.clear()
+        for transport in conns:
             with contextlib.suppress(Exception):
-                w.transport.abort()
+                transport.abort()
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
@@ -328,7 +321,7 @@ class AioOuterServer(_Server):
             await self._refuse(writer, f"connect failed: {exc}")
             return
         tune_stream(onward_w)
-        self.adopt(onward_w)
+        self._conns.add(onward_w.transport)
         try:
             if not await self._reply(writer, ok_reply()):
                 return
@@ -341,7 +334,7 @@ class AioOuterServer(_Server):
                     on_chunk=self.stats.on_chunk,
                 )
         finally:
-            self.disown(onward_w)
+            self._conns.discard(onward_w.transport)
             onward_w.close()
             writer.close()
 
@@ -367,27 +360,15 @@ class AioOuterServer(_Server):
                     **_trace.span_args(bind_ctx),
                 )
 
-        @graceful_handler
-        async def on_peer(self, pr: asyncio.StreamReader, pw: asyncio.StreamWriter) -> None:
-            """One logical chain over the shared nxport link."""
-            tune_stream(pw)
-            link = self.mux_link(inner_host, inner_port)
-            chain_ctx = _trace.child(bind_ctx)
-            wire = chain_ctx.to_wire() if chain_ctx is not None else None
-            try:
-                with _span("passive_chain", f"outer:{self.host}", chain_ctx,
-                           client=f"{client_host}:{client_port}"):
-                    await link.relay_chain(client_host, client_port, pr, pw,
-                                           tctx=wire)
-            except (ChainReset, ConnectionError, OSError, asyncio.TimeoutError) as exc:
-                self.stats.failed_requests += 1
-                log.warning("mux passive chain failed: %s", exc)
-                with contextlib.suppress(Exception):
-                    pw.close()
+        link = self.mux_link(inner_host, inner_port)
 
-        public = await asyncio.start_server(
-            functools.partial(on_peer, self), self.host, 0, limit=STREAM_LIMIT
-        )
+        def chain_protocol() -> MuxChain:
+            """One logical chain over the shared nxport link per peer."""
+            return MuxChain(None, link=link, dest=(client_host, client_port),
+                            ctx=_trace.child(bind_ctx), conns=self._conns)
+
+        public = await asyncio.get_running_loop().create_server(
+            chain_protocol, self.host, 0)
         self._public_servers.add(public)
         public_port = public.sockets[0].getsockname()[1]
         try:
@@ -477,9 +458,6 @@ class AioInnerServer(_Server):
             return
         keep_link_alive(writer)
         log.info("nxport connection switched to mux framing")
-        await serve_mux_session(
-            reader, writer, self.stats,
-            adopt=self.adopt, disown=self.disown,
-        )
+        await serve_mux_session(reader, writer, self.stats, conns=self._conns)
         with contextlib.suppress(Exception):
             writer.close()

@@ -13,6 +13,7 @@ import contextlib
 import json
 import socket
 import struct
+import sys
 
 import pytest
 
@@ -21,6 +22,7 @@ from repro.core.aio import (
     AioOuterServer,
     AioProxyClient,
 )
+from repro.core.aio import mux
 from repro.core.aio.mux import (
     DEFAULT_WINDOW,
     KEEPALIVE_IDLE_S,
@@ -259,16 +261,29 @@ def test_link_drop_reconnects_and_reestablishes_chains():
 
 def test_open_to_dead_client_port_fails_chain_only():
     """An OPEN toward a dead client listener yields OPEN_ERR for that
-    chain; the link survives and serves the next chain."""
+    chain (``relay_chain`` closes its stream, then raises too); the link
+    survives and serves the next chain."""
 
     async def main():
         inner = await AioInnerServer().start()
         stats_outer = AioOuterServer().stats  # standalone stats holder
         link = MuxConnector("127.0.0.1", inner.nxport, stats_outer)
+        fronts = asyncio.Queue()
+        front = await asyncio.start_server(
+            lambda r, w: fronts.put_nowait((r, w)), "127.0.0.1", 0)
         try:
             with pytest.raises((ChainReset, ConnectionError)):
                 await link.open_chain("127.0.0.1", 1)  # nothing listens
             assert inner.stats.failed_requests == 1
+
+            pr, pw = await asyncio.open_connection(*front.sockets[0].getsockname())
+            fr, fw = await fronts.get()
+            with pytest.raises(ChainReset):
+                await link.relay_chain("127.0.0.1", 1, fr, fw)
+            assert await pr.read() == b""
+            pw.close()
+            assert inner.stats.failed_requests == 2
+            assert stats_outer.failed_requests == 2
 
             # Same link still opens good chains.
             srv = await asyncio.start_server(
@@ -281,6 +296,8 @@ def test_open_to_dead_client_port_fails_chain_only():
             srv.close()
             assert inner.stats.nxport_connections == 1
         finally:
+            front.close()
+            await front.wait_closed()
             await link.stop()
             await inner.stop()
 
@@ -488,6 +505,51 @@ def test_new_outer_sends_golden_frames_to_scripted_old_inner():
     run(main())
 
 
+def test_bytes_and_eof_sent_before_a_cold_link_is_up_arrive():
+    """The client writes and half-closes while the link is still
+    refused: the chain holds what it read and frames it behind its OPEN
+    once the link comes up (Python 3.10/3.11 read a socket whose
+    ``pause_reading()`` ran inside ``connection_made``)."""
+
+    async def main():
+        outer = await AioOuterServer().start()
+        with socket.socket() as probe:  # a port nothing listens on, yet
+            probe.bind(("127.0.0.1", 0))
+            inner_port = probe.getsockname()[1]
+        old_inner = None
+        try:
+            control, port = await raw_bind(outer, inner_port)
+            pr, pw = await asyncio.open_connection("127.0.0.1", port)
+            pw.write(b"early bytes")
+            pw.write_eof()
+            link = outer.mux_link("127.0.0.1", inner_port)
+            while link._run_task is None:  # the chain is waiting for the link
+                await asyncio.sleep(0.01)
+            await asyncio.sleep(0.1)  # the bytes and the EOF reach the outer
+            assert link.connects == 0 and outer.stats.failed_requests == 0
+            links = asyncio.Queue()
+            old_inner = await asyncio.start_server(
+                lambda r, w: links.put_nowait((r, w)), "127.0.0.1", inner_port)
+            lr, lw = await links.get()
+            golden = (MUX_MAGIC
+                      + frame(1, FrameType.OPEN, b'{"host": "127.0.0.1", "port": 4000}')
+                      + frame(1, FrameType.DATA, b"early bytes") + frame(1, FrameType.EOF))
+            assert await lr.readexactly(len(golden)) == golden
+            lw.write(frame(1, FrameType.OPEN_OK) + frame(1, FrameType.EOF))
+            assert await pr.read() == b""
+            assert outer.stats.passive_chains == 1
+            assert outer.stats.failed_requests == 0
+            for w in (pw, lw, control):
+                w.close()
+        finally:
+            if old_inner is not None:
+                old_inner.close()
+                await old_inner.wait_closed()
+            await outer.stop()
+
+    run(main())
+
+
 def test_malformed_window_frame_resets_the_link_not_the_connector():
     """Regression: a WINDOW payload that is not 4 bytes used to raise
     struct.error out of the connector's task — the session stayed
@@ -541,7 +603,7 @@ def test_stalled_listener_bounds_relay_memory_while_sibling_moves():
             flood = asyncio.ensure_future(_flood(wa))
 
             def transports():  # every socket either daemon holds
-                return [w.transport for srv in (outer, inner) for w in srv._conns]
+                return [t for srv in (outer, inner) for t in srv._conns]
 
             sizes = None
             while sizes is None or sizes != [t.get_write_buffer_size() for t in transports()]:
@@ -640,5 +702,123 @@ def test_stop_mid_transfer_leaves_no_transport_and_no_task(first):
         pw.close()
         lw.close()
         await listener.close()
+
+    run(main())
+
+
+def test_unanswered_open_times_out(monkeypatch):
+    """An inner that takes the link but never answers an OPEN: the
+    chain's deadline closes the client, counts one failed request and
+    leaves no chain behind; ``open_chain`` raises a timeout."""
+    monkeypatch.setattr(mux, "OPEN_TIMEOUT_S", 0.3)
+
+    async def main():
+        outer = await AioOuterServer().start()
+        links = asyncio.Queue()
+        silent_inner = await asyncio.start_server(
+            lambda r, w: links.put_nowait((r, w)), "127.0.0.1", 0)
+        inner_port = silent_inner.sockets[0].getsockname()[1]
+        try:
+            control, port = await raw_bind(outer, inner_port)
+            pr, pw = await asyncio.open_connection("127.0.0.1", port)
+            pw.write(b"hello")
+            lr, lw = await links.get()
+            assert await lr.readexactly(len(MUX_MAGIC)) == MUX_MAGIC
+            with contextlib.suppress(ConnectionError):  # EOF or a reset
+                assert await asyncio.wait_for(pr.read(), 3) == b""
+            link = outer.mux_link("127.0.0.1", inner_port)
+            session = link._session
+            assert outer.stats.failed_requests == 1
+            assert session.chains == {}
+
+            with pytest.raises(asyncio.TimeoutError):
+                await link.open_chain("127.0.0.1", 4000)
+            assert session.chains == {}
+            for w in (pw, lw, control):
+                w.close()
+        finally:
+            silent_inner.close()
+            await silent_inner.wait_closed()
+            await outer.stop()
+
+    run(main())
+
+
+def _made_by_relay(coro) -> bool:
+    """The task runs a ``repro.core.aio`` coroutine, or relay code is on
+    the stack creating it (as it is for ``wait_for``'s inner task)."""
+    frames, frame = [coro.cr_frame], sys._getframe()
+    while frame is not None:
+        frames.append(frame)
+        frame = frame.f_back
+    return any(f.f_globals.get("__name__", "").startswith("repro.core.aio")
+               for f in frames)
+
+
+def test_open_path_runs_no_helper_task_and_no_stream_reader():
+    """Over a live link, one open-echo-close costs the relay at most one
+    task (the inner's onward dial) and no StreamReader: both relays set
+    a chain up as a protocol, not as a stream swapped for one."""
+
+    async def main():
+        outer, inner, _client = await start_deployment()
+        loop = asyncio.get_running_loop()
+        dest = socket.create_server(("127.0.0.1", 0))
+        dest.setblocking(False)
+        control, port = await raw_bind(outer, inner.nxport, dest.getsockname()[1])
+
+        async def recv_exactly(sock, n):
+            got = b""
+            while len(got) < n:
+                data = await loop.sock_recv(sock, n - len(got))
+                assert data, "closed early"
+                got += data
+            return got
+
+        async def open_echo_close():
+            # Raw sockets on both ends, so every task and StreamReader
+            # made meanwhile is the relays'.
+            peer = socket.socket()
+            peer.setblocking(False)
+            try:
+                await loop.sock_connect(peer, ("127.0.0.1", port))
+                await loop.sock_sendall(peer, b"ping")
+                far, _ = await loop.sock_accept(dest)
+                with far:
+                    await loop.sock_sendall(far, await recv_exactly(far, 4))
+                    assert await recv_exactly(peer, 4) == b"ping"
+            finally:
+                peer.close()
+
+        tasks, readers = [], []
+        real_init = asyncio.StreamReader.__init__
+
+        def counting_init(reader, *args, **kwargs):
+            readers.append(type(reader).__name__)
+            real_init(reader, *args, **kwargs)
+
+        def task_factory(loop, coro, **kwargs):
+            if _made_by_relay(coro):
+                tasks.append(coro.__qualname__)
+            return asyncio.Task(coro, loop=loop, **kwargs)
+
+        try:
+            await open_echo_close()  # the link dials once, here
+            loop.set_task_factory(task_factory)
+            asyncio.StreamReader.__init__ = counting_init
+            try:
+                for _ in range(20):
+                    await open_echo_close()
+            finally:
+                loop.set_task_factory(None)
+                asyncio.StreamReader.__init__ = real_init
+            assert len(tasks) <= 20, tasks
+            assert readers == []
+            assert inner.stats.passive_chains == outer.stats.passive_chains == 21
+            control.close()
+        finally:
+            dest.close()
+            await outer.stop()
+            await inner.stop()
 
     run(main())

@@ -257,6 +257,60 @@ def test_passive_open_full_chain():
     run(main())
 
 
+def test_every_relay_socket_runs_with_nodelay():
+    """Both relay sockets of an active chain, and the outer's public and
+    the inner's onward socket of a passive chain, read ``TCP_NODELAY``
+    back.  asyncio's transport sets it; the relay does not repeat it."""
+
+    def nodelay(sock) -> bool:
+        return bool(sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY))
+
+    async def main():
+        outer, inner, client = await start_deployment()
+        echo_srv, echo_port = await start_echo_server()
+        try:
+            ar, aw = await client.connect("127.0.0.1", echo_port)
+            aw.write(b"a")
+            assert await ar.readexactly(1) == b"a"
+            listener = await client.bind()
+            pr, pw = await asyncio.open_connection(*listener.proxy_addr)
+            lr, lw = await listener.accept(timeout=10)
+            pw.write(b"p")
+            assert await lr.readexactly(1) == b"p"
+
+            def held(server, peer):
+                (sock,) = [s for s in (t.get_extra_info("socket") for t in server._conns)
+                           if s.getpeername() == peer]
+                return sock
+
+            relay_sockets = [
+                held(outer, aw.get_extra_info("sockname")),   # active, client side
+                held(outer, ("127.0.0.1", echo_port)),        # active, onward
+                held(outer, pw.get_extra_info("sockname")),   # passive, public
+                held(inner, lw.get_extra_info("sockname")),   # passive, onward
+            ]
+            assert all(nodelay(sock) for sock in relay_sockets)
+
+            # A socket rebuilt from a handed-over fd, as a fleet worker
+            # builds it, gets the option from its transport too.
+            raw = socket.create_connection(("127.0.0.1", echo_port))
+            assert not nodelay(raw)
+            r, w = await asyncio.open_connection(sock=socket.socket(fileno=raw.detach()))
+            assert nodelay(w.get_extra_info("socket"))
+            w.write(b"r")  # echoed: the echo server holds the connection
+            assert await r.readexactly(1) == b"r"
+            for writer in (w, aw, pw, lw):
+                writer.close()
+            await listener.close()
+        finally:
+            echo_srv.close()
+            await echo_srv.wait_closed()
+            await outer.stop()
+            await inner.stop()
+
+    run(main())
+
+
 def test_bind_released_on_listener_close():
     async def main():
         outer, inner, client = await start_deployment()
@@ -334,16 +388,18 @@ def test_client_reset_before_bind_reply_releases_public_port(monkeypatch):
         outer = await AioOuterServer().start()
         bound, proceed = asyncio.Event(), asyncio.Event()
         public_ports = []
-        real_start = asyncio.start_server
+        loop = asyncio.get_running_loop()
+        real_create = loop.create_server
 
-        async def held_start(*args, **kwargs):
-            server = await real_start(*args, **kwargs)
+        async def held_create(*args, **kwargs):
+            server = await real_create(*args, **kwargs)
             public_ports.append(server.sockets[0].getsockname()[1])
             bound.set()
             await proceed.wait()
             return server
 
-        monkeypatch.setattr(relay.asyncio, "start_server", held_start)
+        # The public port is the only server the outer opens after start().
+        monkeypatch.setattr(loop, "create_server", held_create)
         try:
             await _reset_mid_request(
                 outer, {"op": "bind", "client_host": "127.0.0.1",
