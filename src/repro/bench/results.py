@@ -1,8 +1,9 @@
 """Provenance for ``repro-bench`` artifacts.
 
 :func:`bench_meta` is the block a ``repro-bench --trace`` artifact
-carries (interpreter version, platform, core count, git revision), and
-:func:`git_revision` / :func:`git_dirty` stamp telemetry the same way.
+carries (interpreter version, platform, core count, git revision); the
+git pair comes from :mod:`repro.obs.telemetry`, which stamps live
+telemetry the same way.
 Performance numbers come from the contract benchmark (``BENCHMARK.json``,
 ``benchmark/run.py``), which records its own provenance.
 """
@@ -11,14 +12,13 @@ from __future__ import annotations
 
 import os
 import platform
-import subprocess
 from pathlib import Path
 from typing import Any, Optional
 
+from repro.obs.telemetry import git_dirty, git_revision
+
 __all__ = [
     "bench_meta",
-    "git_dirty",
-    "git_revision",
     "repo_root",
     "write_trace_artifacts",
 ]
@@ -27,42 +27,6 @@ __all__ = [
 def repo_root() -> Path:
     """The repository root (parent of ``src/``)."""
     return Path(__file__).resolve().parents[3]
-
-
-def git_revision() -> Optional[str]:
-    """Short commit hash of the working tree, or ``None`` outside git."""
-    try:
-        out = subprocess.run(
-            ["git", "rev-parse", "--short", "HEAD"],
-            cwd=repo_root(),
-            capture_output=True,
-            text=True,
-            timeout=10,
-        )
-    except (OSError, subprocess.TimeoutExpired):  # pragma: no cover
-        return None
-    if out.returncode != 0:
-        return None
-    return out.stdout.strip() or None
-
-
-def git_dirty() -> Optional[bool]:
-    """Whether the working tree differs from HEAD (``None`` outside
-    git).  An artifact whose ``dirty`` flag is true was produced
-    by code no commit hash identifies."""
-    try:
-        out = subprocess.run(
-            ["git", "status", "--porcelain"],
-            cwd=repo_root(),
-            capture_output=True,
-            text=True,
-            timeout=10,
-        )
-    except (OSError, subprocess.TimeoutExpired):  # pragma: no cover
-        return None
-    if out.returncode != 0:
-        return None
-    return bool(out.stdout.strip())
 
 
 def bench_meta(**extra: Any) -> dict:

@@ -14,43 +14,21 @@ deny-based firewalls:
 Two implementations share this package: the simulated one (on
 :mod:`repro.simnet`, used by every performance experiment) and the
 real asyncio one in :mod:`repro.core.aio` (run it on actual sockets:
-``repro-outer-server`` / ``repro-inner-server``).
+``repro-outer-server`` / ``repro-inner-server``).  The names below
+are imported on first use, so a live daemon that imports
+:mod:`repro.core.aio` never loads the simulated relay.
 """
 
-from repro.core.api import DirectListener, NexusProxyClient, ProxiedListener
-from repro.core.chain import ChainModel, RelayStage, WireLeg
-from repro.core.config import DEFAULT_RELAY_CONFIG, RelayConfig
-from repro.core.frames import DataFrame, FrameError, FramedConnection
-from repro.core.inner import InnerServer
-from repro.core.outer import OuterServer, RelayStats
-from repro.core.protocol import (
-    BindReply,
-    BindRequest,
-    ConnectRequest,
-    NXProxyError,
-    Reply,
-    RelayTo,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "BindReply",
-    "BindRequest",
-    "ChainModel",
-    "ConnectRequest",
-    "DEFAULT_RELAY_CONFIG",
-    "DataFrame",
-    "DirectListener",
-    "FrameError",
-    "FramedConnection",
-    "InnerServer",
-    "NXProxyError",
-    "NexusProxyClient",
-    "OuterServer",
-    "ProxiedListener",
-    "RelayConfig",
-    "RelayStage",
-    "RelayStats",
-    "Reply",
-    "RelayTo",
-    "WireLeg",
-]
+__getattr__, __all__ = lazy_exports(globals(), {
+    "repro.core.api": ("DirectListener", "NexusProxyClient", "ProxiedListener"),
+    "repro.core.chain": ("ChainModel", "RelayStage", "WireLeg"),
+    "repro.core.config": ("DEFAULT_RELAY_CONFIG", "RelayConfig"),
+    "repro.core.frames": ("DataFrame", "FrameError", "FramedConnection"),
+    "repro.core.inner": ("InnerServer",),
+    "repro.core.outer": ("OuterServer", "RelayStats"),
+    "repro.core.protocol": (
+        "BindReply", "BindRequest", "ConnectRequest", "NXProxyError", "Reply", "RelayTo",
+    ),
+})

@@ -13,45 +13,22 @@ Run the daemons with the installed console scripts::
     repro-inner-server --host 0.0.0.0 --nxport 7100
 
 or in-process via :class:`AioOuterServer` / :class:`AioInnerServer`
-(see ``examples/real_relay_echo.py``).
+(see ``examples/real_relay_echo.py``).  The names below are imported
+on first use: a daemon loads the relay, not the client, the striping
+layer or the fleet (and with it :mod:`multiprocessing`).
 """
 
-from repro.core.aio.api import AioProxiedListener, AioProxyClient
-from repro.core.aio.firewall import GuardedDialer
-from repro.core.aio.fleet import FleetManager, FleetSpec
-from repro.core.aio.mux import MUX_MAGIC, ChainReset, MuxConnector
-from repro.core.aio.pump import SegmentBatcher, send_segments, tune_stream
-from repro.core.aio.relay import AioInnerServer, AioOuterServer, AioRelayStats
-from repro.core.aio.streams import (
-    DEFAULT_BLOCK,
-    DEFAULT_STREAMS,
-    DEFAULT_WINDOW,
-    StripeError,
-    StripeSink,
-    recv_striped,
-    send_striped,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "AioInnerServer",
-    "AioOuterServer",
-    "AioProxiedListener",
-    "AioProxyClient",
-    "AioRelayStats",
-    "ChainReset",
-    "DEFAULT_BLOCK",
-    "DEFAULT_STREAMS",
-    "DEFAULT_WINDOW",
-    "FleetManager",
-    "FleetSpec",
-    "GuardedDialer",
-    "MUX_MAGIC",
-    "MuxConnector",
-    "SegmentBatcher",
-    "StripeError",
-    "StripeSink",
-    "recv_striped",
-    "send_segments",
-    "send_striped",
-    "tune_stream",
-]
+__getattr__, __all__ = lazy_exports(globals(), {
+    "repro.core.aio.api": ("AioProxiedListener", "AioProxyClient"),
+    "repro.core.aio.firewall": ("GuardedDialer",),
+    "repro.core.aio.fleet": ("FleetManager", "FleetSpec"),
+    "repro.core.aio.mux": ("MUX_MAGIC", "ChainReset", "MuxConnector"),
+    "repro.core.aio.pump": ("SegmentBatcher", "send_segments", "tune_stream"),
+    "repro.core.aio.relay": ("AioInnerServer", "AioOuterServer", "AioRelayStats"),
+    "repro.core.aio.streams": (
+        "DEFAULT_BLOCK", "DEFAULT_STREAMS", "DEFAULT_WINDOW", "StripeError",
+        "StripeSink", "recv_striped", "send_striped",
+    ),
+})

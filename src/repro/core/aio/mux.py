@@ -446,6 +446,8 @@ class _MuxSession(asyncio.BufferedProtocol):
         self.stats = stats
         self.chains: Dict[int, MuxChain] = {}
         self.alive = True
+        #: A frame has arrived, so the peer speaks NXMUX/1.
+        self.heard = False
         #: The link transport is past its high-water mark: no chain reads.
         self.link_paused = False
         self.batcher = SegmentBatcher(writer, on_flush=self._on_flush)
@@ -515,6 +517,7 @@ class _MuxSession(asyncio.BufferedProtocol):
     def dispatch(self, chain_id: int, ftype: int, payload: "bytes | memoryview") -> None:
         """Route one frame to its chain; one for an unknown chain —
         normal after a local RST raced in-flight frames — is dropped."""
+        self.heard = True
         chain = self.chains.get(chain_id)
         if ftype == FrameType.OPEN and self._on_open is not None:
             if chain is not None:
@@ -560,9 +563,10 @@ class MuxConnector:
     """The outer server's end of one outer↔inner mux link.
 
     Lazily connects on the first chain.  When the link drops, every
-    live chain is aborted and the connector re-dials with exponential
-    backoff (:data:`BACKOFF_BASE_S` doubling up to
-    :data:`BACKOFF_MAX_S`); chains that arrive meanwhile wait for the
+    live chain is aborted and the connector re-dials; a failed dial, or
+    a link that closed before any frame arrived, waits first, with
+    exponential backoff (:data:`BACKOFF_BASE_S` doubling up to
+    :data:`BACKOFF_MAX_S`).  Chains that arrive meanwhile wait for the
     next successful dial (bounded by :data:`OPEN_TIMEOUT_S`).
     """
 
@@ -605,15 +609,25 @@ class MuxConnector:
                 waiting, self._waiting = self._waiting, {}
                 for chain in waiting:
                     chain._open(session)
-            backoff = BACKOFF_BASE_S
             log.info("mux link up to %s (connect #%d)", peer, self.connects)
             try:
                 exc = await session.closed
             finally:
                 self._session = None
                 session.shutdown(ChainReset("mux connector stopped"))
-            if not self._closed:
+            if self._closed:
+                return
+            # Only a frame proves the inner speaks NXMUX/1: a link that
+            # carried none (a refusing inner takes the connect and
+            # closes it) backs off like a failed dial, not in a hot loop.
+            if session.heard:
                 log.warning("mux link to %s dropped: %s", peer, exc)
+                backoff = BACKOFF_BASE_S
+            else:
+                log.warning("mux link to %s closed before any frame (%s); "
+                            "retrying in %.2fs", peer, exc, backoff)
+                await asyncio.sleep(backoff)
+                backoff = min(backoff * 2, BACKOFF_MAX_S)
 
     def begin(self, chain: MuxChain) -> None:
         """OPEN ``chain`` now if the link is up, else (no task) once it is;

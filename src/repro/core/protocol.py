@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.simnet.socket import SocketError
+from repro.errors import SocketError
 
 __all__ = [
     "NXProxyError",

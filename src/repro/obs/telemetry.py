@@ -16,6 +16,9 @@ while the daemon runs, instead of only at exit:
 * :class:`TelemetryServer` — the endpoint serving ``GET /metrics``
   (text exposition) and ``GET /metrics.json`` (the raw snapshot, which
   ``repro-obs tail`` streams).
+* :func:`git_revision` / :func:`git_dirty` — the provenance pair that
+  ``/metrics.json`` carries and ``repro-bench`` artifacts are stamped
+  with.
 
 The server reads the registry only inside the event loop the daemon
 already runs on, so no locking is needed and scrapes can never tear a
@@ -27,6 +30,8 @@ from __future__ import annotations
 import asyncio
 import contextlib
 import json
+import subprocess
+from pathlib import Path
 from typing import Any, Callable, Optional
 
 from repro.obs.metrics import hist_buckets
@@ -37,6 +42,8 @@ __all__ = [
     "render_prometheus",
     "HttpEndpoint",
     "TelemetryServer",
+    "git_dirty",
+    "git_revision",
 ]
 
 #: Stamped into the ``format`` key of every ``/metrics.json`` body.
@@ -53,6 +60,35 @@ REQUEST_LINE_TIMEOUT_S = 5.0
 MAX_HEADER_BYTES = 16 * 1024
 _REASONS = {200: "OK", 400: "Bad Request", 404: "Not Found",
             405: "Method Not Allowed"}
+
+
+def _git(*args: str) -> Optional[str]:
+    """stdout of ``git ARGS`` run in the repository root, or ``None``
+    when that is not a git checkout (or git is missing)."""
+    try:
+        out = subprocess.run(
+            ["git", *args],
+            cwd=Path(__file__).resolve().parents[3],
+            capture_output=True,
+            text=True,
+            timeout=10,
+        )
+    except (OSError, subprocess.TimeoutExpired):  # pragma: no cover
+        return None
+    return out.stdout if out.returncode == 0 else None
+
+
+def git_revision() -> Optional[str]:
+    """Short commit hash of the working tree, or ``None`` outside git."""
+    return (_git("rev-parse", "--short", "HEAD") or "").strip() or None
+
+
+def git_dirty() -> Optional[bool]:
+    """Whether the working tree differs from HEAD (``None`` outside
+    git).  An artifact whose ``dirty`` flag is true was produced
+    by code no commit hash identifies."""
+    out = _git("status", "--porcelain")
+    return None if out is None else bool(out.strip())
 
 
 def _sanitize(name: str) -> str:
@@ -211,8 +247,6 @@ class TelemetryServer(HttpEndpoint):
         # Resolve provenance once at bind time (it forks git): the
         # serving process can't change revision underneath itself, and
         # scrapes must never block on a subprocess.
-        from repro.bench.results import git_dirty, git_revision
-
         self._git_sha = git_revision()
         self._git_dirty = git_dirty()
         return await super().start()

@@ -28,67 +28,24 @@ Quick taste::
     net.sim.process(server())
     net.sim.process(client())
     net.sim.run()
+
+The names below are imported on first use, so importing one leaf
+(say :mod:`repro.simnet.firewall`) does not load the kernel.
 """
 
-from repro.simnet.firewall import Action, Direction, Firewall, FirewallBlocked, Rule
-from repro.simnet.host import Host
-from repro.simnet.kernel import (
-    AllOf,
-    AnyOf,
-    Event,
-    Interrupt,
-    Process,
-    SimError,
-    Simulator,
-    Timeout,
-)
-from repro.simnet.link import DuplexLink, Link
-from repro.simnet.primitives import Channel, ChannelClosed, Gate, Resource
-from repro.simnet.socket import (
-    Address,
-    Connection,
-    ConnectionRefused,
-    ConnectionReset,
-    ConnectTimeout,
-    ListenSocket,
-    Message,
-    NetConfig,
-    SocketError,
-    wire_size,
-)
-from repro.simnet.topology import Network, Site
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Action",
-    "Address",
-    "AllOf",
-    "AnyOf",
-    "Channel",
-    "ChannelClosed",
-    "Connection",
-    "ConnectionRefused",
-    "ConnectionReset",
-    "ConnectTimeout",
-    "Direction",
-    "DuplexLink",
-    "Event",
-    "Firewall",
-    "FirewallBlocked",
-    "Gate",
-    "Host",
-    "Interrupt",
-    "Link",
-    "ListenSocket",
-    "Message",
-    "NetConfig",
-    "Network",
-    "Process",
-    "Resource",
-    "Rule",
-    "SimError",
-    "Simulator",
-    "Site",
-    "SocketError",
-    "Timeout",
-    "wire_size",
-]
+__getattr__, __all__ = lazy_exports(globals(), {
+    "repro.simnet.firewall": ("Action", "Direction", "Firewall", "FirewallBlocked", "Rule"),
+    "repro.simnet.host": ("Host",),
+    "repro.simnet.kernel": (
+        "AllOf", "AnyOf", "Event", "Interrupt", "Process", "SimError", "Simulator", "Timeout",
+    ),
+    "repro.simnet.link": ("DuplexLink", "Link"),
+    "repro.simnet.primitives": ("Channel", "ChannelClosed", "Gate", "Resource"),
+    "repro.simnet.socket": (
+        "Address", "Connection", "ConnectionRefused", "ConnectionReset", "ConnectTimeout",
+        "ListenSocket", "Message", "NetConfig", "SocketError", "wire_size",
+    ),
+    "repro.simnet.topology": ("Network", "Site"),
+})

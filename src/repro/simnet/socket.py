@@ -29,6 +29,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Iterator, Optional
 
+from repro.errors import SocketError
 from repro.obs import trace as _trace
 from repro.simnet.firewall import Direction, FirewallBlocked
 from repro.simnet.kernel import AnyOf, Event, Process, SimError, Simulator
@@ -63,10 +64,6 @@ class Address:
 
     def __str__(self) -> str:
         return f"{self.host}:{self.port}"
-
-
-class SocketError(OSError):
-    """Base class for simulated socket failures."""
 
 
 class ConnectionRefused(SocketError):

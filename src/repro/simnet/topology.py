@@ -3,8 +3,9 @@
 A :class:`Network` owns the simulator, a set of :class:`Site`\\ s (each
 optionally behind a :class:`~repro.simnet.firewall.Firewall`), hosts,
 and the link graph.  Routing is static shortest-path by latency
-(computed with :mod:`networkx`, cached per endpoint pair) — adequate
-for the paper's hub-and-spoke topology (site LANs hanging off a WAN).
+(Dijkstra over an adjacency dict, cached per endpoint pair) — adequate
+for the paper's hub-and-spoke topology (site LANs hanging off a WAN),
+a tree, where every route is the only one.
 
 Firewall semantics: filtering happens where a connection crosses a
 site boundary.  A connection from host *A* (site S\\ :sub:`A`) to *B*
@@ -20,9 +21,8 @@ firewall is the site's gateway machine.
 
 from __future__ import annotations
 
+import heapq
 from typing import Iterable, Optional
-
-import networkx as nx
 
 from repro.simnet.firewall import Direction, Firewall
 from repro.simnet.host import Host
@@ -65,7 +65,11 @@ class Network:
         self.config.validate()
         self.sites: dict[str, Site] = {}
         self.hosts: dict[str, Host] = {}
-        self._graph = nx.Graph()
+        #: node → {neighbour: the duplex link between them}.
+        self._adj: dict[str, dict[str, DuplexLink]] = {}
+        #: Every duplex link once, with the node it was attached from
+        #: (its ``a`` end), in attachment order.
+        self._links: dict[DuplexLink, str] = {}
         self._route_cache: dict[tuple[str, str], list[Link]] = {}
 
     # -- construction -----------------------------------------------------
@@ -92,7 +96,7 @@ class Network:
         self.hosts[name] = host
         if site is not None:
             site.hosts.append(host)
-        self._graph.add_node(name)
+        self._adj[name] = {}
         self._route_cache.clear()
         return host
 
@@ -116,12 +120,13 @@ class Network:
                 raise SimError(f"unknown host {n!r}")
         if a_name == b_name:
             raise SimError("cannot link a host to itself")
-        if self._graph.has_edge(a_name, b_name):
+        if b_name in self._adj[a_name]:
             raise SimError(f"duplicate link {a_name} -- {b_name}")
         duplex = DuplexLink(
             self.sim, latency, bandwidth, name=name or f"{a_name}--{b_name}"
         )
-        self._graph.add_edge(a_name, b_name, link=duplex, a=a_name, weight=latency)
+        self._adj[a_name][b_name] = self._adj[b_name][a_name] = duplex
+        self._links[duplex] = a_name
         self._route_cache.clear()
         return duplex
 
@@ -139,15 +144,30 @@ class Network:
         cached = self._route_cache.get(key)
         if cached is not None:
             return cached
-        try:
-            nodes = nx.shortest_path(self._graph, src.name, dst.name, weight="weight")
-        except nx.NetworkXNoPath:
-            raise SimError(f"no route from {src.name} to {dst.name}") from None
+        # Dijkstra by latency.  Equal-cost ties go to the smaller node
+        # name, so a route never depends on the order links were added.
+        via: dict[str, tuple[str, DuplexLink]] = {}
+        best, done, heap = {src.name: 0.0}, set(), [(0.0, src.name)]
+        while heap:
+            dist, node = heapq.heappop(heap)
+            if node == dst.name:
+                break
+            if node in done:
+                continue
+            done.add(node)
+            for nbr, duplex in self._adj[node].items():
+                d = dist + duplex.latency
+                if nbr not in best or d < best[nbr]:
+                    best[nbr], via[nbr] = d, (node, duplex)
+                    heapq.heappush(heap, (d, nbr))
+        else:
+            raise SimError(f"no route from {src.name} to {dst.name}")
         links: list[Link] = []
-        for u, v in zip(nodes, nodes[1:]):
-            edge = self._graph[u][v]
-            duplex: DuplexLink = edge["link"]
-            links.append(duplex.direction(a_to_b=(edge["a"] == u)))
+        while node != src.name:
+            prev, duplex = via[node]
+            links.append(duplex.direction(a_to_b=(self._links[duplex] == prev)))
+            node = prev
+        links.reverse()
         self._route_cache[key] = links
         return links
 
@@ -205,11 +225,10 @@ class Network:
         return list(site.hosts)
 
     def links(self) -> Iterable[DuplexLink]:
-        for _, _, data in self._graph.edges(data=True):
-            yield data["link"]
+        yield from self._links
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"<Network hosts={len(self.hosts)} sites={len(self.sites)} "
-            f"links={self._graph.number_of_edges()} t={self.sim.now:.6f}>"
+            f"links={len(self._links)} t={self.sim.now:.6f}>"
         )

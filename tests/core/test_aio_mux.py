@@ -744,6 +744,36 @@ def test_unanswered_open_times_out(monkeypatch):
     run(main())
 
 
+def test_refusing_inner_is_redialled_with_backoff(monkeypatch):
+    """An inner that refuses the link (it takes the connect, answers an
+    error line and closes) carries no frame: the connector backs off
+    between dials instead of redialling in a hot loop, and the waiting
+    chain fails no later than its OPEN deadline."""
+    monkeypatch.setattr(mux, "OPEN_TIMEOUT_S", 1.5)
+
+    async def main():
+        loop = asyncio.get_running_loop()
+        outer = await AioOuterServer().start()
+        inner = await AioInnerServer(allowed_peers=["203.0.113.9"]).start()
+        try:
+            control, port = await raw_bind(outer, inner.nxport)
+            t0 = loop.time()
+            pr, pw = await asyncio.open_connection("127.0.0.1", port)
+            pw.write(b"hello")
+            with contextlib.suppress(ConnectionError):  # EOF or a reset
+                assert await asyncio.wait_for(pr.read(), mux.OPEN_TIMEOUT_S + 0.5) == b""
+            await asyncio.sleep(t0 + 1.0 - loop.time())
+            assert 1 <= inner.stats.nxport_connections <= 10
+            assert outer.stats.failed_requests == 1
+            for w in (pw, control):
+                w.close()
+        finally:
+            await outer.stop()
+            await inner.stop()
+
+    run(main())
+
+
 def _made_by_relay(coro) -> bool:
     """The task runs a ``repro.core.aio`` coroutine, or relay code is on
     the stack creating it (as it is for ``wait_for``'s inner task)."""

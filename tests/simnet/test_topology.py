@@ -1,6 +1,8 @@
 """Network construction, routing and multi-hop behaviour."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.simnet import Firewall, Network, SimError
 from repro.simnet.link import Link
@@ -160,3 +162,78 @@ def test_site_host_names_and_repr():
 def test_links_iterator():
     net, _ = chain_network(3)
     assert len(list(net.links())) == 2
+
+
+# -- the router against brute force -------------------------------------------
+
+
+@st.composite
+def connected_graphs(draw):
+    """(node count, [(u, v, latency)]): a random spanning tree plus
+    extra edges, so cycles and equal-cost routes both occur.  Latencies
+    are small integers, so path sums are exact."""
+    n = draw(st.integers(2, 7))
+    edges = {(draw(st.integers(0, i - 1)), i) for i in range(1, n)}
+    pairs = [(u, v) for v in range(n) for u in range(v)]
+    edges |= set(draw(st.lists(st.sampled_from(pairs), max_size=8)))
+    return n, [(u, v, float(draw(st.integers(1, 3)))) for u, v in sorted(edges)]
+
+
+def build(n, edges):
+    net = Network()
+    hosts = [net.add_host(f"h{i}") for i in range(n)]
+    hop = {}  # unidirectional Link -> (from, to)
+    for u, v, latency in edges:
+        duplex = net.link(hosts[u], hosts[v], latency=latency, bandwidth=1e6)
+        hop[duplex.forward], hop[duplex.reverse] = (u, v), (v, u)
+    return net, hosts, hop
+
+
+def brute_force_min(n, edges, src, dst):
+    adj = {i: [] for i in range(n)}
+    for u, v, latency in edges:
+        adj[u].append((v, latency))
+        adj[v].append((u, latency))
+    best = float("inf")
+
+    def walk(node, seen, dist):
+        nonlocal best
+        if node == dst:
+            best = min(best, dist)
+            return
+        for nbr, latency in adj[node]:
+            if nbr not in seen:
+                walk(nbr, seen | {nbr}, dist + latency)
+
+    walk(src, {src}, 0.0)
+    return best
+
+
+@settings(max_examples=150, deadline=None)
+@given(connected_graphs(), st.data())
+def test_router_finds_a_shortest_route(graph, data):
+    n, edges = graph
+    src = data.draw(st.integers(0, n - 1))
+    dst = data.draw(st.integers(0, n - 1).filter(lambda d: d != src))
+    net, hosts, hop = build(n, edges)
+    route = net.path_links(hosts[src], hosts[dst])
+    nodes = [src] + [hop[link][1] for link in route]
+    assert [hop[link][0] for link in route] == nodes[:-1]  # a walk ...
+    assert nodes[-1] == dst and len(set(nodes)) == len(nodes)  # ... and a simple path
+    assert sum(link.latency for link in route) == brute_force_min(n, edges, src, dst)
+    # Deterministic: the same on a repeat call, after the cache is
+    # cleared without changing any route, and whatever order the links
+    # were added in.
+    assert net.path_links(hosts[src], hosts[dst]) == route
+    leaf = net.add_host("leaf")
+    net.link(hosts[0], leaf, latency=1.0, bandwidth=1e6)
+    assert net.path_links(hosts[src], hosts[dst]) == route
+    rnet, rhosts, rhop = build(n, [(v, u, w) for u, v, w in reversed(edges)])
+    rroute = rnet.path_links(rhosts[src], rhosts[dst])
+    assert [src] + [rhop[link][1] for link in rroute] == nodes
+    # Unreachable pairs raise; every duplex is listed exactly once.
+    island = net.add_host("island")
+    with pytest.raises(SimError, match="no route"):
+        net.path_links(hosts[src], island)
+    listed = list(net.links())
+    assert len(listed) == len(set(map(id, listed))) == len(edges) + 1
