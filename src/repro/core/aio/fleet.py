@@ -435,9 +435,6 @@ class FleetManager:
     def views(self) -> "Dict[str, WorkerView]":
         return {wid: h.view for wid, h in self.handles.items()}
 
-    def worker_ids(self) -> "list[str]":
-        return sorted(self.handles)
-
     # -- lifecycle --------------------------------------------------------
 
     async def start(self) -> "FleetManager":

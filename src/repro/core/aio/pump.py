@@ -25,23 +25,18 @@ probes still time it).  The relay runs on the *zero-copy* primitives:
 * :class:`SegmentBatcher` — per-connection small-frame coalescing:
   frames queued in one event-loop tick are flushed together (one
   ``sendmsg`` per drain), bounded by the coalesce budget.
-* :func:`relay_sockets_zero_copy` — swaps an established
-  socket↔socket relay leg from stream pumps to a pair of
-  ``asyncio.BufferedProtocol`` ends whose reads land in one
-  ``MAX_CHUNK`` buffer shared by every end on the event-loop thread
-  (``recv_into`` instead of ``recv``) and are forwarded inside the
-  read callback — no per-chunk task wake-up, no StreamReader
-  buffering, no buffer per chain, and no copy at all when the
-  destination socket takes the bytes immediately.  Sharing is safe
-  because a read callback is done with the buffer before it returns.
+* :func:`relay_sockets_zero_copy` — the Fig. 3 active leg, spliced:
+  payload goes socket → pipe → socket inside the kernel
+  (``splice(2)``, so the live relay is Linux-only); only a tail the
+  destination socket does not take is copied, once, into its transport.
 """
 
 from __future__ import annotations
 
 import asyncio
 import contextlib
+import fcntl
 import os
-import threading
 from typing import Callable, List, Optional, Sequence, Union
 
 from repro.core.aio.protocol import adopt
@@ -57,7 +52,6 @@ __all__ = [
     "SegmentBatcher",
     "tune_stream",
     "writer_backpressured",
-    "maybe_drain",
     "pump",
     "segment_nbytes",
     "send_segments",
@@ -126,14 +120,6 @@ def writer_backpressured(writer: asyncio.StreamWriter) -> bool:
         return True
 
 
-async def maybe_drain(writer: asyncio.StreamWriter) -> bool:
-    """Drain only past the high-water mark; returns whether it drained."""
-    if writer_backpressured(writer):
-        await writer.drain()
-        return True
-    return False
-
-
 async def pump(
     reader: asyncio.StreamReader,
     writer: asyncio.StreamWriter,
@@ -154,7 +140,8 @@ async def pump(
             if on_chunk is not None:
                 on_chunk(n)
             writer.write(data)
-            if await maybe_drain(writer):
+            if writer_backpressured(writer):
+                await writer.drain()
                 chunker.on_backpressure()
                 rec = _obs.RECORDER
                 if rec is not None:
@@ -165,9 +152,8 @@ async def pump(
     except (ConnectionError, asyncio.IncompleteReadError, OSError):
         pass
     finally:
-        # Satellite fix: drain *before* write_eof so the tail of a
-        # write-then-close stream is flushed, not discarded with the
-        # transport.
+        # Drain *before* write_eof so the tail of a write-then-close
+        # stream is flushed, not discarded with the transport.
         with contextlib.suppress(Exception):
             await writer.drain()
         with contextlib.suppress(Exception):
@@ -208,11 +194,6 @@ def _queue_remainder(
         transport.write(bytes(rem))
 
 
-#: ``os.writev`` is the scatter-gather syscall the direct path rides;
-#: absent (non-POSIX) platforms fall back to transport writes.
-_HAVE_WRITEV = hasattr(os, "writev")
-
-
 def transport_fd(transport: asyncio.BaseTransport) -> Optional[int]:
     """The raw socket file descriptor behind a transport, or ``None``.
 
@@ -246,15 +227,12 @@ def _sendmsg_direct(
     sent = 0
     if (
         fd is not None
-        and _HAVE_WRITEV
         and not transport.is_closing()
         and transport.get_write_buffer_size() == 0
     ):
         vec = segments if len(segments) <= _IOV_MAX else segments[:_IOV_MAX]
         try:
             sent = os.writev(fd, vec)
-        except (BlockingIOError, InterruptedError):
-            sent = 0
         except OSError:
             sent = 0
     if sent < total:
@@ -389,50 +367,26 @@ class SegmentBatcher:
 
 
 # ---------------------------------------------------------------------------
-# Zero-copy read side: BufferedProtocol relay ends (recv_into).
+# Active relay leg: splice(2) through one pipe per chain (Linux).
 # ---------------------------------------------------------------------------
 
 
-_thread = threading.local()
+class _SpliceEnd(asyncio.Protocol):
+    """One socket of a spliced socket↔socket relay leg.
 
-
-def _read_view() -> memoryview:
-    """The one ``MAX_CHUNK`` read buffer of this thread's relay ends.
-
-    One per thread, not per module: each event loop runs on its own
-    thread, and a buffer is only safe to share between callbacks that
-    can never interleave."""
-    view = getattr(_thread, "view", None)
-    if view is None:
-        view = _thread.view = memoryview(bytearray(MAX_CHUNK))
-    return view
-
-
-class _RelayEnd(asyncio.BufferedProtocol):
-    """One direction of a protocol-swapped socket↔socket relay.
-
-    The event loop reads straight into the read buffer every end on
-    this thread shares (``recv_into``), so an active chain costs no
-    buffer of its own; ``buffer_updated`` forwards the filled view to
-    the peer transport inside the read callback — directly to the peer
-    socket when its transport is idle (no copy at all), otherwise one
-    copy into the peer's write buffer.  Either way the view is dead
-    when the callback returns, before the loop can read into it for
-    another end.  asyncio's write-side flow control maps onto the
-    peer's read side: ``pause_writing`` on this transport pauses the
-    *peer's* reading.
+    The transport keeps writes, write-side flow control and
+    ``close()``/``abort()``, with its own reading paused: the end reads
+    through ``loop.add_reader`` on a dup of the socket's fd (asyncio
+    refuses a reader on a transport's own fd), splicing socket → pipe
+    and, while the peer transport has nothing queued, pipe → peer
+    socket.  What the peer socket does not take is copied once into the
+    peer transport, whose ``pause_writing`` then pauses this end.  Every
+    callback leaves the pipe empty, so a chain's two ends share one.
     """
 
     __slots__ = (
-        "transport",
-        "fd",
-        "peer",
-        "moved",
-        "direct_bytes",
-        "_view",
-        "_on_chunk",
-        "_done",
-        "_read_eof",
+        "transport", "fd", "pipe", "peer", "moved", "direct_bytes",
+        "read_eof", "paused", "done", "_on_chunk",
     )
 
     def __init__(
@@ -441,81 +395,118 @@ class _RelayEnd(asyncio.BufferedProtocol):
         on_chunk: Optional[Callable[[int], None]] = None,
     ) -> None:
         self.transport: Optional[asyncio.Transport] = None
-        self.fd: Optional[int] = None
-        self.peer: "_RelayEnd" = self  # re-pointed by the pairing code
+        #: This end's dup of its socket's fd, ``-1`` once released.
+        self.fd = -1
+        self.pipe = (-1, -1)
+        self.peer: "_SpliceEnd" = self  # re-pointed by the pairing code
         self.moved = 0
-        #: Bytes that went peer-socket-direct without any userspace copy.
+        #: Bytes spliced on to the peer socket, never seen by Python.
         self.direct_bytes = 0
-        self._view = _read_view()
+        self.read_eof = False
+        self.paused = False
+        self.done = done
         self._on_chunk = on_chunk
-        self._done = done
-        self._read_eof = False
 
-    def attach(self, transport: asyncio.Transport) -> None:
-        self.transport = transport
-        self.fd = transport_fd(transport)
+    def want_read(self) -> None:
+        """(Un)register this end's reader to match its state."""
+        if self.fd >= 0:
+            loop = self.done.get_loop()
+            if self.read_eof or self.paused:
+                loop.remove_reader(self.fd)
+            else:
+                loop.add_reader(self.fd, self._read_ready)
+
+    def release(self) -> None:
+        """Drop the reader and close the dup (idempotent).  Until the
+        dup is closed the socket outlives its transport's ``close()``."""
+        if self.fd >= 0:
+            self.done.get_loop().remove_reader(self.fd)
+            os.close(self.fd)
+            self.fd = -1
 
     # -- reads ------------------------------------------------------------
 
-    def get_buffer(self, sizehint: int) -> memoryview:
-        return self._view
-
-    def buffer_updated(self, nbytes: int) -> None:
-        self.moved += nbytes
-        if self._on_chunk is not None:
-            self._on_chunk(nbytes)
-        peer_t = self.peer.transport
-        if peer_t is None or peer_t.is_closing():
+    def _read_ready(self) -> None:
+        try:
+            n = os.splice(self.fd, self.pipe[1], MAX_CHUNK, flags=os.SPLICE_F_NONBLOCK)
+        except (BlockingIOError, InterruptedError):
             return
-        # write_direct copies the tail the socket does not take: the
-        # next read on this thread, for any chain, overwrites the view.
-        self.direct_bytes += write_direct(peer_t, self.peer.fd, self._view[:nbytes])
+        except OSError:  # a reset: drop the chain, as a failed recv does
+            self.release()
+            self.transport.abort()
+            return
+        if n == 0:
+            self.eof()
+            return
+        self.moved += n
+        if self._on_chunk is not None:
+            self._on_chunk(n)
+        self._forward(n)
 
-    def eof_received(self) -> bool:
-        self._read_eof = True
-        peer_t = self.peer.transport
-        if peer_t is not None and not peer_t.is_closing():
+    def _forward(self, n: int) -> None:
+        """Send the ``n`` bytes in the pipe on, leaving it empty."""
+        peer = self.peer
+        t = peer.transport
+        if t is not None and t.is_closing():
+            t = None  # peer gone: the bytes are dropped
+        elif t is not None and not t.get_write_buffer_size():
+            # Nothing queued that the direct splice could overtake.
             try:
-                peer_t.write_eof()
-            except (OSError, RuntimeError):
-                peer_t.close()
-        self._maybe_finish()
-        # Keep our transport open: the peer may still send toward us.
-        return True
+                while n:
+                    k = os.splice(self.pipe[0], peer.fd, n, flags=os.SPLICE_F_NONBLOCK)
+                    n -= k
+                    self.direct_bytes += k
+            except OSError:  # EAGAIN; a real error resurfaces from write()
+                pass
+        if n:
+            self._tail(t, n)
 
-    def _maybe_finish(self) -> None:
-        """Both directions saw EOF → close both transports (close()
-        flushes queued writes first)."""
-        if self._read_eof and self.peer._read_eof:
+    def _tail(self, t: Optional[asyncio.Transport], n: int) -> None:
+        """Move the ``n`` bytes the peer socket did not take out of the
+        pipe into the peer transport ``t`` (``None``: dropped) — the
+        relay's one user-space copy."""
+        while n:
+            data = os.read(self.pipe[0], n)
+            n -= len(data)
+            if t is not None:
+                t.write(data)
+
+    def eof(self) -> None:
+        """This end's socket read EOF: half-close the peer, and close
+        both once both directions are done (``close()`` flushes)."""
+        self.read_eof = True
+        self.want_read()
+        pt = self.peer.transport
+        if pt is not None and not pt.is_closing():
+            try:
+                pt.write_eof()
+            except (OSError, RuntimeError):
+                pt.close()
+        if self.peer.read_eof:
             for end in (self, self.peer):
-                t = end.transport
-                if t is not None and not t.is_closing():
-                    t.close()
+                if end.transport is not None and not end.transport.is_closing():
+                    end.transport.close()
 
     # -- write-side flow control → peer's read side ------------------------
 
     def pause_writing(self) -> None:
-        pt = self.peer.transport
-        if pt is not None:
-            with contextlib.suppress(RuntimeError):
-                pt.pause_reading()
+        self.peer.paused = True
+        self.peer.want_read()
 
     def resume_writing(self) -> None:
-        pt = self.peer.transport
-        if pt is not None:
-            with contextlib.suppress(RuntimeError):
-                pt.resume_reading()
+        self.peer.paused = False
+        self.peer.want_read()
 
     # -- lifecycle ---------------------------------------------------------
 
     def connection_lost(self, exc: Optional[BaseException]) -> None:
+        self.release()
         self.transport = None
-        self.fd = None
         pt = self.peer.transport
         if pt is not None and not pt.is_closing():
             pt.close()
-        if not self._done.done():
-            self._done.set_result(self.moved)
+        if not self.done.done():
+            self.done.set_result(self.moved)
 
 
 async def relay_sockets_zero_copy(
@@ -526,68 +517,75 @@ async def relay_sockets_zero_copy(
     *,
     on_chunk: Optional[Callable[[int], None]] = None,
 ) -> "tuple[int, int]":
-    """Bidirectional zero-copy relay between two established streams.
+    """Bidirectional spliced relay between two established streams.
 
-    Swaps both connections' protocols to :class:`_RelayEnd` buffered
-    protocols, so from here on the event loop ``recv_into``\\ s the
-    thread's shared read buffer and forwards inside the read callback
-    — no StreamReader, no per-chunk task wake-up, no buffer per chain,
-    no copy when the destination socket keeps up.  Any bytes the stream layer had
-    already buffered (payload pipelined behind the control handshake)
-    are forwarded first.
+    Swaps both connections' protocols to :class:`_SpliceEnd`\\ s and
+    forwards first any bytes the stream layer had already buffered
+    (payload pipelined behind the control handshake).  The chain holds
+    four fds: a pipe, sized to ``MAX_CHUNK`` where the per-user
+    pipe-page limit allows, and a dup of each socket.
 
     Returns ``(a_to_b_bytes, b_to_a_bytes)`` after both directions
     complete; ``(0, 0)`` at once, both transports closed, when either
-    stream had already failed or was closing.
+    stream had already failed or was closing, or no fd was left for the
+    chain.
     """
     loop = asyncio.get_running_loop()
-    done_a: "asyncio.Future[int]" = loop.create_future()
-    done_b: "asyncio.Future[int]" = loop.create_future()
-    end_a = _RelayEnd(done_a, on_chunk)
-    end_b = _RelayEnd(done_b, on_chunk)
-    end_a.peer = end_b
-    end_b.peer = end_a
-    ta = a_writer.transport
-    tb = b_writer.transport
-    end_a.attach(ta)
-    end_b.attach(tb)
+    end_a = _SpliceEnd(loop.create_future(), on_chunk)
+    end_b = _SpliceEnd(loop.create_future(), on_chunk)
+    end_a.peer, end_b.peer = end_b, end_a
+    ta, tb = a_writer.transport, b_writer.transport
 
     leftover_a = adopt(a_reader, a_writer, end_a)
     leftover_b = adopt(b_reader, b_writer, end_b) if leftover_a is not None else None
+    fds: "list[int]" = []
+    if leftover_b is not None:
+        try:
+            fds += os.pipe()
+            for t in (ta, tb):
+                fds.append(os.dup(t.get_extra_info("socket").fileno()))
+        except OSError:  # out of fds: the chain fails like a dead stream
+            for fd in fds:
+                os.close(fd)
+            leftover_b = None
     if leftover_b is None:
         ta.close()
         tb.close()
         return 0, 0
-
-    # Replay what the stream layer already consumed from each socket.
-    for leftover, end, peer_t in (
-        (leftover_a, end_a, tb),
-        (leftover_b, end_b, ta),
-    ):
-        if leftover:
-            end.moved += len(leftover)
-            if on_chunk is not None:
-                on_chunk(len(leftover))
-            peer_t.write(leftover)
-    for reader, end, peer_t in (
-        (a_reader, end_a, tb),
-        (b_reader, end_b, ta),
-    ):
-        if reader.at_eof():
-            end._read_eof = True
-            with contextlib.suppress(OSError, RuntimeError):
-                peer_t.write_eof()
-    end_a._maybe_finish()
+    pipe = (fds[0], fds[1])
+    with contextlib.suppress(OSError):  # refused: keep the pipe we got
+        fcntl.fcntl(pipe[1], fcntl.F_SETPIPE_SZ, MAX_CHUNK)
+    for end, t, fd in ((end_a, ta, fds[2]), (end_b, tb, fds[3])):
+        end.transport, end.fd, end.pipe = t, fd, pipe
+        t.pause_reading()
 
     try:
-        moved_a = await done_a
-        moved_b = await done_b
+        # Replay what the stream layer already consumed from each socket.
+        for leftover, reader, end in (
+            (leftover_a, a_reader, end_a),
+            (leftover_b, b_reader, end_b),
+        ):
+            if leftover:
+                end.moved += len(leftover)
+                if on_chunk is not None:
+                    on_chunk(len(leftover))
+                end.peer.transport.write(leftover)
+            if reader.at_eof():
+                end.eof()
+        end_a.want_read()
+        end_b.want_read()
+        moved_a = await end_a.done
+        moved_b = await end_b.done
     except asyncio.CancelledError:
         for t in (end_a.transport, end_b.transport):
             if t is not None:
-                with contextlib.suppress(Exception):
-                    t.abort()
+                t.abort()
         raise
+    finally:
+        end_a.release()
+        end_b.release()
+        os.close(pipe[0])
+        os.close(pipe[1])
     rec = _obs.RECORDER
     if rec is not None:
         rec.wall_instant(

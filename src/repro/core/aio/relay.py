@@ -10,9 +10,9 @@ inner server answers the nxport.  There is one data plane:
   (:mod:`repro.core.aio.mux`) — the paper's one-pinhole firewall
   story, with exactly one outer→inner TCP connection.
 * **active chains** (Fig. 3): the two sockets are protocol-swapped
-  onto the zero-copy relay ends of :mod:`repro.core.aio.pump`
-  (:func:`~repro.core.aio.protocol.adopt`); a stream that failed
-  before the swap ends the chain.
+  (:func:`~repro.core.aio.protocol.adopt`) onto the spliced relay of
+  :mod:`repro.core.aio.pump`; a stream that failed before the swap
+  ends the chain.
 
 Every relay socket runs with ``TCP_NODELAY`` (asyncio's default).
 """

@@ -205,14 +205,6 @@ class ObsRecorder:
                       args or None)
         )
 
-    def wall_counter(
-        self, cat: str, name: str, values: "dict[str, float]", track: str = "wall"
-    ) -> None:
-        self.events.append(
-            SpanEvent(WALL, PH_COUNTER, cat, name, self.wall_ts(), 0.0, track,
-                      dict(values))
-        )
-
     # -- registry shorthands ---------------------------------------------
 
     def count(self, name: str, n: int = 1) -> None:
@@ -277,7 +269,6 @@ class NullRecorder(ObsRecorder):
     sim_counter = _drop
     wall_span_end = _drop
     wall_instant = _drop
-    wall_counter = _drop
     count = _drop
     count_pair = _drop
     adopt = _drop

@@ -470,12 +470,6 @@ class Simulator:
         """Start ``gen`` as a process immediately (at the current time)."""
         return Process(self, gen, name)
 
-    def any_of(self, events: Iterable[Event]) -> AnyOf:
-        return AnyOf(self, events)
-
-    def all_of(self, events: Iterable[Event]) -> AllOf:
-        return AllOf(self, events)
-
     # -- execution ------------------------------------------------------
 
     def peek(self) -> float:

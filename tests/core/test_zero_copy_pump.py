@@ -1,12 +1,15 @@
 """Tests for the zero-copy write/read primitives in
 :mod:`repro.core.aio.pump`: scatter-gather sends, frame coalescing,
-and the BufferedProtocol relay ends.
+and the spliced active relay.
 """
 
 import asyncio
+import contextlib
 import hashlib
+import os
 import socket
 import struct
+import threading
 import tracemalloc
 
 from repro.core.aio import AioOuterServer, AioProxyClient, pump
@@ -18,6 +21,7 @@ from repro.core.aio.pump import (
     send_segments,
     tune_stream,
 )
+from repro.obs import spans as _obs
 
 from tests.core.conftest import leak_check
 
@@ -375,19 +379,17 @@ async def _sink_server(stall: float):
 
 
 def test_concurrent_active_chains_keep_their_own_bytes(monkeypatch):
-    """Two active chains through one relay, whose ends share one read
-    buffer, carry different ramps at once; the slow destination forces
-    the tail copy of ``write_direct``.  Every byte lands on its chain."""
+    """Two active chains through one relay, each with its own pipe,
+    carry different ramps at once; the slow destination forces the
+    tail copy of the spliced relay.  Every byte lands on its chain."""
     tails = []
 
-    def spy(transport, fd, view):
-        sent = write_direct(transport, fd, view)
-        if sent < len(view):
-            tails.append(len(view) - sent)
-        return sent
+    def spy(end, transport, n):
+        tails.append(n)
+        return tail(end, transport, n)
 
-    write_direct = pump.write_direct
-    monkeypatch.setattr(pump, "write_direct", spy)
+    tail = pump._SpliceEnd._tail
+    monkeypatch.setattr(pump._SpliceEnd, "_tail", spy)
 
     async def main():
         outer = await AioOuterServer().start()
@@ -453,5 +455,242 @@ def test_active_chains_cost_no_buffer_each():
             await server.wait_closed()
             await outer.stop()
         assert grown < 1 << 20, f"8 chains grew the heap by {grown >> 10} KiB"
+
+    run(main())
+
+
+def test_active_payload_bypasses_python(monkeypatch):
+    """32 MiB through an active chain to a fast sink: only the tail the
+    sink's socket did not take is read into Python, every other byte is
+    spliced on inside the kernel."""
+    total = 32 << 20
+    through_python = []
+    recv_into, read = socket.socket.recv_into, os.read
+
+    def spy_recv_into(sock, *args, **kwargs):
+        n = recv_into(sock, *args, **kwargs)
+        through_python.append(n)
+        return n
+
+    def spy_read(fd, n):
+        data = read(fd, n)
+        through_python.append(len(data))
+        return data
+
+    monkeypatch.setattr(socket.socket, "recv_into", spy_recv_into)
+    monkeypatch.setattr(os, "read", spy_read)
+
+    async def main():
+        # The sink reads on its own thread with blocking recv()s, off
+        # the relay's event loop.
+        lsock = socket.create_server(("127.0.0.1", 0))
+        received = []
+
+        def sink():
+            conn, _ = lsock.accept()
+            with conn:
+                while data := conn.recv(1 << 20):
+                    received.append(len(data))
+
+        thread = threading.Thread(target=sink, daemon=True)
+        thread.start()
+        outer = await AioOuterServer().start()
+        try:
+            with _obs.observe() as rec:
+                r, w = await AioProxyClient(
+                    outer_addr=("127.0.0.1", outer.control_port)
+                ).connect("127.0.0.1", lsock.getsockname()[1])
+                block = bytes(1 << 20)
+                for _ in range(total >> 20):
+                    w.write(block)
+                    await w.drain()
+                w.write_eof()
+                # The sink closes at EOF, before the relay passes its
+                # EOF back.
+                assert await asyncio.wait_for(r.read(), 10) == b""
+                w.close()
+                thread.join(10)
+                assert not thread.is_alive()
+                for _ in range(200):
+                    done = [e for e in rec.events if e.name == "zero_copy_done"]
+                    if done:
+                        break
+                    await asyncio.sleep(0.01)
+        finally:
+            lsock.close()
+            await outer.stop()
+        assert sum(received) == outer.stats.bytes_relayed == total
+        python_bytes = sum(through_python)
+        assert python_bytes == total - done[0].args["direct"]
+        assert python_bytes <= total // 4, (
+            f"{python_bytes / total:.1%} of the payload went through Python")
+
+    run(main())
+
+
+def _reset(writer: asyncio.StreamWriter) -> None:
+    """Close with an RST instead of a FIN."""
+    writer.get_extra_info("socket").setsockopt(
+        socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+    writer.transport.abort()
+
+
+async def _midway_chain(dest):
+    """An outer server, a destination running ``dest(r, w)`` and an
+    active chain to it with 1 MiB already through, while the client
+    keeps writing: returns (outer, server, client r/w, writer task)."""
+    outer = await AioOuterServer().start()
+    server = await asyncio.start_server(dest, "127.0.0.1", 0)
+    r, w = await AioProxyClient(outer_addr=("127.0.0.1", outer.control_port)).connect(
+        "127.0.0.1", server.sockets[0].getsockname()[1])
+
+    async def write_on():
+        block = bytes(64 * 1024)
+        with contextlib.suppress(ConnectionError):
+            while not w.is_closing():
+                w.write(block)
+                await w.drain()
+
+    writing = asyncio.ensure_future(write_on())
+    for _ in range(500):
+        if outer.stats.bytes_relayed >= 1 << 20:
+            break
+        await asyncio.sleep(0.01)
+    assert outer.stats.bytes_relayed >= 1 << 20
+    return outer, server, (r, w), writing
+
+
+async def _teardown(outer, server, w, writing):
+    w.close()
+    await asyncio.wait_for(writing, 5)
+    server.close()
+    await server.wait_closed()
+    await outer.stop()
+
+
+async def _read_to_end(reader) -> None:
+    """Read until EOF or a reset; a hang fails the test's deadline."""
+    with contextlib.suppress(ConnectionError):
+        while await reader.read(1 << 20):
+            pass
+
+
+async def _chain_ended(outer) -> bool:
+    """Whether the relay let go of every chain socket within 2 s."""
+    for _ in range(200):
+        if not outer._conns:
+            return True
+        await asyncio.sleep(0.01)
+    return False
+
+
+def test_destination_reset_mid_transfer_ends_the_chain():
+    """An RST from the destination mid-transfer ends the chain: the
+    client's connection closes, and the pipe and both dups are gone."""
+
+    async def main():
+        readers = []
+
+        async def dest(r, w):
+            readers.append(w)
+            await r.readexactly(1 << 20)
+            _reset(w)
+
+        outer, server, (r, w), writing = await _midway_chain(dest)
+        await asyncio.wait_for(_read_to_end(r), 5)
+        await asyncio.wait_for(writing, 5)
+        assert await _chain_ended(outer)
+        await _teardown(outer, server, w, writing)
+
+    run(main())
+
+
+def test_client_reset_mid_transfer_ends_the_chain():
+    """An RST from the client mid-transfer ends the chain: the
+    destination reads EOF after what the relay had taken, and the relay
+    lets go of it without waiting for the destination to close."""
+
+    async def main():
+        ended: "asyncio.Future[int]" = asyncio.get_running_loop().create_future()
+        release = asyncio.Event()
+
+        async def dest(r, w):
+            got = 0
+            with contextlib.suppress(ConnectionError):
+                while data := await r.read(1 << 20):
+                    got += len(data)
+            ended.set_result(got)
+            await release.wait()
+            w.close()
+
+        outer, server, (r, w), writing = await _midway_chain(dest)
+        _reset(w)
+        assert await asyncio.wait_for(ended, 5) >= 1 << 20
+        assert await _chain_ended(outer)
+        release.set()
+        await _teardown(outer, server, w, writing)
+
+    run(main())
+
+
+def test_outer_stop_mid_transfer_closes_both_sides():
+    """``outer.stop()`` mid-transfer aborts the chain: both the client
+    and the destination see their connection end."""
+
+    async def main():
+        ended: "asyncio.Future[None]" = asyncio.get_running_loop().create_future()
+
+        async def dest(r, w):
+            await _read_to_end(r)
+            ended.set_result(None)
+            w.close()
+
+        outer, server, (r, w), writing = await _midway_chain(dest)
+        await outer.stop()
+        await asyncio.wait_for(asyncio.gather(ended, _read_to_end(r)), 5)
+        await _teardown(outer, server, w, writing)
+
+    run(main())
+
+
+def test_stalled_destination_stops_the_source_within_the_bound():
+    """A destination that never reads: the relay stops reading the
+    source, and what it holds stays within one pipe (``MAX_CHUNK``)
+    plus the destination transport's ``WRITE_HIGH_WATER``."""
+
+    async def main():
+        held = []
+        release = asyncio.Event()
+
+        async def dest(r, w):
+            held.append(w)
+            await release.wait()
+            w.transport.abort()
+
+        outer = await AioOuterServer().start()
+        server = await asyncio.start_server(dest, "127.0.0.1", 0)
+        r, w = await AioProxyClient(outer_addr=("127.0.0.1", outer.control_port)).connect(
+            "127.0.0.1", server.sockets[0].getsockname()[1])
+        block = bytes(1 << 20)
+        for _ in range(32):
+            w.write(block)
+        try:
+            relayed = -1
+            for _ in range(100):
+                await asyncio.sleep(0.05)
+                if outer.stats.bytes_relayed == relayed:
+                    break
+                relayed = outer.stats.bytes_relayed
+            await asyncio.sleep(0.3)
+            assert outer.stats.bytes_relayed == relayed  # source not read
+            assert w.transport.get_write_buffer_size() > 0  # client blocked
+            queued = max(t.get_write_buffer_size() for t in outer._conns)
+            assert 0 < queued <= pump.MAX_CHUNK + pump.WRITE_HIGH_WATER
+        finally:
+            w.transport.abort()
+            release.set()
+            server.close()
+            await server.wait_closed()
+            await outer.stop()
 
     run(main())

@@ -9,6 +9,8 @@ from repro.obs.telemetry import (
     TELEMETRY_SCHEMA_VERSION,
     MAX_HEADER_BYTES,
     TelemetryServer,
+    git_dirty,
+    git_revision,
     render_prometheus,
 )
 
@@ -79,10 +81,9 @@ def test_telemetry_server_serves_both_endpoints():
             assert payload["format"] == TELEMETRY_FORMAT_TAG
             assert payload["schema_version"] == TELEMETRY_SCHEMA_VERSION
             # Emit-time provenance (v2): resolved once at start().
-            assert payload["git_sha"] is None or isinstance(
-                payload["git_sha"], str
-            )
-            assert isinstance(payload["dirty"], bool)
+            # Both are None outside a git checkout.
+            assert payload["git_sha"] == git_revision()
+            assert payload["dirty"] == git_dirty()
             assert payload["role"] == "test"
             assert payload["registry"]["relay.chunks"] == 7
             assert payload["scrapes"] == 2
