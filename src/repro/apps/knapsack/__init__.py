@@ -8,7 +8,7 @@ it is considered suitable for metacomputing environments." (§5)
   the paper's no-pruning 50-item family;
 * :mod:`~repro.apps.knapsack.search` — the branch operation and stack;
 * :mod:`~repro.apps.knapsack.analysis` — analytic tree size / optimum
-  (vectorized DP) for verification;
+  (capacity-indexed DP) for verification;
 * :mod:`~repro.apps.knapsack.sequential` — the Table 4 baseline;
 * :mod:`~repro.apps.knapsack.master_slave` — the self-scheduling
   work-stealing algorithm;
@@ -16,12 +16,7 @@ it is considered suitable for metacomputing environments." (§5)
   aggregates Tables 4/5/6.
 """
 
-from repro.apps.knapsack.analysis import (
-    depth_profile,
-    optimal_selection,
-    optimal_value,
-    tree_size,
-)
+from repro.apps.knapsack.analysis import optimal_value, tree_size
 from repro.apps.knapsack.driver import (
     GroupStats,
     RunResult,
@@ -61,9 +56,7 @@ __all__ = [
     "SchedulingParams",
     "SearchState",
     "SequentialResult",
-    "depth_profile",
     "knapsack_rank_main",
-    "optimal_selection",
     "optimal_value",
     "paper_instance",
     "random_instance",

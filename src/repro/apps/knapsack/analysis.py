@@ -1,4 +1,4 @@
-"""Analytic properties of knapsack search trees (vectorized DP).
+"""Analytic properties of knapsack search trees (capacity-indexed DP).
 
 Two closed-form quantities let the test suite verify the search code
 without trusting it:
@@ -12,83 +12,31 @@ without trusting it:
 * :func:`optimal_value` — the optimum by the classic DP over
   capacities, independent of any branch-and-bound.
 
-Both are NumPy-vectorized over the capacity axis (one array op per
-item instead of a Python loop over capacities), which keeps even the
-50-item, multi-billion-node paper instance analysable in milliseconds.
+Both build one list of Python ints per item (one comprehension over
+the capacity axis), which keeps even the 50-item, multi-billion-node
+paper instance analysable in milliseconds; Python ints cannot
+overflow, however large the tree.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.apps.knapsack.instance import KnapsackInstance
 
-__all__ = ["tree_size", "optimal_value", "optimal_selection", "depth_profile"]
+__all__ = ["tree_size", "optimal_value"]
 
 
 def tree_size(instance: KnapsackInstance) -> int:
     """Exact number of nodes in the unpruned search tree."""
-    cap = instance.capacity
-    # T[c] = subtree size at the current depth for remaining capacity c.
-    t_next = np.ones(cap + 1, dtype=np.int64)
+    # t[c] = subtree size at the current depth for remaining capacity c.
+    t = [1] * (instance.capacity + 1)
     for w in reversed(instance.weights):
-        t = 1 + t_next.copy()
-        if w <= cap:
-            t[w:] += t_next[: cap + 1 - w]
-        t_next = t
-    return int(t_next[cap])
+        t = [1 + x for x in t[:w]] + [1 + x + y for x, y in zip(t[w:], t)]
+    return t[-1]
 
 
 def optimal_value(instance: KnapsackInstance) -> int:
     """The optimal objective value (capacity-indexed DP)."""
-    cap = instance.capacity
-    best = np.zeros(cap + 1, dtype=np.int64)
+    best = [0] * (instance.capacity + 1)
     for p, w in zip(instance.profits, instance.weights):
-        if w <= cap:
-            take = best[: cap + 1 - w] + p
-            np.maximum(best[w:], take, out=best[w:])
-    return int(best[cap])
-
-
-def optimal_selection(instance: KnapsackInstance) -> tuple[int, list[int]]:
-    """Optimum value plus one optimal item index set (for validation)."""
-    cap, n = instance.capacity, instance.n
-    table = np.zeros((n + 1, cap + 1), dtype=np.int64)
-    for i in range(1, n + 1):
-        p, w = instance.profits[i - 1], instance.weights[i - 1]
-        table[i] = table[i - 1]
-        if w <= cap:
-            cand = table[i - 1, : cap + 1 - w] + p
-            np.maximum(table[i, w:], cand, out=table[i, w:])
-    chosen: list[int] = []
-    c = cap
-    for i in range(n, 0, -1):
-        if table[i, c] != table[i - 1, c]:
-            chosen.append(i - 1)
-            c -= instance.weights[i - 1]
-    chosen.reverse()
-    return int(table[n, cap]), chosen
-
-
-def depth_profile(instance: KnapsackInstance) -> np.ndarray:
-    """Node count per tree depth (length n+1); sums to tree_size.
-
-    Used to sanity-check load-balance intuition: the unpruned tree is
-    widest in the middle depths, which is why stolen top-of-stack
-    nodes carry large subtrees early in the run.
-    """
-    cap = instance.capacity
-    # counts[c] = number of nodes at the current depth with residual
-    # capacity c; start with the root.
-    counts = np.zeros(cap + 1, dtype=np.int64)
-    counts[cap] = 1
-    profile = [1]
-    for w in instance.weights:
-        nxt = counts.copy()  # exclude children keep their capacity
-        if w <= cap:
-            nxt[: cap + 1 - w] += counts[w:]  # include children shift down
-        counts = nxt
-        profile.append(int(counts.sum()))
-    out = np.array(profile, dtype=np.int64)
-    assert int(out.sum()) == tree_size(instance)
-    return out
+        best = best[:w] + [max(x, y + p) for x, y in zip(best[w:], best)]
+    return best[-1]

@@ -20,10 +20,8 @@ not 2^51 — of nodes (Table 6).  We reproduce that regime exactly:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
-
-import numpy as np
 
 from repro.util.rng import make_rng
 
@@ -118,9 +116,9 @@ def random_instance(
     weights = rng.integers(1, max_weight + 1, size=n)
     profits = rng.integers(1, max_weight + 1, size=n)
     if capacity is None:
-        capacity = int(weights.sum()) // 2
+        capacity = sum(weights) // 2
     return KnapsackInstance.from_items(
-        profits.tolist(), weights.tolist(), capacity,
+        profits, weights, capacity,
         name=name or f"random-{n}",
     )
 
@@ -142,9 +140,9 @@ def scaled_instance(
     if target_nodes < n + 1:
         raise ValueError(f"target_nodes must be at least n+1 = {n + 1}")
     rng = make_rng(seed)
-    weights = rng.integers(1, 51, size=n).tolist()
-    profits = rng.integers(1, 51, size=n).tolist()
-    lo, hi = 0, int(sum(weights))
+    weights = rng.integers(1, 51, size=n)
+    profits = rng.integers(1, 51, size=n)
+    lo, hi = 0, sum(weights)
     # Tree size grows monotonically with capacity: bisect.
     best_cap, best_err = 0, float("inf")
     while lo <= hi:

@@ -5,31 +5,18 @@ returns structured results plus a ``render_*`` function producing the
 paper-style text table; :mod:`repro.bench.experiments` holds the
 figures and ablations.  :mod:`repro.bench.score` checks every claim
 of the paper against them, and the ``repro-bench`` CLI drives both.
+Names are imported on first use, so a process loads only the
+experiments it runs.
 """
 
-from repro.bench.calibrate import table2_chain_models
-from repro.bench.results import bench_meta
-from repro.bench.sweep import fan_out, resolve_jobs
-from repro.bench.table2 import Table2Row, render_table2, run_table2
-from repro.bench.table4 import Table4Config, Table4Results, render_table4, run_table4
-from repro.bench.table56 import render_table5, render_table6
-from repro.bench.tuning import SweepPoint, render_sweep, run_tuning_sweep
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "SweepPoint",
-    "Table2Row",
-    "Table4Config",
-    "Table4Results",
-    "bench_meta",
-    "fan_out",
-    "render_sweep",
-    "render_table2",
-    "render_table4",
-    "render_table5",
-    "render_table6",
-    "resolve_jobs",
-    "run_table2",
-    "run_table4",
-    "run_tuning_sweep",
-    "table2_chain_models",
-]
+__getattr__, __all__ = lazy_exports(globals(), {
+    "repro.bench.calibrate": ("table2_chain_models",),
+    "repro.bench.results": ("bench_meta",),
+    "repro.bench.sweep": ("fan_out", "resolve_jobs"),
+    "repro.bench.table2": ("Table2Row", "render_table2", "run_table2"),
+    "repro.bench.table4": ("Table4Config", "Table4Results", "render_table4", "run_table4"),
+    "repro.bench.table56": ("render_table5", "render_table6"),
+    "repro.bench.tuning": ("SweepPoint", "render_sweep", "run_tuning_sweep"),
+})

@@ -25,7 +25,6 @@ user-facing entry point.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, TypeVar
 
@@ -70,6 +69,8 @@ def fan_out(
     jobs = resolve_jobs(jobs)
     if jobs <= 1 or len(tasks) <= 1:
         return [fn(t) for t in tasks]
+    from concurrent.futures import ProcessPoolExecutor
+
     from repro.obs import spans as _obs
 
     parent = _obs.RECORDER

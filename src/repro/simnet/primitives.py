@@ -213,10 +213,6 @@ class Gate:
         self._open = open
         self._waiters: list[Event] = []
 
-    @property
-    def is_open(self) -> bool:
-        return self._open
-
     def open(self) -> None:
         self._open = True
         waiters, self._waiters = self._waiters, []

@@ -1,10 +1,11 @@
-"""Shared utilities: unit conversions, summary statistics, table rendering.
+"""Shared utilities: unit conversions, summary statistics, table rendering,
+seeded random draws.
 
-These helpers are deliberately dependency-light; every other subpackage
+These helpers are deliberately dependency-free; every other subpackage
 may import :mod:`repro.util` but :mod:`repro.util` imports nothing from
-the rest of the library (bar the lazy-export helper).  Names are
-imported on first use, so :mod:`repro.util.units` does not drag in
-numpy (only :func:`make_rng` needs it).
+the rest of the library (bar the lazy-export helper) and nothing
+outside the standard library.  Names are imported on first use, so a
+process that needs :mod:`repro.util.units` loads only that module.
 """
 
 from repro._lazy import lazy_exports

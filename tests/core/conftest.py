@@ -26,7 +26,17 @@ from repro.simnet import Firewall, Network
 
 
 def _fds() -> "set[str]":
-    return set(os.listdir("/proc/self/fd"))
+    """The fds open now.  The listing is read through a directory fd
+    opened here (and ``os.listdir``'s dup of it); neither is counted,
+    so a snapshot does not depend on which fd numbers were free."""
+    own = os.open("/proc/self/fd", os.O_RDONLY | os.O_DIRECTORY)
+    try:
+        listed = os.listdir(own)
+        # The dup is closed by now: keep only what is still open.
+        return {fd for fd in listed
+                if fd != str(own) and os.path.lexists(f"/proc/self/fd/{fd}")}
+    finally:
+        os.close(own)
 
 
 @contextlib.asynccontextmanager

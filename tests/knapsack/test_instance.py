@@ -1,15 +1,21 @@
 """Knapsack instance construction, serialization, generators."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.apps.knapsack import (
     KnapsackInstance,
+    optimal_value,
+    paper_instance,
     random_instance,
     scaled_instance,
     tree_size,
 )
+from repro.apps.knapsack import analysis
+from repro.apps.knapsack import instance as instance_module
+from repro.util.rng import DEFAULT_SEED
 
 
 def test_from_items_sorts_by_ratio():
@@ -78,3 +84,67 @@ def test_random_instances_always_valid(n, seed):
     assert inst.n == n
     ratios = [p / w for p, w in zip(inst.profits, inst.weights)]
     assert ratios == sorted(ratios, reverse=True)
+
+
+# -- NumPy-built references ---------------------------------------------------
+# The generators and the DP are pure Python; NumPy's Generator and the
+# vectorised DP they replace are the references they must equal.
+
+
+def numpy_tree_size(instance: KnapsackInstance) -> int:
+    cap = instance.capacity
+    t_next = np.ones(cap + 1, dtype=np.int64)
+    for w in reversed(instance.weights):
+        t = 1 + t_next.copy()
+        if w <= cap:
+            t[w:] += t_next[: cap + 1 - w]
+        t_next = t
+    return int(t_next[cap])
+
+
+def numpy_optimal_value(instance: KnapsackInstance) -> int:
+    cap = instance.capacity
+    best = np.zeros(cap + 1, dtype=np.int64)
+    for p, w in zip(instance.profits, instance.weights):
+        if w <= cap:
+            np.maximum(best[w:], best[: cap + 1 - w] + p, out=best[w:])
+    return int(best[cap])
+
+
+class NumpyRng:
+    def __init__(self, seed):
+        self.gen = np.random.default_rng(DEFAULT_SEED if seed is None else seed)
+
+    def integers(self, low, high, size):
+        return self.gen.integers(low, high, size=size).tolist()
+
+
+def numpy_built(monkeypatch, build, *args, **kwargs) -> KnapsackInstance:
+    """``build(*args, **kwargs)`` with NumPy drawing and sizing trees."""
+    with monkeypatch.context() as m:
+        m.setattr(instance_module, "make_rng", NumpyRng)
+        m.setattr(analysis, "tree_size", numpy_tree_size)
+        return build(*args, **kwargs)
+
+
+@pytest.mark.parametrize("build, kwargs", [
+    pytest.param(random_instance, dict(n=30), id="random"),
+    pytest.param(random_instance, dict(n=12, max_weight=1000), id="random-wide"),
+    pytest.param(scaled_instance, dict(n=28, target_nodes=50_000), id="scaled"),
+    pytest.param(scaled_instance, dict(n=44, target_nodes=20_000_000, tolerance=0.9),
+                 id="scaled-table4"),
+    pytest.param(paper_instance, dict(), id="paper"),
+])
+@pytest.mark.parametrize("seed", [None, 0, 5, 7, 2**64 + 1])
+def test_builders_equal_numpy_built_references(monkeypatch, build, kwargs, seed):
+    assert build(seed=seed, **kwargs) == numpy_built(monkeypatch, build, seed=seed, **kwargs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 30), seed=st.integers(0, 10_000),
+       cap_frac=st.floats(0.0, 1.0))
+def test_dp_equals_numpy_dp(n, seed, cap_frac):
+    inst = random_instance(n, seed=seed)
+    inst = KnapsackInstance(inst.profits, inst.weights, int(inst.total_weight * cap_frac))
+    assert tree_size(inst) == numpy_tree_size(inst)
+    assert optimal_value(inst) == numpy_optimal_value(inst)

@@ -1,4 +1,4 @@
-"""Search correctness against analytic ground truth (vectorized DP)."""
+"""Search correctness against analytic ground truth (capacity-indexed DP)."""
 
 import pytest
 from hypothesis import given, settings
@@ -7,8 +7,6 @@ from hypothesis import strategies as st
 from repro.apps.knapsack import (
     KnapsackInstance,
     SearchState,
-    depth_profile,
-    optimal_selection,
     optimal_value,
     random_instance,
     solve,
@@ -45,22 +43,6 @@ def test_pruned_solver_agrees_and_visits_fewer(inst):
     pruned = solve(inst, prune=True)
     assert pruned.best_value == optimal_value(inst)
     assert pruned.nodes_traversed <= tree_size(inst)
-
-
-def test_optimal_selection_is_feasible_and_optimal():
-    inst = random_instance(15, seed=8)
-    value, chosen = optimal_selection(inst)
-    assert value == optimal_value(inst)
-    assert sum(inst.weights[i] for i in chosen) <= inst.capacity
-    assert sum(inst.profits[i] for i in chosen) == value
-
-
-def test_depth_profile_sums_to_tree_size():
-    inst = random_instance(12, seed=6)
-    profile = depth_profile(inst)
-    assert len(profile) == inst.n + 1
-    assert profile[0] == 1
-    assert int(profile.sum()) == tree_size(inst)
 
 
 def test_zero_capacity_tree_is_a_chain():

@@ -3,8 +3,9 @@
 A relay daemon is two small user-level processes on the gateway hosts:
 it must not import the simulator, the experiment harness, numpy,
 networkx or multiprocessing.  The simulated relay, in turn, needs
-neither networkx nor numpy.  Each case runs its imports in a fresh
-interpreter and lists what ``sys.modules`` then holds.
+neither networkx nor numpy, and a Table 4 run loads the simulator but
+no numpy, asyncio or process pool.  Each case runs its imports in a
+fresh interpreter and lists what ``sys.modules`` then holds.
 """
 
 import json
@@ -33,6 +34,18 @@ NOT_IN_DAEMON = (
 #: The simulator: networkx, the simnet package and the simulated relay.
 SIMULATOR = ("networkx", "repro.simnet", "repro.core.api", "repro.core.frames",
              "repro.core.outer", "repro.core.inner", "repro.core.pump")
+
+#: What a Table 4 run (instance, testbed, sweep runner) never loads.
+NOT_IN_TABLE4 = ("numpy", "asyncio", "multiprocessing", "concurrent.futures")
+
+TABLE4_RUN = """
+import repro.bench.sweep, repro.bench.table4, repro.bench.table56
+from repro.bench.table4 import Table4Config
+from repro.cluster.testbed import Testbed
+
+Table4Config().instance()
+Testbed()
+"""
 
 STARTED_TELEMETRY = """
 import asyncio
@@ -79,3 +92,11 @@ def test_live_client_loads_no_simulator():
 def test_simulated_relay_loads_neither_networkx_nor_numpy():
     modules = loaded_modules("import repro.cluster.testbed, repro.core.api")
     assert offending(modules, ("networkx", "numpy")) == []
+
+
+def test_table4_run_loads_no_numpy_asyncio_or_process_pool():
+    assert offending(loaded_modules(TABLE4_RUN), NOT_IN_TABLE4) == []
+
+
+def test_bench_package_loads_none_of_its_submodules():
+    assert offending(loaded_modules("import repro.bench"), ("repro.bench",)) == ["repro.bench"]
