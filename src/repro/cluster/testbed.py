@@ -25,6 +25,7 @@ Link parameters are the Table 2 calibration (see
 
 from __future__ import annotations
 
+import gc
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -75,6 +76,9 @@ class Testbed:
         net_config: Optional[NetConfig] = None,
         relay_config: RelayConfig = DEFAULT_RELAY_CONFIG,
     ) -> None:
+        # A finished world is cyclic (daemons parked on accept loops) and,
+        # its processes freed by refcount, seldom collected: free it first.
+        gc.collect()
         self.params = params
         self.relay_config = relay_config
         self.net = Network(config=net_config)

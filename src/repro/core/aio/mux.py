@@ -305,8 +305,10 @@ class MuxChain(asyncio.BufferedProtocol):
             self._maybe_finish()
 
     def _maybe_finish(self) -> None:
-        """Both directions saw EOF → close (flushes queued writes)."""
+        """Both directions saw EOF → forget the chain (its close sends no
+        RST; a late WINDOW is dropped) and close (flushes queued writes)."""
         if self._sent_eof and self._recv_eof and self.transport is not None:
+            self._session.chains.pop(self.chain_id, None)
             self.transport.close()
 
     def pause_writing(self) -> None:

@@ -5,8 +5,8 @@ The instrumentation substrate behind every layer of the system:
 * **sim domain** — timestamps are *simulated* seconds read off a DES
   kernel clock.  Spans and instants recorded here are a pure function
   of the simulated program, so a sim-domain trace is byte-stable
-  across kernel implementations (``REPRO_SIM_KERNEL=seed|fast``) and
-  across host machines — the property the determinism suite hashes.
+  across kernels (the shipped one, the tests' seed one) and across
+  host machines — the property the determinism suite hashes.
 * **wall domain** — timestamps are host seconds from a monotonic
   clock, relative to recorder creation.  The asyncio relay daemons
   (one real process, real sockets) record here.

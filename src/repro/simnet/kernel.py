@@ -37,17 +37,22 @@ while keeping the three rules above bit-identical:
 * **Inlined drain loop.**  :meth:`Simulator.run` with no deadline and
   no stop event runs a tight loop with the heap, pool and dispatch
   locals cached instead of calling :meth:`step` per event.
+* **Cached resume, released at the end.**  A :class:`Process` keeps
+  one bound ``_resume`` (and the generator's ``send``/``throw``) for
+  all its waits, which makes it a reference cycle; it drops them when
+  the generator returns or raises, so refcounting, not the cyclic
+  collector, frees a finished process and its frame at once.  Its
+  failure is freed the same way: the traceback leaves out the kernel
+  frame, and one thrown into a waiter that handles it gets its own
+  traceback back (those frames hold the processes).
 
-``Simulator(mode="seed")`` (or ``REPRO_SIM_KERNEL=seed``) disables the
-free-list and the callback slot — every registration allocates the
-list, like the original kernel — so the determinism suite can compare
-traces between the seed slow path and the fast path.
+The seed kernel the determinism suite hashes this one against is
+``tests/simnet/seed_kernel.py``.
 """
 
 from __future__ import annotations
 
 import heapq
-import os
 from sys import getrefcount
 from typing import Any, Callable, Generator, Iterable, Optional
 
@@ -127,18 +132,13 @@ class Event:
 
     def _add_callback(self, cb: Callable[["Event"], None]) -> None:
         """Internal fast registration (semantics of ``callbacks.append``)."""
-        if self.sim._fast:
-            if self._cbs is not None:
-                self._cbs.append(cb)
-            elif self._cb1 is None:
-                self._cb1 = cb
-            else:
-                self._cbs = [self._cb1, cb]
-                self._cb1 = None
+        if self._cbs is not None:
+            self._cbs.append(cb)
+        elif self._cb1 is None:
+            self._cb1 = cb
         else:
-            cbs = self.callbacks
-            assert cbs is not None
-            cbs.append(cb)
+            self._cbs = [self._cb1, cb]
+            self._cb1 = None
 
     def _discard_callback(self, cb: Callable[["Event"], None]) -> None:
         """Internal removal (no-op when absent or already processed)."""
@@ -246,13 +246,12 @@ class Process(Event):
     that raises fails with that exception.
     """
 
-    __slots__ = ("_gen", "_send", "_throw", "_resume_fn", "_target", "name")
+    __slots__ = ("_send", "_throw", "_resume_fn", "_target", "name")
 
     def __init__(self, sim: "Simulator", gen: ProcGen, name: str = "") -> None:
         if not hasattr(gen, "send"):
             raise SimError(f"process body must be a generator, got {gen!r}")
         super().__init__(sim)
-        self._gen = gen
         self._send = gen.send
         self._throw = gen.throw
         #: One bound method reused for every wait: registration and
@@ -295,7 +294,6 @@ class Process(Event):
 
     def _resume(self, event: Event) -> None:
         sim = self.sim
-        fast = sim._fast
         self._target = None
         sim._active = self
         send = self._send
@@ -307,14 +305,24 @@ class Process(Event):
                     next_ev = send(event._value)
                 else:
                     event._defused = True
-                    next_ev = throw(event._value)
+                    err = event._value
+                    tb = err.__traceback__
+                    try:
+                        next_ev = throw(err)
+                    except BaseException as exc:
+                        if exc is not err:  # handled, then returned or raised
+                            err.__traceback__ = tb
+                        raise
+                    err.__traceback__ = tb
             except StopIteration as stop:
                 sim._active = None
+                self._send = self._throw = self._resume_fn = None
                 self.succeed(stop.value)
                 return
             except BaseException as exc:
                 sim._active = None
-                self.fail(exc)
+                self._send = self._throw = self._resume_fn = None
+                self.fail(exc.with_traceback(exc.__traceback__.tb_next))
                 return
             if not isinstance(next_ev, Event):
                 sim._active = None
@@ -331,16 +339,13 @@ class Process(Event):
                 return
             if not next_ev._processed:
                 # Pending or triggered-but-unprocessed: wait for it.
-                if fast:
-                    if next_ev._cbs is not None:
-                        next_ev._cbs.append(resume)
-                    elif next_ev._cb1 is None:
-                        next_ev._cb1 = resume
-                    else:
-                        next_ev._cbs = [next_ev._cb1, resume]
-                        next_ev._cb1 = None
+                if next_ev._cbs is not None:
+                    next_ev._cbs.append(resume)
+                elif next_ev._cb1 is None:
+                    next_ev._cb1 = resume
                 else:
-                    next_ev._add_callback(resume)
+                    next_ev._cbs = [next_ev._cb1, resume]
+                    next_ev._cb1 = None
                 self._target = next_ev
                 sim._active = None
                 return
@@ -414,21 +419,11 @@ class AllOf(_Condition):
 class Simulator:
     """The event loop: a clock plus a time-ordered heap of events.
 
-    ``mode`` selects the implementation path: ``"fast"`` (default)
-    enables the Timeout free-list and the single-waiter callback slot;
-    ``"seed"`` reproduces the original kernel's allocation behaviour.
-    Both produce bit-identical traces (guarded by the trace-hash test
-    in ``tests/simnet/test_kernel_fastpath.py``).  The default can be
-    overridden with ``REPRO_SIM_KERNEL=seed|fast``.
+    Its traces are bit-identical to the seed kernel's (guarded by the
+    trace-hash test in ``tests/simnet/test_kernel_fastpath.py``).
     """
 
-    def __init__(self, mode: Optional[str] = None) -> None:
-        if mode is None:
-            mode = os.environ.get("REPRO_SIM_KERNEL", "fast")
-        if mode not in ("fast", "seed"):
-            raise SimError(f"unknown kernel mode {mode!r} (want 'fast' or 'seed')")
-        self.mode = mode
-        self._fast = mode == "fast"
+    def __init__(self) -> None:
         self.now: float = 0.0
         self._heap: list[tuple[float, int, Event]] = []
         self._eid = 0
@@ -500,8 +495,7 @@ class Simulator:
         if not ev._ok and not ev._defused:
             raise ev._value
         if (
-            self._fast
-            and ev.__class__ is Timeout
+            ev.__class__ is Timeout
             and len(self._pool) < _MAX_POOL
             and getrefcount(ev) == 2
         ):
@@ -538,7 +532,6 @@ class Simulator:
         heap = self._heap
         pool = self._pool
         heappop = heapq.heappop
-        pooling = self._fast
         if stop_event is None and deadline is None:
             # Drain loop: the hot path for whole-job runs.
             while heap:
@@ -559,7 +552,7 @@ class Simulator:
                             cb(ev)
                 if not ev._ok and not ev._defused:
                     raise ev._value
-                if pooling and ev.__class__ is Timeout and len(pool) < _MAX_POOL \
+                if ev.__class__ is Timeout and len(pool) < _MAX_POOL \
                         and getrefcount(ev) == 2:
                     pool.append(ev)
             return None
@@ -584,7 +577,7 @@ class Simulator:
                         cb(ev)
             if not ev._ok and not ev._defused:
                 raise ev._value
-            if pooling and ev.__class__ is Timeout and len(pool) < _MAX_POOL \
+            if ev.__class__ is Timeout and len(pool) < _MAX_POOL \
                     and getrefcount(ev) == 2:
                 pool.append(ev)
 

@@ -15,6 +15,7 @@ from repro.bench.sweep import fan_out, resolve_jobs
 from repro.bench.table4 import Table4Config, render_table4, run_table4
 from repro.bench.table56 import render_table5, render_table6
 from repro.bench.tuning import default_grid, render_sweep, run_tuning_sweep
+from tests.simnet import seed_kernel
 
 
 def _square(x: int) -> int:
@@ -88,9 +89,10 @@ def _assert_engine_paths_agree(monkeypatch, config: Table4Config) -> None:
     renders, counts = {}, {}
     for mode in ("seed", "fast", "eager"):
         engine = "fast" if mode == "eager" else mode
-        monkeypatch.setenv("REPRO_SIM_KERNEL", engine)
         monkeypatch.setenv("REPRO_SEARCH_ENGINE", engine)
         with monkeypatch.context() as patch:
+            if mode == "seed":
+                seed_kernel.install(patch)
             if mode == "eager":
                 patch.setattr(SearchState, "branch", _eager_branch)
             results = run_table4(config)

@@ -460,10 +460,11 @@ def test_scripted_old_outer_gets_golden_frames_from_new_inner():
             )
             assert await heard == b"early bird"
             golden = (frame(3, FrameType.OPEN_OK) + frame(3, FrameType.DATA, b"ack")
-                      + frame(3, FrameType.EOF) + frame(3, FrameType.RST))
+                      + frame(3, FrameType.EOF))
             assert await lr.readexactly(len(golden)) == golden
-            lw.close()
+            lw.write_eof()  # both directions ended: no RST follows
             assert await lr.read() == b""
+            lw.close()
             assert inner.stats.passive_chains == 1
         finally:
             target.close()
@@ -494,7 +495,8 @@ def test_new_outer_sends_golden_frames_to_scripted_old_inner():
             assert await pr.readexactly(7) == b"welcome"
             lw.write(frame(1, FrameType.EOF))
             assert await pr.read() == b""
-            assert await lr.readexactly(HEADER.size) == frame(1, FrameType.RST)
+            with pytest.raises(asyncio.TimeoutError):  # both ended: no RST
+                await asyncio.wait_for(lr.read(1), 0.2)
             for w in (pw, lw, control):
                 w.close()
         finally:
@@ -848,6 +850,50 @@ def test_open_path_runs_no_helper_task_and_no_stream_reader():
             control.close()
         finally:
             dest.close()
+            await outer.stop()
+            await inner.stop()
+
+    run(main())
+
+
+def test_cleanly_closed_chain_sends_no_rst(monkeypatch):
+    """One echo-and-close chain: each end sends its opening frame, one
+    DATA and one EOF, and nothing more — both directions ended, so the
+    close that follows resets nothing — and both chain tables are
+    empty afterwards."""
+    sent = []
+    real_send_frame = mux._MuxSession.send_frame
+
+    def spy(session, chain_id, ftype, payload=b""):
+        sent.append((session, FrameType.NAMES[ftype]))
+        return real_send_frame(session, chain_id, ftype, payload)
+
+    monkeypatch.setattr(mux._MuxSession, "send_frame", spy)
+
+    async def main():
+        outer, inner, client = await start_deployment()
+        try:
+            listener = await client.bind()
+            echo_task = asyncio.ensure_future(echo_chain(listener))
+            r, w = await asyncio.open_connection(*listener.proxy_addr)
+            w.write(b"ping" * 16)
+            w.write_eof()
+            assert await read_to_eof(r) == b"ping" * 16
+            w.close()
+            (link,) = outer._mux_links.values()
+            outer_session = link._session
+            (inner_session,) = {s for s, _ in sent if s is not outer_session}
+            for _ in range(200):
+                if not outer_session.chains and not inner_session.chains:
+                    break
+                await asyncio.sleep(0.01)
+            await asyncio.sleep(0.05)  # room for a late frame to be sent
+            assert outer_session.chains == {} and inner_session.chains == {}
+            assert [f for s, f in sent if s is outer_session] == ["OPEN", "DATA", "EOF"]
+            assert [f for s, f in sent if s is inner_session] == ["OPEN_OK", "DATA", "EOF"]
+            echo_task.cancel()
+            await listener.close()
+        finally:
             await outer.stop()
             await inner.stop()
 

@@ -23,6 +23,7 @@ from repro.obs import spans
 from repro.obs.export import dumps, to_chrome, validate_chrome_trace
 from repro.obs.spans import NullRecorder
 from repro.rmf import RMFSystem
+from tests.simnet import seed_kernel
 
 
 @pytest.fixture(autouse=True)
@@ -50,9 +51,11 @@ def test_sim_trace_byte_identical_across_kernels(monkeypatch) -> None:
     simulated program, not of the kernel implementation driving it."""
     payloads = {}
     for mode in ("seed", "fast"):
-        monkeypatch.setenv("REPRO_SIM_KERNEL", mode)
         rec = spans.ObsRecorder()
-        _traced_wide_area_run(rec)
+        with monkeypatch.context() as patch:
+            if mode == "seed":
+                seed_kernel.install(patch)
+            _traced_wide_area_run(rec)
         assert len(rec.events) > 100  # actually instrumented
         payloads[mode] = _sim_domain_bytes(rec)
     assert payloads["seed"] == payloads["fast"]

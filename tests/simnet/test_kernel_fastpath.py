@@ -1,6 +1,7 @@
-"""Fast-path kernel regressions: the ``mode="fast"`` machinery
-(callback slot, Timeout free-list, inlined drain loop) must be
-behaviourally invisible.
+"""Fast-path kernel regressions: the shipped kernel's fast path
+(callback slot, Timeout free-list, inlined drain loop, resume released
+at the end) must be behaviourally invisible against the seed kernel
+kept in :mod:`tests.simnet.seed_kernel`.
 
 Two layers of guarantee:
 
@@ -11,7 +12,7 @@ Two layers of guarantee:
   never resurrecting state a caller still holds;
 * a trace-hash determinism test: the *exact* event trace (time +
   event type, in dispatch order) of a real wide-area knapsack run is
-  bit-identical between ``mode="seed"`` and ``mode="fast"``.
+  bit-identical between the seed kernel and the shipped one.
 """
 
 from __future__ import annotations
@@ -27,11 +28,12 @@ from repro.simnet.kernel import (
     Simulator,
     Timeout,
 )
+from tests.simnet import seed_kernel
 
 
 @pytest.fixture(params=["seed", "fast"])
 def sim(request) -> Simulator:
-    return Simulator(mode=request.param)
+    return seed_kernel.Simulator() if request.param == "seed" else Simulator()
 
 
 # -- interrupt during AnyOf ---------------------------------------------------
@@ -137,7 +139,7 @@ def test_multiwaiter_dispatch_is_fifo(sim: Simulator) -> None:
 def test_slot_promotion_direct() -> None:
     """_add_callback: slot for one waiter, promotion to a list for the
     second, public materialization for the third — FIFO throughout."""
-    sim = Simulator(mode="fast")
+    sim = Simulator()
     ev = sim.event()
     order: list[str] = []
     ev._add_callback(lambda e: order.append("first"))
@@ -193,7 +195,7 @@ def test_defused_failure_does_not_raise(sim: Simulator) -> None:
 
 
 def test_pool_never_recycles_a_held_timeout() -> None:
-    sim = Simulator(mode="fast")
+    sim = Simulator()
     held = sim.timeout(1.0, value="keep-me")
     sim.run()
     assert held.processed and held.value == "keep-me"
@@ -205,7 +207,7 @@ def test_pool_never_recycles_a_held_timeout() -> None:
 
 
 def test_recycled_timeouts_have_fresh_state() -> None:
-    sim = Simulator(mode="fast")
+    sim = Simulator()
     times: list[tuple[float, object]] = []
 
     def looper():
@@ -223,7 +225,7 @@ def test_recycled_timeouts_have_fresh_state() -> None:
 
 def test_pooled_timeout_class_only() -> None:
     """Subclasses (Process, _Initialize, conditions) are never pooled."""
-    sim = Simulator(mode="fast")
+    sim = Simulator()
 
     def body():
         yield sim.timeout(1.0)
@@ -235,7 +237,7 @@ def test_pooled_timeout_class_only() -> None:
     assert proc.value == "x"
 
 
-# -- misc kernel contract kept by both modes ---------------------------------
+# -- misc kernel contract kept by both kernels ---------------------------------
 
 
 def test_negative_timeout_rejected(sim: Simulator) -> None:
@@ -272,9 +274,11 @@ def _trace_hash(mode: str, monkeypatch) -> str:
     from repro.apps.knapsack.master_slave import SchedulingParams
     from repro.cluster.testbed import Testbed
 
-    monkeypatch.setenv("REPRO_SIM_KERNEL", mode)
-    testbed = Testbed()
-    assert testbed.sim.mode == mode
+    with monkeypatch.context() as patch:
+        if mode == "seed":
+            seed_kernel.install(patch)
+        testbed = Testbed()
+    assert (type(testbed.sim) is seed_kernel.Simulator) == (mode == "seed")
     digest = hashlib.sha256()
     update = digest.update
 
